@@ -219,11 +219,18 @@ def _object_pool(dims: str | None, seed: int) -> list[homcat.HomObject]:
     """
     if not dims:
         return []
+    sizes = _int_csv(dims, "--dims")
+    if min(sizes) < 1:
+        raise InputParseError(f"--dims: every dimension must be >= 1, got {dims!r}")
     rng = random.Random(seed)
-    return [
-        homcat.HomObject(d, homcat.random_unimodular(rng, d))
-        for d in _int_csv(dims, "--dims")
-    ]
+    return [homcat.HomObject(d, homcat.random_unimodular(rng, d)) for d in sizes]
+
+
+def _trials(trials: int) -> int:
+    """Refuse a run that would check nothing."""
+    if trials < 1:
+        raise InputParseError(f"--trials must be >= 1, got {trials}")
+    return trials
 
 
 def _cmd_homcheck(args) -> int:
@@ -231,8 +238,9 @@ def _cmd_homcheck(args) -> int:
         params = homcat.MonoidalParams(_fraction(args.q), args.a, args.b)
     except ValueError as exc:
         raise InputParseError(str(exc)) from exc
+    trials = _trials(args.trials)
     pool = _object_pool(args.dims, args.seed)
-    report = homcat.check_coherence(params, pool, trials=args.trials, seed=args.seed)
+    report = homcat.check_coherence(params, pool, trials=trials, seed=args.seed)
     _emit(report.to_dict())
     return 0 if report.ok else 1
 
@@ -251,8 +259,9 @@ def _cmd_compare_hom(args) -> int:
             raise InputParseError(str(exc)) from exc
     else:
         raise InputParseError("provide either --tilde or all of --q2/--a2/--b2")
+    trials = _trials(args.trials)
     pool = _object_pool(args.dims, args.seed)
-    report = homcat.compare_structures(first, second, pool, trials=args.trials, seed=args.seed)
+    report = homcat.compare_structures(first, second, pool, trials=trials, seed=args.seed)
     _emit(report.to_dict())
     return 0 if report.identical else 1
 

@@ -10,10 +10,14 @@ monoidal structures on this category:
     braiding     flip after f_X^(a+b) (x) f_Y^(-(a+b))
 
 The checker does not trust any of the coherence claims: it composes
-both sides of each axiom on sampled objects and compares the matrices
-entry by entry, exactly.  Tensor factors are tracked leg by leg so that
-compositions cost products of small matrices, and a full matrix is only
-materialized to compare the two sides.
+both sides of each axiom on sampled objects and compares them exactly.
+Every constraint and every composite of constraints is a scalar times
+a permutation of tensor legs times one small matrix per leg, so both
+sides are composed leg by leg and first compared leg by leg: equal
+permutations, proportional legs and matching scalars prove the full
+matrices equal.  A full Kronecker matrix is only materialized when
+that test does not decide, and for the witness of a failure or the
+ratio of two unequal constraints.
 
 Flattening convention everywhere: row-major with the left tensor factor
 slowest.
@@ -22,9 +26,9 @@ slowest.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from typing import Sequence
 
 from . import matrices as mat
@@ -56,13 +60,21 @@ class HomObject:
 
     dim: int
     matrix: Matrix
+    # f^e by exponent, filled on demand; not part of the object's value
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         m = mat.from_rows(self.matrix)
         if mat.shape(m) != (self.dim, self.dim):
             raise ValueError(f"automorphism must be {self.dim}x{self.dim}")
-        mat.inverse(m)  # NotInvertible propagates
+        self._powers[-1] = mat.inverse(m)  # NotInvertible propagates
         object.__setattr__(self, "matrix", m)
+
+    def power(self, e: int) -> Matrix:
+        """f^e, computed once per exponent."""
+        if e not in self._powers:
+            self._powers[e] = mat.power(self.matrix if e >= 0 else self._powers[-1], abs(e))
+        return self._powers[e]
 
 
 @dataclass(frozen=True)
@@ -150,46 +162,15 @@ HTILDE_STRUCTURE = StructureMaps((1, 0, -1), Fraction(1), 1, Fraction(1), 1, (0,
 PLAIN_STRUCTURE = StructureMaps((0, 0, 0), Fraction(1), 0, Fraction(1), 0, (0, 0))
 
 
-# -- public constraint morphisms ------------------------------------------
-
-
-def associator(p, x: HomObject, y: HomObject, z: HomObject) -> HomMorphism:
-    s = structure_maps(p)
-    src = tensor_obj(tensor_obj(x, y), z)
-    tgt = tensor_obj(x, tensor_obj(y, z))
-    m = mat.kron(
-        mat.power(x.matrix, s.assoc_exp[0]),
-        mat.kron(mat.power(y.matrix, s.assoc_exp[1]), mat.power(z.matrix, s.assoc_exp[2])),
-    )
-    return HomMorphism(src, tgt, m)
-
-
-def left_unitor(p, x: HomObject) -> HomMorphism:
-    s = structure_maps(p)
-    src = tensor_obj(unit_object(), x)
-    m = mat.scale(s.left_scalar, mat.power(x.matrix, s.left_exp))
-    return HomMorphism(src, x, m)
-
-
-def right_unitor(p, x: HomObject) -> HomMorphism:
-    s = structure_maps(p)
-    src = tensor_obj(x, unit_object())
-    m = mat.scale(s.right_scalar, mat.power(x.matrix, s.right_exp))
-    return HomMorphism(src, x, m)
-
-
-def braiding(p, x: HomObject, y: HomObject) -> HomMorphism:
-    s = structure_maps(p)
-    src = tensor_obj(x, y)
-    tgt = tensor_obj(y, x)
-    m = mat.mul(
-        mat.flip(x.dim, y.dim),
-        mat.kron(mat.power(x.matrix, s.braid_exp[0]), mat.power(y.matrix, s.braid_exp[1])),
-    )
-    return HomMorphism(src, tgt, m)
-
-
 # -- leg-structured composition --------------------------------------------
+
+
+def _permuted(perm: Sequence[int], items: Sequence) -> tuple:
+    """The items rearranged so that item i lands in slot perm[i]."""
+    out = [None] * len(perm)
+    for i, p in enumerate(perm):
+        out[p] = items[i]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -198,8 +179,8 @@ class _LegMap:
 
     ``perm[i]`` is the output slot receiving input leg i; ``mats[i]`` is
     the square matrix applied to leg i before the permutation.  Axiom
-    sides are built entirely out of these, so composition never touches
-    a full Kronecker matrix until the final comparison.
+    sides and constraints are built entirely out of these, so neither
+    composing nor comparing them touches a full Kronecker matrix.
     """
 
     scalar: Fraction
@@ -210,7 +191,7 @@ class _LegMap:
         """Composite self . other (other runs first)."""
         perm = tuple(self.perm[other.perm[i]] for i in range(len(other.perm)))
         mats = tuple(
-            mat.mul(self.mats[other.perm[i]], other.mats[i]) for i in range(len(other.mats))
+            _compose(self.mats[other.perm[i]], other.mats[i]) for i in range(len(other.mats))
         )
         return _LegMap(self.scalar * other.scalar, perm, mats)
 
@@ -222,9 +203,7 @@ class _LegMap:
         if self.perm == tuple(range(n)):
             return k
         dims = [len(m) for m in mats]
-        out_dims = [0] * n
-        for i, p in enumerate(self.perm):
-            out_dims[p] = dims[i]
+        out_dims = _permuted(self.perm, dims)
         rows = []
         total = 1
         for d in out_dims:
@@ -242,12 +221,25 @@ class _LegMap:
         return tuple(rows)
 
 
+def _compose(a: Matrix, b: Matrix) -> Matrix:
+    """a . b, skipping the product when a factor is an identity leg.
+
+    f^0 legs are the matrices ``mat.identity`` caches, so ``is`` finds
+    them without comparing entries; a miss only costs the product.
+    """
+    if a is mat.identity(len(a)):
+        return b
+    if b is mat.identity(len(b)):
+        return a
+    return mat.mul(a, b)
+
+
 def _legs(objs: Sequence[HomObject], exps: Sequence[int], scalar=Fraction(1), perm=None) -> _LegMap:
     n = len(objs)
     return _LegMap(
         Fraction(scalar),
         tuple(range(n)) if perm is None else tuple(perm),
-        tuple(mat.power(o.matrix, e) for o, e in zip(objs, exps)),
+        tuple(o.power(e) for o, e in zip(objs, exps)),
     )
 
 
@@ -255,10 +247,116 @@ def _identity_legs(objs: Sequence[HomObject]) -> _LegMap:
     return _legs(objs, [0] * len(objs))
 
 
+def _leg_ratio(a: Matrix, b: Matrix) -> Fraction | None:
+    """The c with a == c * b, or None when a is no multiple of b."""
+    if a == b:
+        return Fraction(1)
+    if mat.shape(a) != mat.shape(b):
+        return None
+    pivot = next(((x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb) if y), None)
+    if pivot is None:  # b is zero and a is not
+        return None
+    c = pivot[0] / pivot[1]
+    return c if all(x == c * y for ra, rb in zip(a, b) for x, y in zip(ra, rb)) else None
+
+
+def _same_matrix(lhs: _LegMap, rhs: _LegMap) -> bool:
+    """A sound, sufficient test that two leg maps have the same full matrix.
+
+    True when the permutations agree, each lhs leg is c_i times the rhs
+    leg, and lhs.scalar * prod(c_i) == rhs.scalar.  False only means
+    undecided: the full matrices may still be equal.
+    """
+    if lhs.perm != rhs.perm:
+        return False
+    scalar = lhs.scalar
+    for a, b in zip(lhs.mats, rhs.mats):
+        c = _leg_ratio(a, b)
+        if c is None:
+            return False
+        scalar *= c
+    return scalar == rhs.scalar
+
+
+def _morphism(legs: _LegMap, sources: Sequence[HomObject]) -> HomMorphism:
+    """The full morphism from the tensor of the sources, checked in full."""
+    targets = _permuted(legs.perm, sources)
+    return HomMorphism(reduce(tensor_obj, sources), reduce(tensor_obj, targets), legs.to_matrix())
+
+
+def _check_intertwines(legs: _LegMap, sources: Sequence[HomObject]) -> None:
+    """Raise ValueError unless the leg map is a morphism.
+
+    Leg i runs from sources[i] to the same object in slot perm[i]; when
+    every leg intertwines, so does their tensor product.  A leg that does
+    not decides nothing (scalars can cancel across legs), so the full
+    check runs then.  Invertibility needs no check here: each source
+    object checked its own automorphism when it was built.
+    """
+    if any(_compose(o.matrix, m) != _compose(m, o.matrix) for o, m in zip(sources, legs.mats)):
+        _morphism(legs, sources)
+
+
+def _ratio(first: _LegMap, second: _LegMap) -> Matrix:
+    """second . first^-1 as a full matrix, for two maps with one permutation.
+
+    With P the common permutation, P (x)B_i (P (x)A_i)^-1 is
+    P ((x) B_i A_i^-1) P^-1: the identity permutation with B_i A_i^-1 in
+    slot perm[i].
+    """
+    if not first.scalar:
+        raise NotInvertible("matrix is singular")
+    mats = _permuted(
+        first.perm, [mat.mul(b, mat.inverse(a)) for a, b in zip(first.mats, second.mats)]
+    )
+    return _LegMap(second.scalar / first.scalar, tuple(range(len(mats))), mats).to_matrix()
+
+
+def _strings(m: Matrix) -> tuple:
+    return tuple(tuple(str(x) for x in row) for row in m)
+
+
+# -- constraints ------------------------------------------------------------
+
+
+def _associator_legs(p, x: HomObject, y: HomObject, z: HomObject) -> _LegMap:
+    return _legs((x, y, z), structure_maps(p).assoc_exp)
+
+
+def _left_unitor_legs(p, x: HomObject) -> _LegMap:
+    s = structure_maps(p)
+    return _legs((x,), (s.left_exp,), scalar=s.left_scalar)
+
+
+def _right_unitor_legs(p, x: HomObject) -> _LegMap:
+    s = structure_maps(p)
+    return _legs((x,), (s.right_exp,), scalar=s.right_scalar)
+
+
+def _braiding_legs(p, x: HomObject, y: HomObject) -> _LegMap:
+    return _legs((x, y), structure_maps(p).braid_exp, perm=(1, 0))
+
+
+def associator(p, x: HomObject, y: HomObject, z: HomObject) -> HomMorphism:
+    return _morphism(_associator_legs(p, x, y, z), (x, y, z))
+
+
+def left_unitor(p, x: HomObject) -> HomMorphism:
+    return _morphism(_left_unitor_legs(p, x), (x,))
+
+
+def right_unitor(p, x: HomObject) -> HomMorphism:
+    return _morphism(_right_unitor_legs(p, x), (x,))
+
+
+def braiding(p, x: HomObject, y: HomObject) -> HomMorphism:
+    return _morphism(_braiding_legs(p, x, y), (x, y))
+
+
 # -- the coherence axioms, one pair of sides each ---------------------------
 
 
-def pentagon_sides(p, u, v, w, x) -> tuple[Matrix, Matrix]:
+def _pentagon_legs(p, u, v, w, x) -> tuple[_LegMap, _LegMap]:
     s = structure_maps(p)
     e1, e2, e3 = s.assoc_exp
     objs = (u, v, w, x)
@@ -268,10 +366,10 @@ def pentagon_sides(p, u, v, w, x) -> tuple[Matrix, Matrix]:
         .after(_legs(objs, (e1, e2, e3, 0)))
     )
     rhs = _legs(objs, (e1, e2, e3, e3)).after(_legs(objs, (e1, e1, e2, e3)))
-    return lhs.to_matrix(), rhs.to_matrix()
+    return lhs, rhs
 
 
-def triangle_sides(p, v, w) -> tuple[Matrix, Matrix]:
+def _triangle_legs(p, v, w) -> tuple[_LegMap, _LegMap]:
     s = structure_maps(p)
     e1, e2, e3 = s.assoc_exp
     k = unit_object()
@@ -280,10 +378,10 @@ def triangle_sides(p, v, w) -> tuple[Matrix, Matrix]:
         _legs(objs, (e1, e2, e3))
     )
     rhs = _legs(objs, (s.right_exp, 0, 0), scalar=s.right_scalar)
-    return lhs.to_matrix(), rhs.to_matrix()
+    return lhs, rhs
 
 
-def hexagon_forward_sides(p, u, v, w) -> tuple[Matrix, Matrix]:
+def _hexagon_forward_legs(p, u, v, w) -> tuple[_LegMap, _LegMap]:
     s = structure_maps(p)
     e1, e2, e3 = s.assoc_exp
     b1, b2 = s.braid_exp
@@ -297,10 +395,10 @@ def hexagon_forward_sides(p, u, v, w) -> tuple[Matrix, Matrix]:
         .after(_legs((v, u, w), (e1, e2, e3)))
         .after(_legs((u, v, w), (b1, b2, 0), perm=(1, 0, 2)))
     )
-    return lhs.to_matrix(), rhs.to_matrix()
+    return lhs, rhs
 
 
-def hexagon_backward_sides(p, u, v, w) -> tuple[Matrix, Matrix]:
+def _hexagon_backward_legs(p, u, v, w) -> tuple[_LegMap, _LegMap]:
     s = structure_maps(p)
     e1, e2, e3 = s.assoc_exp
     b1, b2 = s.braid_exp
@@ -314,32 +412,33 @@ def hexagon_backward_sides(p, u, v, w) -> tuple[Matrix, Matrix]:
         .after(_legs((u, w, v), (-e1, -e2, -e3)))
         .after(_legs((u, v, w), (0, b1, b2), perm=(0, 2, 1)))
     )
-    return lhs.to_matrix(), rhs.to_matrix()
+    return lhs, rhs
 
 
-def symmetry_sides(p, u, v) -> tuple[Matrix, Matrix]:
+def _symmetry_legs(p, u, v) -> tuple[_LegMap, _LegMap]:
     s = structure_maps(p)
     b1, b2 = s.braid_exp
     lhs = _legs((v, u), (b1, b2), perm=(1, 0)).after(
         _legs((u, v), (b1, b2), perm=(1, 0))
     )
-    return lhs.to_matrix(), _identity_legs((u, v)).to_matrix()
+    return lhs, _identity_legs((u, v))
 
 
-def naturality_associator_sides(p, sources, targets, maps) -> tuple[Matrix, Matrix]:
+def _naturality_associator_legs(p, sources, targets, maps) -> tuple[_LegMap, _LegMap]:
     s = structure_maps(p)
     xi = _LegMap(Fraction(1), (0, 1, 2), tuple(maps))
     lhs = _legs(targets, s.assoc_exp).after(xi)
     rhs = xi.after(_legs(sources, s.assoc_exp))
-    return lhs.to_matrix(), rhs.to_matrix()
+    return lhs, rhs
 
 
-def naturality_unitor_sides(p, source, target, m, side: str) -> tuple[Matrix, Matrix]:
+def _naturality_unitor_legs(p, sources, targets, maps, side: str) -> tuple[_LegMap, _LegMap]:
     s = structure_maps(p)
     exp = s.left_exp if side == "left" else s.right_exp
     scal = s.left_scalar if side == "left" else s.right_scalar
     one = ((Fraction(1),),)
     unit = unit_object()
+    (source,), (target,), (m,) = sources, targets, maps
     if side == "left":
         xi = _LegMap(Fraction(1), (0, 1), (one, m))
         src, tgt, exps = (unit, source), (unit, target), (0, exp)
@@ -348,10 +447,10 @@ def naturality_unitor_sides(p, source, target, m, side: str) -> tuple[Matrix, Ma
         src, tgt, exps = (source, unit), (target, unit), (exp, 0)
     lhs = _legs(tgt, exps, scalar=scal).after(xi)
     rhs = xi.after(_legs(src, exps, scalar=scal))
-    return lhs.to_matrix(), rhs.to_matrix()
+    return lhs, rhs
 
 
-def naturality_braiding_sides(p, sources, targets, maps) -> tuple[Matrix, Matrix]:
+def _naturality_braiding_legs(p, sources, targets, maps) -> tuple[_LegMap, _LegMap]:
     s = structure_maps(p)
     b1, b2 = s.braid_exp
     lhs = _legs(targets, (b1, b2), perm=(1, 0)).after(
@@ -360,7 +459,44 @@ def naturality_braiding_sides(p, sources, targets, maps) -> tuple[Matrix, Matrix
     rhs = _LegMap(Fraction(1), (0, 1), (maps[1], maps[0])).after(
         _legs(sources, (b1, b2), perm=(1, 0))
     )
+    return lhs, rhs
+
+
+def _matrices(sides: tuple[_LegMap, _LegMap]) -> tuple[Matrix, Matrix]:
+    lhs, rhs = sides
     return lhs.to_matrix(), rhs.to_matrix()
+
+
+def pentagon_sides(p, u, v, w, x) -> tuple[Matrix, Matrix]:
+    return _matrices(_pentagon_legs(p, u, v, w, x))
+
+
+def triangle_sides(p, v, w) -> tuple[Matrix, Matrix]:
+    return _matrices(_triangle_legs(p, v, w))
+
+
+def hexagon_forward_sides(p, u, v, w) -> tuple[Matrix, Matrix]:
+    return _matrices(_hexagon_forward_legs(p, u, v, w))
+
+
+def hexagon_backward_sides(p, u, v, w) -> tuple[Matrix, Matrix]:
+    return _matrices(_hexagon_backward_legs(p, u, v, w))
+
+
+def symmetry_sides(p, u, v) -> tuple[Matrix, Matrix]:
+    return _matrices(_symmetry_legs(p, u, v))
+
+
+def naturality_associator_sides(p, sources, targets, maps) -> tuple[Matrix, Matrix]:
+    return _matrices(_naturality_associator_legs(p, sources, targets, maps))
+
+
+def naturality_unitor_sides(p, source, target, m, side: str) -> tuple[Matrix, Matrix]:
+    return _matrices(_naturality_unitor_legs(p, (source,), (target,), (m,), side))
+
+
+def naturality_braiding_sides(p, sources, targets, maps) -> tuple[Matrix, Matrix]:
+    return _matrices(_naturality_braiding_legs(p, sources, targets, maps))
 
 
 # -- random sampling, all through one seeded generator ----------------------
@@ -414,6 +550,18 @@ def random_morphism(rng: random.Random, x: HomObject) -> tuple[HomObject, Matrix
     return target, mat.mul(u, poly)
 
 
+def _sample(rng: random.Random, pool, t: int, n: int, max_dim: int) -> tuple[HomObject, ...]:
+    """The n objects of trial t.
+
+    From a pool, slot 0 cycles through it deterministically and the
+    other slots are drawn at random; without one, every slot is a fresh
+    random object.
+    """
+    if not pool:
+        return tuple(random_object(rng, max_dim) for _ in range(n))
+    return (pool[t % len(pool)],) + tuple(rng.choice(pool) for _ in range(n - 1))
+
+
 # -- reports ----------------------------------------------------------------
 
 
@@ -455,24 +603,39 @@ class CoherenceReport:
         }
 
 
-COHERENCE_AXIOMS = (
-    "pentagon",
-    "triangle",
-    "hexagon_forward",
-    "hexagon_backward",
-    "symmetry",
-    "naturality_associator",
-    "naturality_unitors",
-    "naturality_braiding",
+# (axiom, objects drawn per instance, leg builders whose sides must all
+# agree, whether each object also gets a random morphism out of it)
+_AXIOMS = (
+    ("pentagon", 4, (_pentagon_legs,), False),
+    ("triangle", 2, (_triangle_legs,), False),
+    ("hexagon_forward", 3, (_hexagon_forward_legs,), False),
+    ("hexagon_backward", 3, (_hexagon_backward_legs,), False),
+    ("symmetry", 2, (_symmetry_legs,), False),
+    ("naturality_associator", 3, (_naturality_associator_legs,), True),
+    (
+        "naturality_unitors",
+        1,
+        (
+            partial(_naturality_unitor_legs, side="left"),
+            partial(_naturality_unitor_legs, side="right"),
+        ),
+        True,
+    ),
+    ("naturality_braiding", 2, (_naturality_braiding_legs,), True),
 )
 
+COHERENCE_AXIOMS = tuple(name for name, *_ in _AXIOMS)
 
-def _instance(sides) -> InstanceResult:
-    lhs, rhs = sides
-    if lhs == rhs:
-        return InstanceResult((), True)
-    diff = mat.sub(lhs, rhs)
-    return InstanceResult((), False, tuple(tuple(str(x) for x in row) for row in diff))
+
+def _decide(dims: tuple[int, ...], sides) -> InstanceResult:
+    """Pass when every pair of sides agrees; else the first difference is the witness."""
+    for lhs, rhs in sides:
+        if _same_matrix(lhs, rhs):
+            continue
+        left, right = lhs.to_matrix(), rhs.to_matrix()
+        if left != right:
+            return InstanceResult(dims, False, _strings(mat.sub(left, right)))
+    return InstanceResult(dims, True)
 
 
 def check_coherence(
@@ -491,59 +654,17 @@ def check_coherence(
     s = structure_maps(p)
     rng = random.Random(seed)
     pool = list(objects)
-
-    def pick(t: int, slot: int) -> HomObject:
-        if pool:
-            if slot == 0:
-                return pool[t % len(pool)]
-            return rng.choice(pool)
-        return random_object(rng, max_dim)
-
     groups = []
-    for axiom in COHERENCE_AXIOMS:
+    for axiom, arity, builders, natural in _AXIOMS:
         results = []
         for t in range(trials):
-            if axiom == "pentagon":
-                objs = tuple(pick(t, i) for i in range(4))
-                res = _instance(pentagon_sides(s, *objs))
-            elif axiom == "triangle":
-                objs = tuple(pick(t, i) for i in range(2))
-                res = _instance(triangle_sides(s, *objs))
-            elif axiom == "hexagon_forward":
-                objs = tuple(pick(t, i) for i in range(3))
-                res = _instance(hexagon_forward_sides(s, *objs))
-            elif axiom == "hexagon_backward":
-                objs = tuple(pick(t, i) for i in range(3))
-                res = _instance(hexagon_backward_sides(s, *objs))
-            elif axiom == "symmetry":
-                objs = tuple(pick(t, i) for i in range(2))
-                res = _instance(symmetry_sides(s, *objs))
-            elif axiom == "naturality_associator":
-                objs = tuple(pick(t, i) for i in range(3))
+            objs = _sample(rng, pool, t, arity, max_dim)
+            args = objs
+            if natural:
                 mors = [random_morphism(rng, o) for o in objs]
-                res = _instance(
-                    naturality_associator_sides(
-                        s, objs, tuple(m[0] for m in mors), tuple(m[1] for m in mors)
-                    )
-                )
-            elif axiom == "naturality_unitors":
-                obj = pick(t, 0)
-                target, m = random_morphism(rng, obj)
-                left = naturality_unitor_sides(s, obj, target, m, "left")
-                right = naturality_unitor_sides(s, obj, target, m, "right")
-                res_l = _instance(left)
-                res_r = _instance(right)
-                res = res_l if not res_l.passed else res_r
-                objs = (obj,)
-            else:
-                objs = tuple(pick(t, i) for i in range(2))
-                mors = [random_morphism(rng, o) for o in objs]
-                res = _instance(
-                    naturality_braiding_sides(
-                        s, objs, tuple(m[0] for m in mors), tuple(m[1] for m in mors)
-                    )
-                )
-            results.append(InstanceResult(tuple(o.dim for o in objs), res.passed, res.witness))
+                args = (objs, tuple(m[0] for m in mors), tuple(m[1] for m in mors))
+            dims = tuple(o.dim for o in objs)
+            results.append(_decide(dims, (build(s, *args) for build in builders)))
         groups.append((axiom, tuple(results)))
     params_desc = p.to_dict() if isinstance(p, MonoidalParams) else {
         "assoc_exp": list(s.assoc_exp),
@@ -589,6 +710,15 @@ class ComparisonReport:
         }
 
 
+# (constraint, leading objects of the trial it takes, leg builder)
+_CONSTRAINTS = (
+    ("associator", 3, _associator_legs),
+    ("left_unitor", 1, _left_unitor_legs),
+    ("right_unitor", 1, _right_unitor_legs),
+    ("braiding", 2, _braiding_legs),
+)
+
+
 def compare_structures(
     p1,
     p2,
@@ -607,41 +737,19 @@ def compare_structures(
     s2 = structure_maps(p2)
     rng = random.Random(seed)
     pool = list(objects)
-
-    def pick(t: int, slot: int) -> HomObject:
-        if pool:
-            if slot == 0:
-                return pool[t % len(pool)]
-            return rng.choice(pool)
-        return random_object(rng, max_dim)
-
     entries = []
-
-    def record(name, dims, m1, m2):
-        if m1 == m2:
-            entries.append(ConstraintComparison(name, dims, True))
-        else:
-            ratio = mat.mul(m2, mat.inverse(m1))
-            entries.append(
-                ConstraintComparison(
-                    name, dims, False, tuple(tuple(str(x) for x in row) for row in ratio)
-                )
-            )
-
     for t in range(trials):
-        x, y, z = (pick(t, i) for i in range(3))
-        record(
-            "associator",
-            (x.dim, y.dim, z.dim),
-            associator(s1, x, y, z).matrix,
-            associator(s2, x, y, z).matrix,
-        )
-        record("left_unitor", (x.dim,), left_unitor(s1, x).matrix, left_unitor(s2, x).matrix)
-        record("right_unitor", (x.dim,), right_unitor(s1, x).matrix, right_unitor(s2, x).matrix)
-        record(
-            "braiding",
-            (x.dim, y.dim),
-            braiding(s1, x, y).matrix,
-            braiding(s2, x, y).matrix,
-        )
+        objs = _sample(rng, pool, t, 3, max_dim)
+        for name, arity, build in _CONSTRAINTS:
+            factors = objs[:arity]
+            first, second = build(s1, *factors), build(s2, *factors)
+            _check_intertwines(first, factors)
+            _check_intertwines(second, factors)
+            dims = tuple(o.dim for o in factors)
+            if _same_matrix(first, second) or first.to_matrix() == second.to_matrix():
+                entries.append(ConstraintComparison(name, dims, True))
+            else:
+                entries.append(
+                    ConstraintComparison(name, dims, False, _strings(_ratio(first, second)))
+                )
     return ComparisonReport(seed, trials, tuple(entries))

@@ -8,6 +8,7 @@ right tool; there is deliberately no float path anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -28,7 +29,9 @@ def shape(a: Matrix) -> tuple[int, int]:
     return len(a), len(a[0]) if a else 0
 
 
+@lru_cache(maxsize=64)
 def identity(n: int) -> Matrix:
+    """The n x n identity; cached, so equal sizes share one (immutable) object."""
     one, zero = Fraction(1), Fraction(0)
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
@@ -89,14 +92,19 @@ def power(a: Matrix, e: int) -> Matrix:
         raise NotInvertible("only square matrices have powers")
     if e < 0:
         return power(inverse(a), -e)
-    out = identity(n)
+    if e == 0:
+        return identity(n)
+    # square-and-multiply without a product by the identity or a square
+    # past the top bit: a^1 costs no product, a^(2^k) costs k
+    out = None
     base = a
-    while e:
+    while True:
         if e & 1:
-            out = mul(out, base)
-        base = mul(base, base)
+            out = base if out is None else mul(out, base)
         e >>= 1
-    return out
+        if not e:
+            return out
+        base = mul(base, base)
 
 
 def flip(d1: int, d2: int) -> Matrix:

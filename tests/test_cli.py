@@ -231,3 +231,27 @@ def test_determinism_byte_identical():
         second = run_cli(*cmd)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_hom_commands_refuse_runs_that_check_nothing(trials):
+    for cmd in (
+        ("homcheck", "--q", "1", "--a", "0", "--b", "0", "--dims", "1", "--trials", trials),
+        ("compare-hom", "--q1", "1", "--a1", "1", "--b1=-1", "--tilde", "--trials", trials),
+    ):
+        res = run_cli(*cmd)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "--trials" in res.stderr
+
+
+@pytest.mark.parametrize("dims", ["0", "2,-1"])
+def test_hom_commands_refuse_empty_dimensions(dims):
+    for cmd in (
+        ("homcheck", "--q", "1", "--a", "0", "--b", "0", "--dims", dims),
+        ("compare-hom", "--q1", "1", "--a1", "1", "--b1=-1", "--tilde", "--dims", dims),
+    ):
+        res = run_cli(*cmd)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "--dims" in res.stderr and "randrange" not in res.stderr

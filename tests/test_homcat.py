@@ -1,8 +1,11 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbialg import matrices as mat
 from qbialg.homcat import (
@@ -34,6 +37,9 @@ from qbialg.homcat import (
     tensor_obj,
     triangle_sides,
     unit_object,
+    _check_intertwines,
+    _LegMap,
+    _same_matrix,
 )
 from qbialg.matrices import NotInvertible
 
@@ -84,6 +90,9 @@ def test_tensor_obj_and_unit():
     assert t.dim == 2
     assert t.matrix == frac_rows([[2, 2], [0, 2]])
     assert unit_object().matrix == frac_rows([[1]])
+    # cached powers are not part of an object's value
+    assert t.power(3) == mat.power(t.matrix, 3) and t.power(-2) == mat.power(t.matrix, -2)
+    assert t == HomObject(2, t.matrix) and hash(t) == hash(HomObject(2, t.matrix))
 
 
 def test_from_module_action_goldens():
@@ -292,7 +301,83 @@ def test_compare_ratio_witness_value():
     assert entry.ratio == (("2",),)
 
 
+def test_compare_singular_constraint_has_no_ratio():
+    zero_unitor = dataclasses.replace(PLAIN_STRUCTURE, left_scalar=Fraction(0))
+    with pytest.raises(NotInvertible):
+        compare_structures(zero_unitor, PLAIN_STRUCTURE, objects=[obj([[2]])], trials=1)
+
+
 def test_compare_determinism():
     a = compare_structures(PLAIN_STRUCTURE, HTILDE_STRUCTURE, trials=5, seed=9).to_dict()
     b = compare_structures(PLAIN_STRUCTURE, HTILDE_STRUCTURE, trials=5, seed=9).to_dict()
     assert a == b
+
+
+def test_compare_braiding_ratio_matches_full_matrices():
+    # the braiding carries a leg permutation, so its leg-wise ratio must be
+    # conjugated by it; compare against second . first^-1 on full matrices
+    x = obj([[1, 1], [0, 1]])
+    y = obj([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    first, second = PARAM_SETS[2], PLAIN_STRUCTURE
+    report = compare_structures(first, second, objects=[x, y], trials=1, seed=0)
+    (entry,) = [e for e in report.entries if e.constraint == "braiding"]
+    assert entry.dims == (2, 3) and not entry.equal
+    m1 = braiding(first, x, y).matrix
+    m2 = braiding(second, x, y).matrix
+    expect = mat.mul(m2, mat.inverse(m1))
+    assert entry.ratio == tuple(tuple(str(v) for v in row) for row in expect)
+
+
+def test_intertwining_falls_back_to_the_full_check():
+    x = obj([[1, 0], [0, -1]])
+    swap = frac_rows([[0, 1], [1, 0]])  # anticommutes with the automorphism of x
+    # neither leg intertwines, but the two signs cancel in the tensor product
+    _check_intertwines(_LegMap(Fraction(1), (0, 1), (swap, swap)), (x, x))
+    with pytest.raises(ValueError):
+        _check_intertwines(_LegMap(Fraction(1), (0, 1), (swap, mat.identity(2))), (x, x))
+
+
+@st.composite
+def leg_map_pairs(draw):
+    """Two leg maps, often equal by construction, with a flag saying so.
+
+    The lhs legs are multiples c_i of the rhs legs, and the scalars, the
+    permutations and one lhs entry may be perturbed.  Legs and factors
+    can be zero and legs can be 1-dimensional.
+    """
+    n = draw(st.integers(1, 3))
+    dims = [draw(st.integers(1, 3)) for _ in range(n)]
+    perm = tuple(draw(st.permutations(range(n))))
+    entry = st.integers(-2, 2).map(Fraction)
+    rhs_mats = tuple(tuple(tuple(draw(entry) for _ in range(d)) for _ in range(d)) for d in dims)
+    factors = [draw(entry) for _ in range(n)]
+    lhs_mats = [mat.scale(c, m) for c, m in zip(factors, rhs_mats)]
+    lhs_scalar = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(3)]))
+    matched = lhs_scalar * math.prod(factors)
+    rhs_scalar = draw(st.sampled_from([matched, matched + 1, Fraction(0)]))
+    rhs_perm = tuple(draw(st.permutations(range(n)))) if draw(st.booleans()) else perm
+    perturb = draw(st.booleans())
+    if perturb:
+        i = draw(st.integers(0, n - 1))
+        rows = [list(r) for r in lhs_mats[i]]
+        rows[0][0] += 1
+        lhs_mats[i] = frac_rows(rows)
+    equal_by_construction = (
+        not perturb
+        and rhs_perm == perm
+        and rhs_scalar == matched
+        and all(any(x for row in m for x in row) for m in rhs_mats)
+    )
+    lhs = _LegMap(lhs_scalar, perm, tuple(lhs_mats))
+    return lhs, _LegMap(rhs_scalar, rhs_perm, rhs_mats), equal_by_construction
+
+
+@settings(max_examples=300, deadline=None)
+@given(leg_map_pairs())
+def test_legwise_equality_never_disagrees_with_full_matrices(case):
+    lhs, rhs, equal_by_construction = case
+    decided = _same_matrix(lhs, rhs)
+    if decided:
+        assert lhs.to_matrix() == rhs.to_matrix()
+    if equal_by_construction:
+        assert decided  # proportional nonzero legs with matching scalars decide

@@ -68,6 +68,19 @@ def test_power():
     assert mat.power(a, 5) == mat.mul(mat.power(a, 2), mat.power(a, 3))
 
 
+def test_power_matches_repeated_products():
+    rng = random.Random(8)
+    for _ in range(10):
+        n = rng.randint(1, 3)
+        a = random_invertible(rng, n)
+        inv = mat.inverse(a)
+        for e in range(-3, 7):
+            expect = mat.identity(n)
+            for _ in range(abs(e)):
+                expect = mat.mul(expect, a if e > 0 else inv)
+            assert mat.power(a, e) == expect
+
+
 def test_kron_mixed_product():
     # (A (x) B)(C (x) D) = AC (x) BD ties legwise and full composition together
     rng = random.Random(5)
