@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import homcat
 from .harrison import HarrisonCochain, boundary, cohomology
-from .laurent import TensorElement
+from .laurent import TensorElement, parse_coefficient
 from .quasibialgebra import (
     CanonicalTriple,
     NoMonomialTwist,
@@ -70,11 +70,11 @@ def _element(path: str) -> TensorElement:
         raise InputParseError(f"{path}: {exc}") from exc
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str, flag: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputParseError(f"not a fraction: {text!r}") from exc
+        return parse_coefficient(text, flag)
+    except ValueError as exc:
+        raise InputParseError(str(exc)) from exc
 
 
 def _int_csv(text: str, what: str) -> tuple[int, ...]:
@@ -184,7 +184,7 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    q = _fraction(args.q)
+    q = _fraction(args.q, "--q")
     h = _int_csv(args.h, "--h")
     g = _int_csv(args.g, "--g")
     if len(h) != args.rank or len(g) != args.rank:
@@ -235,7 +235,7 @@ def _trials(trials: int) -> int:
 
 def _cmd_homcheck(args) -> int:
     try:
-        params = homcat.MonoidalParams(_fraction(args.q), args.a, args.b)
+        params = homcat.MonoidalParams(_fraction(args.q, "--q"), args.a, args.b)
     except ValueError as exc:
         raise InputParseError(str(exc)) from exc
     trials = _trials(args.trials)
@@ -247,14 +247,14 @@ def _cmd_homcheck(args) -> int:
 
 def _cmd_compare_hom(args) -> int:
     try:
-        first = homcat.MonoidalParams(_fraction(args.q1), args.a1, args.b1)
+        first = homcat.MonoidalParams(_fraction(args.q1, "--q1"), args.a1, args.b1)
     except ValueError as exc:
         raise InputParseError(str(exc)) from exc
     if args.tilde:
         second = homcat.HTILDE_STRUCTURE
     elif args.q2 is not None and args.a2 is not None and args.b2 is not None:
         try:
-            second = homcat.MonoidalParams(_fraction(args.q2), args.a2, args.b2)
+            second = homcat.MonoidalParams(_fraction(args.q2, "--q2"), args.a2, args.b2)
         except ValueError as exc:
             raise InputParseError(str(exc)) from exc
     else:

@@ -21,7 +21,14 @@ from .intlinalg import (
     quotient_invariants,
     solve_columns,
 )
-from .laurent import RankMismatch, TensorElement, UnitElement, Vector, as_unit
+from .laurent import (
+    RankMismatch,
+    TensorElement,
+    UnitElement,
+    Vector,
+    as_unit,
+    parse_coefficient,
+)
 
 CofaceIndex = int
 
@@ -79,7 +86,7 @@ class HarrisonCochain:
             rank = len(elements[0])
         elif rank is None:
             raise DegreeMismatch("a degree-0 cochain needs an explicit rank")
-        return cls.from_data(rank, Fraction(str(data["scalar"])), elements)
+        return cls.from_data(rank, parse_coefficient(data["scalar"], "scalar"), elements)
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict())

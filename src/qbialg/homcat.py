@@ -97,7 +97,7 @@ class HomMorphism:
 
 
 def unit_object() -> HomObject:
-    return HomObject(1, ((Fraction(1),),))
+    return HomObject(1, ((1,),))
 
 
 def tensor_obj(x: HomObject, y: HomObject) -> HomObject:
@@ -256,8 +256,12 @@ def _leg_ratio(a: Matrix, b: Matrix) -> Fraction | None:
     pivot = next(((x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb) if y), None)
     if pivot is None:  # b is zero and a is not
         return None
-    c = pivot[0] / pivot[1]
-    return c if all(x == c * y for ra, rb in zip(a, b) for x, y in zip(ra, rb)) else None
+    # a == (x0 / y0) * b, tested entrywise as x * y0 == x0 * y so that
+    # integer legs stay integers; the one division goes through Fraction
+    x0, y0 = pivot
+    if all(x * y0 == x0 * y for ra, rb in zip(a, b) for x, y in zip(ra, rb)):
+        return Fraction(x0, y0)
+    return None
 
 
 def _same_matrix(lhs: _LegMap, rhs: _LegMap) -> bool:
@@ -436,7 +440,7 @@ def _naturality_unitor_legs(p, sources, targets, maps, side: str) -> tuple[_LegM
     s = structure_maps(p)
     exp = s.left_exp if side == "left" else s.right_exp
     scal = s.left_scalar if side == "left" else s.right_scalar
-    one = ((Fraction(1),),)
+    one = ((1,),)
     unit = unit_object()
     (source,), (target,), (m,) = sources, targets, maps
     if side == "left":
@@ -504,7 +508,7 @@ def naturality_braiding_sides(p, sources, targets, maps) -> tuple[Matrix, Matrix
 
 def random_unimodular(rng: random.Random, n: int, ops: int = 6) -> Matrix:
     """A product of elementary integer matrices, so every power is exact."""
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(ops):
         kind = rng.randrange(3)
         i = rng.randrange(n)
@@ -539,13 +543,9 @@ def random_morphism(rng: random.Random, x: HomObject) -> tuple[HomObject, Matrix
     if not any(coeffs):
         coeffs[rng.randrange(3)] = 1
     poly = mat.scale(coeffs[0], mat.identity(n))
-    fp = f
-    for c in coeffs[1:]:
+    for c, fp in zip(coeffs[1:], (f, mat.mul(f, f))):
         if c:
-            poly = tuple(
-                tuple(a + Fraction(c) * b for a, b in zip(ra, rb)) for ra, rb in zip(poly, fp)
-            )
-        fp = mat.mul(fp, f)
+            poly = tuple(tuple(a + c * b for a, b in zip(ra, rb)) for ra, rb in zip(poly, fp))
     target = HomObject(n, mat.mul(mat.mul(u, f), mat.inverse(u)))
     return target, mat.mul(u, poly)
 

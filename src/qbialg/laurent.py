@@ -14,6 +14,7 @@ exactly the invertible elements of the tensor power, which is why
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -62,13 +63,37 @@ def _zero_vector(rank: int) -> Vector:
     return (0,) * rank
 
 
+# an integer, p/q with q != 0 or a decimal; no exponent, so the digits
+# of the text bound the size of the number
+_RATIONAL = re.compile(r"\s*[-+]?(\d+(/0*[1-9]\d*)?|\d+\.\d*|\.\d+)\s*")
+
+
+def parse_coefficient(value, field: str) -> Fraction:
+    """The exact rational written as ``value`` (JSON or command-line text).
+
+    Exponent notation is refused: "1e400000" is eight bytes that would
+    expand into a 400,001-digit integer.  Errors are ValueErrors naming
+    ``field``.
+    """
+    text = str(value)
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(
+            f"{field}: expected an integer, p/q or a decimal"
+            f" (no exponent, no zero denominator), got {text!r}"
+        )
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # more digits than int() converts
+        raise ValueError(f"{field}: {exc}") from None
+
+
 def _coeff(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_coefficient(value, "coefficient")
     raise TypeError(f"cannot use {value!r} as an exact rational coefficient")
 
 
@@ -242,13 +267,14 @@ class TensorElement:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "TensorElement":
+    def from_dict(cls, data: Mapping, field: str = "") -> "TensorElement":
+        """The element a ``to_dict`` document describes; ``field`` prefixes error messages."""
         rank = int(data["rank"])
         legs = int(data["legs"])
         terms: dict[TermKey, Fraction] = {}
-        for entry in data["terms"]:
+        for i, entry in enumerate(data["terms"]):
             key = tuple(tuple(int(c) for c in vec) for vec in entry["e"])
-            c = Fraction(str(entry["c"]))
+            c = parse_coefficient(entry["c"], f"{field}terms[{i}].c")
             terms[key] = terms.get(key, Fraction(0)) + c
         return cls(rank, legs, terms)
 

@@ -1,25 +1,54 @@
 """Small dense matrices over the rationals, exact throughout.
 
-Matrices are immutable tuples of tuples of Fractions.  Sizes stay tiny
-(single digits per factor), so plain row-times-column products are the
-right tool; there is deliberately no float path anywhere.
+Matrices are immutable tuples of tuples of exact rationals: an integral
+entry is a plain ``int`` and any other entry a ``Fraction``.
+``from_rows``, ``scale`` and ``inverse`` normalise their output to that
+form, and ``identity`` and ``flip`` build ints.  ``mul``, ``kron``,
+``sub`` and ``power`` need no normalising step: int and Fraction
+arithmetic is exact, so integer inputs give integer outputs and rational
+inputs rational ones.  The one operation that leaves the integers is
+division, so every division goes through ``Fraction`` (never ``/`` on
+two ints, which would give a float).  There is deliberately no float
+path anywhere.
+
+Sizes stay tiny (single digits per factor), so plain row-times-column
+products are the right tool.  ``inverse`` is fraction-free: it clears
+denominators and eliminates with exact integer divisions (Bareiss), so
+the unimodular matrices the hom-category checker samples never touch a
+``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Rational = int | Fraction
+Matrix = tuple[tuple[Rational, ...], ...]
 
 
 class NotInvertible(ValueError):
     """Matrix has no inverse over the rationals."""
 
 
+def _exact(x) -> Rational:
+    """x as an exact rational: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(n: int, d: int) -> Rational:
+    """n / d for ints, as an int when d divides n."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 def from_rows(rows: Iterable[Iterable]) -> Matrix:
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    out = tuple(tuple(_exact(x) for x in row) for row in rows)
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged rows")
     return out
@@ -32,8 +61,7 @@ def shape(a: Matrix) -> tuple[int, int]:
 @lru_cache(maxsize=64)
 def identity(n: int) -> Matrix:
     """The n x n identity; cached, so equal sizes share one (immutable) object."""
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -54,8 +82,8 @@ def sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def scale(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
+    c = _exact(c)
+    return tuple(tuple(_exact(c * x) for x in row) for row in a)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -68,22 +96,38 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def inverse(a: Matrix) -> Matrix:
+    """The exact inverse, by fraction-free Gauss-Jordan elimination.
+
+    With L the lcm of the denominators, B = L a is integral.  Bareiss
+    elimination on [B | I] keeps every entry an integer (each is a minor
+    of the augmented matrix, so each division by the previous pivot is
+    exact) and ends at [d I | d B^-1] with d = +-det B.  Then
+    a^-1 = L B^-1 is that right block times L / d, one division per
+    entry at the end.
+    """
     n, m = shape(a)
     if n != m:
         raise NotInvertible(f"matrix is {n}x{m}, not square")
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(a)]
+    den = lcm(*(x.denominator for row in a for x in row))
+    aug = [
+        [int(x * den) for x in row] + [int(i == j) for j in range(n)]
+        for i, row in enumerate(a)
+    ]
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
             raise NotInvertible("matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+        top = aug[col]
+        p = top[col]
         for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+            if r != col:
+                row = aug[r]
+                f = row[col]
+                aug[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return tuple(tuple(_quotient(den * x, prev) for x in row[n:]) for row in aug)
 
 
 def power(a: Matrix, e: int) -> Matrix:
@@ -113,17 +157,8 @@ def flip(d1: int, d2: int) -> Matrix:
     Row-major flattening with the left factor slowest: basis vector
     e_i (x) e_j at index i*d2 + j is sent to e_j (x) e_i at j*d1 + i.
     """
-    one, zero = Fraction(1), Fraction(0)
-    rows = [[zero] * (d1 * d2) for _ in range(d1 * d2)]
+    rows = [[0] * (d1 * d2) for _ in range(d1 * d2)]
     for i in range(d1):
         for j in range(d2):
-            rows[j * d1 + i][i * d2 + j] = one
+            rows[j * d1 + i][i * d2 + j] = 1
     return tuple(tuple(r) for r in rows)
-
-
-def to_strings(a: Matrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in a]
-
-
-def from_strings(rows: Sequence[Sequence[str]]) -> Matrix:
-    return from_rows(rows)

@@ -30,6 +30,7 @@ from .laurent import (
     apply_counit_on_leg,
     as_unit,
     invert_unit,
+    parse_coefficient,
     tensor_concat,
 )
 from .reports import AxiomCheck, VerificationReport, compare
@@ -84,15 +85,21 @@ class QuasiBialgebraPresentation:
     @classmethod
     def from_dict(cls, data: Mapping) -> "QuasiBialgebraPresentation":
         rank = int(data["rank"])
-        images = tuple(as_unit(TensorElement.from_dict(d)) for d in data["coproduct"])
-        counit = CounitSpec(rank, tuple(Fraction(str(v)) for v in data["counit"]))
+        images = tuple(
+            as_unit(TensorElement.from_dict(d, f"coproduct[{i}]."))
+            for i, d in enumerate(data["coproduct"])
+        )
+        counit = CounitSpec(
+            rank,
+            tuple(parse_coefficient(v, f"counit[{i}]") for i, v in enumerate(data["counit"])),
+        )
         return cls(
             rank,
             AlgebraMapSpec(rank, 2, images),
             counit,
-            TensorElement.from_dict(data["phi"]),
-            TensorElement.from_dict(data["lambda"]),
-            TensorElement.from_dict(data["rho"]),
+            TensorElement.from_dict(data["phi"], "phi."),
+            TensorElement.from_dict(data["lambda"], "lambda."),
+            TensorElement.from_dict(data["rho"], "rho."),
         )
 
     def dumps(self) -> str:

@@ -255,3 +255,16 @@ def test_hom_commands_refuse_empty_dimensions(dims):
         assert res.returncode == 2
         assert res.stdout == ""
         assert "--dims" in res.stderr and "randrange" not in res.stderr
+
+
+def test_exponent_notation_is_malformed_input(tmp_path, ordinary_file):
+    data = json.loads(ordinary_file.read_text())
+    data["phi"]["terms"][0]["c"] = "1e400000"
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(data))
+    res = run_cli("verify", "--input", str(huge))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "phi.terms[0].c" in res.stderr and "'1e400000'" in res.stderr
+    res = run_cli("homcheck", "--q", "1e3", "--a", "0", "--b", "0")
+    assert res.returncode == 2 and res.stdout == "" and "--q" in res.stderr

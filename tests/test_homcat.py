@@ -38,6 +38,7 @@ from qbialg.homcat import (
     triangle_sides,
     unit_object,
     _check_intertwines,
+    _leg_ratio,
     _LegMap,
     _same_matrix,
 )
@@ -151,8 +152,17 @@ def test_random_unimodular_has_unimodular_inverse():
         n = rng.randint(1, 4)
         u = random_unimodular(rng, n)
         inv = mat.inverse(u)
-        assert all(x.denominator == 1 for row in u for x in row)
-        assert all(x.denominator == 1 for row in inv for x in row)
+        assert all(type(x) is int for row in u for x in row)
+        assert all(type(x) is int for row in inv for x in row)
+
+
+def test_leg_ratio_of_integer_legs_is_a_fraction():
+    two, three = mat.scale(2, mat.identity(2)), mat.scale(3, mat.identity(2))
+    assert all(type(x) is int for row in two + three for x in row)
+    ratio = _leg_ratio(two, three)
+    assert ratio == Fraction(2, 3) and type(ratio) is Fraction
+    assert _leg_ratio(three, two) == Fraction(3, 2)
+    assert _leg_ratio(two, ((1, 0), (0, 2))) is None
 
 
 def test_random_morphism_intertwines():

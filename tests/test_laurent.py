@@ -18,6 +18,7 @@ from qbialg.laurent import (
     as_unit,
     insert_unit_leg,
     invert_unit,
+    parse_coefficient,
     permute_legs,
     tensor_concat,
 )
@@ -212,3 +213,25 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         x.rank = 2
     assert len({x, TensorElement.single(1, [(1,)])}) == 1
+
+
+def test_parse_coefficient():
+    accepted = (
+        ("3", 3), ("-1/2", Fraction(-1, 2)), ("0.25", Fraction(1, 4)),
+        (7, 7), (-2, -2), (0.5, Fraction(1, 2)), (" +5/10 ", Fraction(1, 2)),
+    )
+    for text, value in accepted:
+        assert parse_coefficient(text, "c") == value
+    rejected = (
+        "1e400000", "1E5", "2.5e-3", "1/0", "3/00", "abc", "", "1/2/3", None, True, "inf",
+        "nan", "9" * 5000,
+    )
+    for text in rejected:
+        with pytest.raises(ValueError, match="^where: "):
+            parse_coefficient(text, "where")
+
+
+def test_from_dict_names_the_bad_coefficient():
+    doc = {"rank": 1, "legs": 1, "terms": [{"c": "1", "e": [[0]]}, {"c": "1e9", "e": [[1]]}]}
+    with pytest.raises(ValueError, match=r"^phi\.terms\[1\]\.c: .*'1e9'"):
+        TensorElement.from_dict(doc, "phi.")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbialg import matrices as mat
 from qbialg.matrices import NotInvertible
@@ -138,9 +140,109 @@ def test_scale_sub_shape():
     assert mat.shape(a) == (1, 2)
 
 
-def test_string_round_trip():
-    rng = random.Random(7)
-    for _ in range(10):
-        a = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
-        half = mat.scale(Fraction(1, 2), a)
-        assert mat.from_strings(mat.to_strings(half)) == half
+# -- representation: exact rationals, integral entries as int ----------------
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3)))
+
+
+@st.composite
+def square_matrices(draw, max_n=5, entries=rationals):
+    """Square rational matrices up to max_n, about a third of them singular.
+
+    Singular ones get a row that is a rational combination of the others
+    (or zero), so the determinant vanishes for a reason sympy can see too.
+    """
+    n = draw(st.integers(1, max_n))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.integers(0, 2)) == 0:
+        weights = [draw(entries) for _ in range(n - 1)]
+        rows[0] = [sum(w * r[j] for w, r in zip(weights, rows[1:])) for j in range(n)]
+    return tuple(tuple(row) for row in rows)
+
+
+def _to_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a])
+
+
+def _normalised(m):
+    """Every entry an int or a Fraction, and an int exactly when integral."""
+    return all(
+        type(x) is (int if x.denominator == 1 else Fraction) for row in m for x in row
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_inverse_matches_sympy(a):
+    expect = _to_sympy(a)
+    if expect.det() == 0:
+        return
+    inv = expect.inv()
+    assert mat.inverse(a) == tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in row) for row in inv.tolist()
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_not_invertible_exactly_when_determinant_vanishes(a):
+    singular = _to_sympy(a).det() == 0
+    try:
+        mat.inverse(a)
+    except NotInvertible:
+        assert singular
+    else:
+        assert not singular
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_inverse_is_an_involution(a):
+    try:
+        inv = mat.inverse(a)
+    except NotInvertible:
+        return
+    assert mat.inverse(inv) == a
+    assert mat.mul(a, inv) == mat.identity(len(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(max_n=3), square_matrices(max_n=3), rationals, st.integers(-3, 3))
+def test_no_operation_yields_a_float(a, b, c, e):
+    a = mat.from_rows(a)
+    b = mat.from_rows(b)
+    normalised = [a, mat.scale(c, a), mat.flip(len(a), len(b)), mat.identity(len(b))]
+    exact = [mat.mul(a, a), mat.kron(a, b), mat.sub(a, a)]
+    try:
+        normalised.append(mat.inverse(a))
+        exact.append(mat.power(a, e))
+    except NotInvertible:
+        pass
+    for m in normalised + exact:
+        assert all(type(x) in (int, Fraction) for row in m for x in row)
+    for m in normalised:
+        assert _normalised(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(max_n=3, entries=st.integers(-3, 3)), st.integers(0, 4))
+def test_integer_matrices_stay_integer(a, e):
+    assert all(type(x) is int for row in a for x in row)
+    for m in (mat.mul(a, a), mat.kron(a, a), mat.sub(a, a), mat.scale(-2, a), mat.power(a, e)):
+        assert all(type(x) is int for row in m for x in row)
+
+
+def test_integral_entries_come_back_as_int():
+    rows = mat.from_rows([[Fraction(4, 2), 0.5, 3.0]])
+    assert rows == ((2, Fraction(1, 2), 3),) and _normalised(rows)
+    assert _normalised(mat.scale(Fraction(1, 2), ((2, 3),)))
+    # a unimodular matrix never leaves the integers, and a rational
+    # matrix with an integer inverse gets ints back
+    u = ((2, 1), (1, 1))
+    assert mat.inverse(u) == ((1, -1), (-1, 2))
+    assert all(type(x) is int for row in mat.inverse(u) for x in row)
+    half = mat.from_rows(((Fraction(1, 2), 0), (0, Fraction(1, 3))))
+    assert mat.inverse(half) == ((2, 0), (0, 3))
+    assert _normalised(mat.inverse(half))
+    assert mat.inverse(((Fraction(2),),)) == ((Fraction(1, 2),),)
