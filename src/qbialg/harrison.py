@@ -4,8 +4,14 @@ Cochains of degree n are invertible elements of the n-fold tensor
 power: a nonzero scalar together with n exponent vectors.  The
 coboundary is the alternating product of the n + 2 coface maps.  The
 scalar part and the exponent part never mix, so cohomology splits into
-a two-case parity analysis for the scalar and an integer-matrix
-kernel/image computation (via Smith normal form) for the exponents.
+a two-case parity analysis for the scalar and the cohomology of a
+complex of free Z-modules for the exponents.  The latter is read off
+two Smith normal forms (Munkres, *Elements of Algebraic Topology*,
+§11): with dⁿ: Z^(rn) -> Z^(r(n+1)) the integer coboundary matrix,
+
+    Hⁿ ≅ Z^((rn − rank dⁿ) − rank dⁿ⁻¹) ⊕ ⊕ᵢ Z/dᵢ,
+
+where the dᵢ are the invariant factors of dⁿ⁻¹ greater than 1.
 """
 
 from __future__ import annotations
@@ -15,17 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .intlinalg import (
-    invariant_factors,
-    kernel_basis,
-    quotient_invariants,
-    solve_columns,
-)
+from .intlinalg import invariant_factors, kernel_basis
 from .laurent import (
     RankMismatch,
     TensorElement,
     UnitElement,
     Vector,
+    _raw_unit,
     as_unit,
     parse_coefficient,
 )
@@ -59,7 +61,7 @@ class HarrisonCochain:
     @classmethod
     def from_data(cls, rank: int, scalar, elements) -> "HarrisonCochain":
         vecs = tuple(tuple(int(c) for c in v) for v in elements)
-        return cls(len(vecs), UnitElement(rank, Fraction(scalar), vecs))
+        return cls(len(vecs), UnitElement(rank, scalar, vecs))
 
     @classmethod
     def identity(cls, rank: int, degree: int) -> "HarrisonCochain":
@@ -105,7 +107,7 @@ def coface(i: CofaceIndex, c: HarrisonCochain) -> HarrisonCochain:
         new = mono + (zero,)
     else:
         new = mono[: i - 1] + (mono[i - 1], mono[i - 1]) + mono[i:]
-    return HarrisonCochain(n + 1, UnitElement(c.rank, c.unit.scalar, new))
+    return HarrisonCochain(n + 1, _raw_unit(c.rank, c.unit.scalar, new))
 
 
 def boundary(c: HarrisonCochain) -> HarrisonCochain:
@@ -230,10 +232,13 @@ def _scalar_exponent(degree: int) -> int:
 def cohomology(rank: int, degree: int) -> AbelianGroupDescriptor:
     """Cohomology in one degree, derived, not tabulated.
 
-    The exponent part is Ker/Im of the integer coboundary matrices,
-    computed through Smith normal form: a lattice basis of the kernel,
-    the image columns rewritten in that basis, then the invariant
-    factors of the resulting relation matrix.  The scalar part only
+    The exponent part is the cohomology of a complex of free Z-modules,
+    read off the invariant factors of the outgoing matrix dⁿ and the
+    incoming matrix dⁿ⁻¹ (Munkres, *Elements of Algebraic Topology*,
+    §11): the kernel of dⁿ has rank rn − rank dⁿ, the image of dⁿ⁻¹
+    lies in it with rank dⁿ⁻¹, and since the kernel is a direct summand
+    of Z^(rn) the torsion of the quotient is that of Z^(rn) / Im dⁿ⁻¹,
+    the invariant factors of dⁿ⁻¹ greater than 1.  The scalar part only
     depends on the parity of the neighboring degrees.
     """
     if rank < 1:
@@ -251,13 +256,11 @@ def cohomology(rank: int, degree: int) -> AbelianGroupDescriptor:
         # no exponent part at all: the cochain group is k* alone
         return AbelianGroupDescriptor(0, (), has_scalar)
 
-    out_matrix = coboundary_matrix(rank, degree)
-    in_matrix = coboundary_matrix(rank, degree - 1)
-    kernel = kernel_basis(out_matrix)
-    image_cols = [[row[j] for row in in_matrix] for j in range(len(in_matrix[0]))]
-    relation_cols = solve_columns(kernel, image_cols)
-    free, torsion = quotient_invariants(len(kernel), relation_cols)
-    return AbelianGroupDescriptor(free, tuple(torsion), has_scalar)
+    outgoing = invariant_factors(coboundary_matrix(rank, degree))
+    # d⁰ leaves Z^0, so it has rank 0 and no invariant factors
+    incoming = invariant_factors(coboundary_matrix(rank, degree - 1)) if degree > 1 else ()
+    free = rank * degree - len(outgoing) - len(incoming)
+    return AbelianGroupDescriptor(free, tuple(f for f in incoming if f > 1), has_scalar)
 
 
 @dataclass(frozen=True)
@@ -265,7 +268,7 @@ class ThreeCocycleClassification:
     """Exact description of the degree-3 cocycles over a given rank.
 
     ``kernel_vectors`` is the Smith-derived lattice basis of the kernel
-    of the degree-3 coboundary inside Z^(3r).  The classification check
+    of the degree-3 coboundary inside Z^(3r).  ``cocycle_classify``
     confirms that the middle slot of every cocycle vanishes and that the
     two outer slots are free, so cocycles are parameterized by pairs
     (h, g) of exponent vectors; the scalar of a cocycle must be 1
@@ -274,7 +277,6 @@ class ThreeCocycleClassification:
 
     rank: int
     kernel_vectors: tuple[tuple[int, ...], ...]
-    middle_slot_vanishes: bool = True
 
     def free_parameters(self) -> int:
         return len(self.kernel_vectors)
@@ -309,10 +311,7 @@ def cocycle_classify(rank: int) -> ThreeCocycleClassification:
         raise ArithmeticError(
             f"kernel of the degree-3 boundary has rank {len(basis)}, expected {2 * rank}"
         )
-    middle_ok = all(
-        all(v[rank + k] == 0 for k in range(rank)) for v in basis
-    )
-    if not middle_ok:
+    if any(v[rank + k] for v in basis for k in range(rank)):
         raise ArithmeticError("degree-3 kernel has a nonvanishing middle slot")
     outer = [
         [v[k] for v in basis] for k in list(range(rank)) + list(range(2 * rank, 3 * rank))
@@ -320,4 +319,4 @@ def cocycle_classify(rank: int) -> ThreeCocycleClassification:
     factors = invariant_factors(outer)
     if len(factors) != 2 * rank or any(f != 1 for f in factors):
         raise ArithmeticError("outer slots of the degree-3 kernel are not free")
-    return ThreeCocycleClassification(rank, tuple(tuple(v) for v in basis), middle_ok)
+    return ThreeCocycleClassification(rank, tuple(tuple(v) for v in basis))

@@ -14,6 +14,7 @@ exactly the invertible elements of the tensor power, which is why
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,7 +124,7 @@ class TensorElement:
             vecs = tuple(_as_vector(v, rank) for v in key)
             c = _coeff(value)
             if c:
-                clean[vecs] = clean.get(vecs, Fraction(0)) + c
+                clean[vecs] = clean.get(vecs, 0) + c
                 if not clean[vecs]:
                     del clean[vecs]
         object.__setattr__(self, "_terms", clean)
@@ -140,7 +141,11 @@ class TensorElement:
     @classmethod
     def one(cls, rank: int, legs: int) -> "TensorElement":
         """The multiplicative identity 1 (x) ... (x) 1."""
-        return cls(rank, legs, {(_zero_vector(rank),) * legs: Fraction(1)})
+        if rank < 1:
+            raise RankMismatch(f"rank must be >= 1, got {rank}")
+        if legs < 1:
+            raise LegMismatch(f"legs must be >= 1, got {legs}")
+        return _raw(rank, legs, {(_zero_vector(rank),) * legs: Fraction(1)})
 
     @classmethod
     def single(cls, coeff, exps: Iterable[Iterable[int]]) -> "TensorElement":
@@ -202,7 +207,7 @@ class TensorElement:
         self._check_compatible(other)
         out = dict(self._terms)
         for key, c in other._terms.items():
-            s = out.get(key, Fraction(0)) + c
+            s = out.get(key, 0) + c
             if s:
                 out[key] = s
             else:
@@ -226,7 +231,7 @@ class TensorElement:
         for ka, ca in self._terms.items():
             for kb, cb in other._terms.items():
                 key = tuple(_vadd(a, b) for a, b in zip(ka, kb))
-                s = out.get(key, Fraction(0)) + ca * cb
+                s = out.get(key, 0) + ca * cb
                 if s:
                     out[key] = s
                 else:
@@ -275,7 +280,7 @@ class TensorElement:
         for i, entry in enumerate(data["terms"]):
             key = tuple(tuple(int(c) for c in vec) for vec in entry["e"])
             c = parse_coefficient(entry["c"], f"{field}terms[{i}].c")
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
         return cls(rank, legs, terms)
 
     def dumps(self) -> str:
@@ -308,6 +313,7 @@ class UnitElement:
     monomial: tuple[Vector, ...]
 
     def __post_init__(self):
+        # results built from valid units go through _raw_unit instead
         object.__setattr__(self, "scalar", _coeff(self.scalar))
         if not self.scalar:
             raise NotAUnit("scalar part of a unit must be nonzero")
@@ -321,20 +327,21 @@ class UnitElement:
 
     @classmethod
     def identity(cls, rank: int, legs: int) -> "UnitElement":
-        return cls(rank, Fraction(1), ((_zero_vector(rank),) * legs))
+        return _raw_unit(rank, Fraction(1), (_zero_vector(rank),) * legs)
 
     def inverse(self) -> "UnitElement":
-        return UnitElement(self.rank, 1 / self.scalar, tuple(_vneg(v) for v in self.monomial))
+        return _raw_unit(self.rank, 1 / self.scalar, tuple(_vneg(v) for v in self.monomial))
 
     def power(self, n: int) -> "UnitElement":
-        return UnitElement(self.rank, self.scalar ** n, tuple(_vscale(n, v) for v in self.monomial))
+        n = operator.index(n)
+        return _raw_unit(self.rank, self.scalar ** n, tuple(_vscale(n, v) for v in self.monomial))
 
     def __mul__(self, other: "UnitElement") -> "UnitElement":
         if self.rank != other.rank:
             raise RankMismatch(f"rank {self.rank} vs {other.rank}")
         if self.legs != other.legs:
             raise LegMismatch(f"{self.legs} legs vs {other.legs}")
-        return UnitElement(
+        return _raw_unit(
             self.rank,
             self.scalar * other.scalar,
             tuple(_vadd(a, b) for a, b in zip(self.monomial, other.monomial)),
@@ -343,7 +350,7 @@ class UnitElement:
     def to_tensor(self) -> TensorElement:
         if not self.monomial:
             raise LegMismatch("a zero-leg unit has no tensor element form")
-        return TensorElement(self.rank, self.legs, {self.monomial: self.scalar})
+        return _raw(self.rank, self.legs, {self.monomial: self.scalar})
 
     def __str__(self) -> str:
         if not self.monomial:
@@ -351,16 +358,18 @@ class UnitElement:
         return str(self.to_tensor())
 
 
+def _raw_unit(rank: int, scalar: Fraction, monomial: tuple[Vector, ...]) -> UnitElement:
+    """Internal constructor that skips validation, for results computed
+    from units that are already valid: a nonzero ``Fraction`` scalar and
+    ``rank``-long tuples of ints."""
+    unit = object.__new__(UnitElement)
+    object.__setattr__(unit, "rank", rank)
+    object.__setattr__(unit, "scalar", scalar)
+    object.__setattr__(unit, "monomial", monomial)
+    return unit
+
+
 # -- the operation surface ------------------------------------------------
-
-
-def multiply(x: TensorElement, y: TensorElement) -> TensorElement:
-    """Componentwise product in k[Z^r]^(x m); exponents add per leg."""
-    return x * y
-
-
-def add(x: TensorElement, y: TensorElement) -> TensorElement:
-    return x + y
 
 
 def as_unit(x: TensorElement) -> UnitElement:
@@ -384,7 +393,7 @@ def tensor_concat(x: TensorElement, y: TensorElement) -> TensorElement:
     for ka, ca in x._terms.items():
         for kb, cb in y._terms.items():
             key = ka + kb
-            s = out.get(key, Fraction(0)) + ca * cb
+            s = out.get(key, 0) + ca * cb
             if s:
                 out[key] = s
             else:
@@ -455,10 +464,7 @@ class AlgebraMapSpec:
             im = self.images[j]
             scalar *= im.scalar ** c
             legs = [_vadd(v, _vscale(c, w)) for v, w in zip(legs, im.monomial)]
-        return UnitElement(self.rank, scalar, tuple(legs))
-
-    def image_tensors(self) -> list[TensorElement]:
-        return [im.to_tensor() for im in self.images]
+        return _raw_unit(self.rank, scalar, tuple(legs))
 
 
 @dataclass(frozen=True)
@@ -494,17 +500,12 @@ def apply_algebra_map_on_leg(amap: AlgebraMapSpec, x: TensorElement, leg: int) -
     for key, c in x._terms.items():
         u = amap.image_of_vector(key[leg - 1])
         new_key = key[: leg - 1] + u.monomial + key[leg:]
-        s = out.get(new_key, Fraction(0)) + c * u.scalar
+        s = out.get(new_key, 0) + c * u.scalar
         if s:
             out[new_key] = s
         else:
             out.pop(new_key, None)
     return _raw(x.rank, x.legs - 1 + amap.target_legs, out)
-
-
-# A coproduct is just an algebra map with two output legs; the alias keeps
-# call sites readable.
-apply_coproduct_on_leg = apply_algebra_map_on_leg
 
 
 def apply_counit_on_leg(eps: CounitSpec, x: TensorElement, leg: int) -> TensorElement:
@@ -518,7 +519,7 @@ def apply_counit_on_leg(eps: CounitSpec, x: TensorElement, leg: int) -> TensorEl
     out: dict[TermKey, Fraction] = {}
     for key, c in x._terms.items():
         new_key = key[: leg - 1] + key[leg:]
-        s = out.get(new_key, Fraction(0)) + c * eps.value_of_vector(key[leg - 1])
+        s = out.get(new_key, 0) + c * eps.value_of_vector(key[leg - 1])
         if s:
             out[new_key] = s
         else:

@@ -26,6 +26,7 @@ from .laurent import (
     RankMismatch,
     TensorElement,
     UnitElement,
+    _coeff,
     apply_algebra_map_on_leg,
     apply_counit_on_leg,
     as_unit,
@@ -119,7 +120,7 @@ class CanonicalTriple:
     g: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
+        object.__setattr__(self, "q", _coeff(self.q))
         if not self.q:
             raise NotAUnit("the scalar q of a canonical triple must be nonzero")
         object.__setattr__(self, "h", tuple(int(c) for c in self.h))

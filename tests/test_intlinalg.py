@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qbialg.harrison import coboundary_matrix
 from qbialg.intlinalg import (
     diagonal_entries,
     identity_matrix,
@@ -137,3 +140,36 @@ def test_quotient_invariants():
 def test_identity_matrix():
     assert identity_matrix(2) == [[1, 0], [0, 1]]
     assert identity_matrix(0) == []
+
+
+# -- invariant factors against sympy ---------------------------------------------
+
+
+def sympy_invariant_factors(a):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as reference
+
+    rows, cols = len(a), len(a[0]) if a else 0
+    flat = [x for row in a for x in row]
+    factors = reference(sympy.Matrix(rows, cols, flat), domain=sympy.ZZ)
+    return tuple(int(x) for x in factors if x)
+
+
+def test_invariant_factors_match_sympy_on_coboundary_matrices():
+    for rank in range(1, 5):
+        for degree in range(1, 24 // rank + 2):
+            a = coboundary_matrix(rank, degree)
+            assert invariant_factors(a) == sympy_invariant_factors(a), (rank, degree)
+
+
+small_int_matrices = st.integers(1, 5).flatmap(
+    lambda rows: st.lists(
+        st.lists(st.integers(-6, 6), min_size=rows, max_size=rows), min_size=1, max_size=5
+    )
+).map(lambda cols: [list(row) for row in zip(*cols)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_int_matrices)
+def test_invariant_factors_match_sympy_on_small_matrices(a):
+    assert invariant_factors(a) == sympy_invariant_factors(a)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbialg.laurent import (
     AlgebraMapSpec,
@@ -235,3 +237,114 @@ def test_from_dict_names_the_bad_coefficient():
     doc = {"rank": 1, "legs": 1, "terms": [{"c": "1", "e": [[0]]}, {"c": "1e9", "e": [[1]]}]}
     with pytest.raises(ValueError, match=r"^phi\.terms\[1\]\.c: .*'1e9'"):
         TensorElement.from_dict(doc, "phi.")
+
+
+# -- results built without re-validation ---------------------------------------
+
+scalars = st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.sampled_from((1, 1, 2, 3, 7))
+)
+
+
+@st.composite
+def unit_pairs(draw, max_rank=4, max_legs=4):
+    """Two units of one shape, built through the validating constructor."""
+    rank = draw(st.integers(1, max_rank))
+    legs = draw(st.integers(0, max_legs))
+
+    def unit():
+        vecs = [[draw(st.integers(-5, 5)) for _ in range(rank)] for _ in range(legs)]
+        return UnitElement(rank, draw(scalars), vecs)
+
+    return unit(), unit()
+
+
+def rebuilt(u):
+    """``u`` is what the validating constructor makes of its own fields."""
+    assert type(u.scalar) is Fraction and u.scalar
+    assert all(len(v) == u.rank and all(type(c) is int for c in v) for v in u.monomial)
+    assert type(u.monomial) is tuple and all(type(v) is tuple for v in u.monomial)
+    return u == UnitElement(u.rank, u.scalar, u.monomial)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_pairs(), st.integers(-4, 4))
+def test_unit_arithmetic_results_are_valid_units(pair, n):
+    a, b = pair
+    results = [a * b, a.inverse(), a.power(n), UnitElement.identity(a.rank, a.legs)]
+    assert all(rebuilt(u) for u in results)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_pairs(max_legs=3).filter(lambda p: p[0].legs))
+def test_unit_product_matches_tensor_product(pair):
+    a, b = pair
+    assert (a * b).to_tensor() == a.to_tensor() * b.to_tensor()
+    assert a.to_tensor() == TensorElement(a.rank, a.legs, {a.monomial: a.scalar})
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_pairs())
+def test_unit_inverse(pair):
+    a, _ = pair
+    assert a * a.inverse() == UnitElement.identity(a.rank, a.legs)
+    assert a.inverse() * a == UnitElement.identity(a.rank, a.legs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_pairs(), st.integers(-5, 5))
+def test_unit_power_is_repeated_product(pair, n):
+    a, _ = pair
+    expect = UnitElement.identity(a.rank, a.legs)
+    step = a if n >= 0 else a.inverse()
+    for _ in range(abs(n)):
+        expect = expect * step
+    assert a.power(n) == expect
+
+
+def test_unit_power_needs_an_integer_exponent():
+    u = UnitElement(1, Fraction(4), [(2,)])
+    for n in (Fraction(1, 2), 0.5):
+        with pytest.raises(TypeError):
+            u.power(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+def test_image_of_vector_is_a_valid_unit(rank, legs, data):
+    images = [
+        UnitElement(
+            rank,
+            data.draw(scalars),
+            [[data.draw(st.integers(-3, 3)) for _ in range(rank)] for _ in range(legs)],
+        )
+        for _ in range(rank)
+    ]
+    amap = AlgebraMapSpec(rank, legs, tuple(images))
+    e = tuple(data.draw(st.integers(-3, 3)) for _ in range(rank))
+    image = amap.image_of_vector(e)
+    assert rebuilt(image)
+    expect = UnitElement.identity(rank, legs)
+    for im, c in zip(images, e):
+        expect = expect * im.power(c)
+    assert image == expect
+
+
+def test_one_matches_the_validating_constructor():
+    for rank in (1, 3):
+        for legs in (1, 4):
+            one = TensorElement.one(rank, legs)
+            assert one == TensorElement(rank, legs, {((0,) * rank,) * legs: 1})
+    with pytest.raises(RankMismatch):
+        TensorElement.one(0, 2)
+    with pytest.raises(LegMismatch):
+        TensorElement.one(2, 0)
+
+
+def test_public_unit_constructor_still_validates():
+    with pytest.raises(TypeError):
+        UnitElement(1, 0.5, [(1,)])
+    with pytest.raises(ValueError):
+        UnitElement(1, "1e5", [(1,)])
+    with pytest.raises(RankMismatch):
+        UnitElement(2, Fraction(1), [(1,)])

@@ -71,6 +71,15 @@ def test_triple_requires_nonzero_scalar():
         CanonicalTriple(Fraction(1), (1,), (1, 2))  # h and g rank disagree
 
 
+def test_triple_takes_only_exact_scalars():
+    assert CanonicalTriple("-3/2", (1,), (1,)).q == Fraction(-3, 2)
+    assert CanonicalTriple(2, (1,), (1,)).q == Fraction(2)
+    with pytest.raises(TypeError):
+        CanonicalTriple(0.1, (1,), (1,))
+    with pytest.raises(ValueError):
+        CanonicalTriple("1e5", (1,), (1,))
+
+
 def test_verify_detects_corruption():
     p = canonical(CanonicalTriple(Fraction(2), (1,), (1,)))
     bad = QuasiBialgebraPresentation(
