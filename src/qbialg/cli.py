@@ -4,8 +4,9 @@ Every subcommand reads JSON documents (files or stdin via ``-``) and
 group elements as comma-separated exponent lists, and writes exactly one
 JSON report to stdout; diagnostics go to stderr.  Exit codes: 0 when all
 requested checks pass, 1 when a check fails (the report is still
-emitted), 2 on malformed input.  Output is deterministic: identical
-argv, input files, and seeds give byte-identical stdout.
+emitted), 2 on malformed input, which includes a ``--degree`` above
+``MAX_DEGREE`` for boundary and cohomology.  Output is deterministic:
+identical argv, input files, and seeds give byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -35,6 +36,17 @@ from .rmatrix import solve_R, verify_R
 
 class InputParseError(Exception):
     """Unreadable or malformed input; always maps to exit code 2."""
+
+
+# Largest --degree accepted by boundary and cohomology.  Their work grows
+# with the degree (a boundary of degree n builds n + 2 cofaces of n + 1
+# slots), so an unchecked flag could ask for unbounded work.
+MAX_DEGREE = 256
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise InputParseError(f"--degree must be <= {MAX_DEGREE}, got {degree}")
 
 
 def _read_json(path: str):
@@ -161,6 +173,7 @@ def _cmd_verify_r(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
+    _check_degree(args.degree)
     data = _read_json(args.input)
     try:
         cochain = HarrisonCochain.from_dict(data, rank=args.rank)
@@ -179,6 +192,7 @@ def _cmd_cohomology(args) -> int:
         raise InputParseError(f"--rank must be >= 1, got {args.rank}")
     if args.degree < 0:
         raise InputParseError(f"--degree must be >= 0, got {args.degree}")
+    _check_degree(args.degree)
     _emit(cohomology(args.rank, args.degree).to_dict())
     return 0
 

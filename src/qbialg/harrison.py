@@ -11,7 +11,11 @@ two Smith normal forms (Munkres, *Elements of Algebraic Topology*,
 
     Hⁿ ≅ Z^((rn − rank dⁿ) − rank dⁿ⁻¹) ⊕ ⊕ᵢ Z/dᵢ,
 
-where the dᵢ are the invariant factors of dⁿ⁻¹ greater than 1.
+where the dᵢ are the invariant factors of dⁿ⁻¹ greater than 1.  The
+boundary never mixes the r coordinates of an exponent vector, so
+dⁿ = Dₙ ⊗ I_r with Dₙ the (n+1) × n matrix for r = 1: the ranks
+above are r · rank Dₙ, each dᵢ of Dₙ₋₁ appears r times, and the Smith
+forms are taken of Dₙ and Dₙ₋₁ alone.
 """
 
 from __future__ import annotations
@@ -111,12 +115,23 @@ def coface(i: CofaceIndex, c: HarrisonCochain) -> HarrisonCochain:
 
 
 def boundary(c: HarrisonCochain) -> HarrisonCochain:
-    """Alternating product of all cofaces, computed from the definition."""
-    out = HarrisonCochain.identity(c.rank, c.degree + 1)
+    """Alternating product of all cofaces, computed from the definition.
+
+    Multiplying units adds exponent vectors slot by slot, so each coface
+    is added with its sign into one integer accumulator per target slot,
+    and the scalar is raised once to the sum of the signs.
+    """
+    rank = c.rank
+    slots = [[0] * rank for _ in range(c.degree + 1)]
+    signs = 0
     for i in range(c.degree + 2):
-        piece = coface(i, c)
-        out = out * (piece if i % 2 == 0 else piece.inverse())
-    return out
+        sign = 1 if i % 2 == 0 else -1
+        signs += sign
+        for acc, v in zip(slots, coface(i, c).unit.monomial):
+            for k in range(rank):
+                acc[k] += sign * v[k]
+    unit = _raw_unit(rank, c.unit.scalar ** signs, tuple(map(tuple, slots)))
+    return HarrisonCochain(c.degree + 1, unit)
 
 
 def boundary_closed_form(c: HarrisonCochain) -> HarrisonCochain:
@@ -238,8 +253,13 @@ def cohomology(rank: int, degree: int) -> AbelianGroupDescriptor:
     §11): the kernel of dⁿ has rank rn − rank dⁿ, the image of dⁿ⁻¹
     lies in it with rank dⁿ⁻¹, and since the kernel is a direct summand
     of Z^(rn) the torsion of the quotient is that of Z^(rn) / Im dⁿ⁻¹,
-    the invariant factors of dⁿ⁻¹ greater than 1.  The scalar part only
-    depends on the parity of the neighboring degrees.
+    the invariant factors of dⁿ⁻¹ greater than 1.  Rank indices never
+    mix, so dⁿ = Dₙ ⊗ I_r with Dₙ = ``coboundary_matrix(1, n)``, and the
+    Smith form of A ⊗ I_r is Smith(A) ⊗ I_r: both Smith forms run on
+    the r = 1 matrices, the free rank is r(n − rank Dₙ − rank Dₙ₋₁),
+    and each invariant factor of Dₙ₋₁ above 1 appears r times.  The
+    cost does not grow with r.  The scalar part only depends on the
+    parity of the neighboring degrees.
     """
     if rank < 1:
         raise RankMismatch(f"rank must be >= 1, got {rank}")
@@ -256,11 +276,12 @@ def cohomology(rank: int, degree: int) -> AbelianGroupDescriptor:
         # no exponent part at all: the cochain group is k* alone
         return AbelianGroupDescriptor(0, (), has_scalar)
 
-    outgoing = invariant_factors(coboundary_matrix(rank, degree))
-    # d⁰ leaves Z^0, so it has rank 0 and no invariant factors
-    incoming = invariant_factors(coboundary_matrix(rank, degree - 1)) if degree > 1 else ()
-    free = rank * degree - len(outgoing) - len(incoming)
-    return AbelianGroupDescriptor(free, tuple(f for f in incoming if f > 1), has_scalar)
+    outgoing = invariant_factors(coboundary_matrix(1, degree))
+    # D₀ leaves Z^0, so it has rank 0 and no invariant factors
+    incoming = invariant_factors(coboundary_matrix(1, degree - 1)) if degree > 1 else ()
+    free = rank * (degree - len(outgoing) - len(incoming))
+    torsion = tuple(f for f in incoming if f > 1 for _ in range(rank))
+    return AbelianGroupDescriptor(free, torsion, has_scalar)
 
 
 @dataclass(frozen=True)

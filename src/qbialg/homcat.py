@@ -25,6 +25,7 @@ slowest.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,6 +33,7 @@ from functools import partial, reduce
 from typing import Sequence
 
 from . import matrices as mat
+from .laurent import _coeff
 from .matrices import Matrix, NotInvertible
 
 
@@ -44,11 +46,13 @@ class MonoidalParams:
     b: int
 
     def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
+        # the one coefficient path: a float raises TypeError, exponent
+        # notation ValueError; a and b must be integers, not truncated
+        object.__setattr__(self, "q", _coeff(self.q))
         if not self.q:
             raise ValueError("the unit constraint scalar q must be nonzero")
-        object.__setattr__(self, "a", int(self.a))
-        object.__setattr__(self, "b", int(self.b))
+        object.__setattr__(self, "a", operator.index(self.a))
+        object.__setattr__(self, "b", operator.index(self.b))
 
     def to_dict(self) -> dict:
         return {"q": str(self.q), "a": self.a, "b": self.b}

@@ -45,6 +45,13 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     s and t are products of elementary integer operations, hence
     unimodular.  The diagonal of d is nonnegative with each entry
     dividing the next, nonzero entries first.
+
+    Each pivot is the first entry of least absolute value in the
+    trailing block, scanned row by row.  A unit pivot has two exits:
+    the scan stops at the first entry of absolute value 1, and the
+    divisibility check on the trailing block is skipped, since a unit
+    divides everything.  Neither exit changes which pivot is taken, so
+    d, s and t are those of the full scans.
     """
     m, n = matrix_shape(a)
     d = [list(map(int, row)) for row in a]
@@ -79,14 +86,20 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     for k in range(min(m, n)):
         while True:
-            # bring the smallest nonzero entry of the trailing block to (k, k)
+            # bring the smallest nonzero entry of the trailing block to (k, k);
+            # nothing is smaller than a unit, so the search stops at the first
             pivot = None
             best = None
             for i in range(k, m):
+                row = d[i]
                 for j in range(k, n):
-                    v = abs(d[i][j])
-                    if v and (best is None or v < best):
-                        best, pivot = v, (i, j)
+                    v = row[j]
+                    if v and (best is None or abs(v) < best):
+                        best, pivot = abs(v), (i, j)
+                        if best == 1:
+                            break
+                if best == 1:
+                    break
             if pivot is None:
                 break
             if pivot != (k, k):
@@ -111,7 +124,10 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                         dirty = True
             if dirty:
                 continue
-            # pivot must divide the whole trailing block for the chain
+            # a unit divides everything; any other pivot must divide the
+            # whole trailing block for the chain
+            if best == 1:
+                break
             offender = None
             for i in range(k + 1, m):
                 for j in range(k + 1, n):

@@ -268,3 +268,26 @@ def test_exponent_notation_is_malformed_input(tmp_path, ordinary_file):
     assert "phi.terms[0].c" in res.stderr and "'1e400000'" in res.stderr
     res = run_cli("homcheck", "--q", "1e3", "--a", "0", "--b", "0")
     assert res.returncode == 2 and res.stdout == "" and "--q" in res.stderr
+
+
+def test_degree_limit_is_checked_at_the_parse_boundary(tmp_path, capsys):
+    from qbialg.cli import MAX_DEGREE, main
+
+    too_big = str(MAX_DEGREE + 1)
+    assert main(["cohomology", "--rank", "1", "--degree", too_big]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--degree" in err
+    # the limit is checked before the input file is read
+    missing = tmp_path / "never-read.json"
+    assert main(["boundary", "--degree", too_big, "--input", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--degree" in err and "never-read" not in err
+
+    assert main(["cohomology", "--rank", "2", "--degree", str(MAX_DEGREE)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "free_rank": 0, "torsion": [], "scalar_factor": False
+    }
+    cochain = tmp_path / "cochain.json"
+    cochain.write_text(json.dumps({"scalar": "2", "elements": [[1], [3]]}))
+    assert main(["boundary", "--degree", "2", "--input", str(cochain)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"scalar": "1", "elements": [[-1], [0], [3]]}

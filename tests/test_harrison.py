@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbialg import harrison
 from qbialg.harrison import (
     AbelianGroupDescriptor,
     DegreeMismatch,
@@ -16,7 +17,7 @@ from qbialg.harrison import (
     cocycle_classify,
     cohomology,
 )
-from qbialg.intlinalg import kernel_basis, quotient_invariants, solve_columns
+from qbialg.intlinalg import invariant_factors, kernel_basis, quotient_invariants, solve_columns
 from qbialg.laurent import TensorElement, UnitElement
 
 
@@ -117,13 +118,65 @@ def test_coboundary_matrix_matches_boundary():
         assert image == flat_out
 
 
+def paper_table(rank, degree):
+    """H^0 = k*, H^1 = Z^r and H^n = 1 for n >= 2, written out, no Smith form."""
+    if degree == 0:
+        return AbelianGroupDescriptor(0, (), True)
+    return AbelianGroupDescriptor(rank if degree == 1 else 0, (), False)
+
+
 def test_cohomology_table():
-    for rank in (1, 2, 3):
-        assert cohomology(rank, 0) == AbelianGroupDescriptor(0, (), True)
-        assert cohomology(rank, 1) == AbelianGroupDescriptor(rank, (), False)
-        for degree in range(2, 7):
+    for rank in range(1, 7):
+        for degree in range(41):
+            assert cohomology(rank, degree) == paper_table(rank, degree), (rank, degree)
+    for degree in range(4):
+        assert cohomology(1000, degree) == paper_table(1000, degree)
+
+
+def test_coboundary_matrix_is_rank_one_matrix_tensor_identity():
+    # d^n = D_n (x) I_r: entry (i r + k, j r + l) is D_n[i][j] when k == l, else 0
+    for rank in range(1, 6):
+        for degree in range(13):
+            small = coboundary_matrix(1, degree)
+            big = coboundary_matrix(rank, degree)
+            assert len(big) == rank * len(small)
+            assert all(len(row) == rank * degree for row in big)
+            for i, row in enumerate(small):
+                for j, x in enumerate(row):
+                    for k in range(rank):
+                        for l in range(rank):
+                            assert big[i * rank + k][j * rank + l] == (x if k == l else 0)
+
+
+def rank_one_coboundary_rank(degree):
+    """rank D_n: n/2 + 1 for even n >= 2, (n - 1)/2 for odd n, 0 for n = 0."""
+    if degree == 0:
+        return 0
+    return degree // 2 + 1 if degree % 2 == 0 else (degree - 1) // 2
+
+
+def test_rank_one_coboundary_rank_closed_form():
+    # every invariant factor is 1, so the complex has no torsion
+    for degree in range(61):
+        expected = (1,) * rank_one_coboundary_rank(degree)
+        assert invariant_factors(coboundary_matrix(1, degree)) == expected, degree
+
+
+def test_rank_one_reduction_repeats_torsion(monkeypatch):
+    # the Harrison complexes have no torsion; doubling every coboundary
+    # matrix keeps d∘d = 0 and makes every invariant factor 2, so the
+    # route through D_n must repeat each factor r times to match the full matrices
+    real = harrison.coboundary_matrix
+    doubled = lambda rank, degree: [[2 * x for x in row] for row in real(rank, degree)]
+    monkeypatch.setattr(harrison, "coboundary_matrix", doubled)
+    for rank in range(1, 4):
+        for degree in range(2, 9):
+            outgoing = invariant_factors(doubled(rank, degree))
+            incoming = invariant_factors(doubled(rank, degree - 1))
             desc = cohomology(rank, degree)
-            assert desc.is_trivial(), (rank, degree, desc)
+            assert desc.free_rank == rank * degree - len(outgoing) - len(incoming)
+            assert desc.torsion == tuple(f for f in incoming if f > 1)
+            assert desc.torsion == (2,) * (rank * rank_one_coboundary_rank(degree - 1))
 
 
 def test_descriptor_str_and_dict():
@@ -237,11 +290,20 @@ def is_valid_unit(u):
     )
 
 
+def coface_product(c):
+    """The alternating product of the cofaces as unit products, one by one."""
+    out = UnitElement.identity(c.rank, c.degree + 1)
+    for i in range(c.degree + 2):
+        out = out * coface(i, c).unit.power(1 if i % 2 == 0 else -1)
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(cochains())
 def test_boundary_routes_agree_up_to_degree_24(c):
     b = boundary(c)
     assert b == boundary_closed_form(c)
+    assert b.unit == coface_product(c)
     assert boundary(b) == HarrisonCochain.identity(c.rank, c.degree + 2)
 
 

@@ -82,6 +82,17 @@ def test_morphism_validation():
 def test_params_validation():
     with pytest.raises(ValueError):
         MonoidalParams(Fraction(0), 1, 1)
+    # exact scalars and integer exponents only, as everywhere else
+    assert MonoidalParams("1/2", -2, 3) == MonoidalParams(Fraction(1, 2), -2, 3)
+    assert type(MonoidalParams(2, 1, 1).q) is Fraction
+    with pytest.raises(TypeError):
+        MonoidalParams(0.1, 0, 0)  # would become 3602879701896397/36028797018963968
+    with pytest.raises(ValueError):
+        MonoidalParams("1e5", 0, 0)  # exponent notation
+    with pytest.raises(TypeError):
+        MonoidalParams(Fraction(1), 1.5, 0)  # would truncate to 1
+    with pytest.raises(TypeError):
+        MonoidalParams(Fraction(1), 0, 1.5)
 
 
 def test_tensor_obj_and_unit():

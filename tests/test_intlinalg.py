@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbialg.harrison import coboundary_matrix
@@ -162,14 +162,48 @@ def test_invariant_factors_match_sympy_on_coboundary_matrices():
             assert invariant_factors(a) == sympy_invariant_factors(a), (rank, degree)
 
 
-small_int_matrices = st.integers(1, 5).flatmap(
-    lambda rows: st.lists(
-        st.lists(st.integers(-6, 6), min_size=rows, max_size=rows), min_size=1, max_size=5
+def int_matrices(max_dim, span):
+    """Integer matrices of 1..max_dim rows and columns, entries in -span..span."""
+    return st.tuples(st.integers(1, max_dim), st.integers(1, max_dim)).flatmap(
+        lambda shape: st.lists(
+            st.lists(st.integers(-span, span), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        )
     )
-).map(lambda cols: [list(row) for row in zip(*cols)])
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_int_matrices)
+@given(int_matrices(5, 6))
 def test_invariant_factors_match_sympy_on_small_matrices(a):
     assert invariant_factors(a) == sympy_invariant_factors(a)
+
+
+# -- the Smith routine on unit and non-unit pivots ------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(7, 12))
+@example([[2, 0], [0, 3]])  # pivot 2 fails to divide 3: the divisibility fix
+@example([[6, 10], [10, 6]])  # no unit entry at all
+@example([[4, 6, 0], [6, 9, 2], [0, 2, 12]])
+@example([[0, 0, 1], [2, 0, 0], [0, 5, 0]])  # a unit pivot away from (0, 0)
+def test_smith_normal_form_properties(a):
+    # d = s a t with s, t unimodular, a nonnegative diagonal, each entry
+    # dividing the next and zeros last; entries in -12..12 give unit and
+    # non-unit pivots both
+    check_snf(a)
+
+
+def kron_identity(a, rank):
+    return [
+        [x if k == l else 0 for x in row for l in range(rank)] for row in a for k in range(rank)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrices(4, 6), st.integers(1, 3))
+def test_smith_form_of_tensor_with_identity(a, rank):
+    # Smith(a (x) I_r) = Smith(a) (x) I_r: each invariant factor r times
+    expected = tuple(f for f in invariant_factors(a) for _ in range(rank))
+    assert invariant_factors(kron_identity(a, rank)) == expected
