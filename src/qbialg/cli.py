@@ -5,7 +5,8 @@ group elements as comma-separated exponent lists, and writes exactly one
 JSON report to stdout; diagnostics go to stderr.  Exit codes: 0 when all
 requested checks pass, 1 when a check fails (the report is still
 emitted), 2 on malformed input, which includes a ``--degree`` above
-``MAX_DEGREE`` for boundary and cohomology.  Output is deterministic:
+``MAX_DEGREE`` for boundary and cohomology and a ``--rank`` above
+``MAX_RANK`` for boundary.  Output is deterministic:
 identical argv, input files, and seeds give byte-identical stdout.
 """
 
@@ -42,6 +43,11 @@ class InputParseError(Exception):
 # with the degree (a boundary of degree n builds n + 2 cofaces of n + 1
 # slots), so an unchecked flag could ask for unbounded work.
 MAX_DEGREE = 256
+
+# Largest --rank accepted by boundary.  Its output holds a --rank long
+# exponent vector per slot, so an unchecked flag could ask for unbounded
+# output from a tiny degree-0 input.
+MAX_RANK = 256
 
 
 def _check_degree(degree: int) -> None:
@@ -174,6 +180,8 @@ def _cmd_verify_r(args) -> int:
 
 def _cmd_boundary(args) -> int:
     _check_degree(args.degree)
+    if args.rank is not None and args.rank > MAX_RANK:
+        raise InputParseError(f"--rank must be <= {MAX_RANK}, got {args.rank}")
     data = _read_json(args.input)
     try:
         cochain = HarrisonCochain.from_dict(data, rank=args.rank)
@@ -319,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("boundary", help="apply the Harrison boundary map to a cochain")
     cmd.add_argument("--degree", type=int, required=True)
     cmd.add_argument("--input", required=True, help="cochain JSON file, or - for stdin")
-    cmd.add_argument("--rank", type=int, help="required for degree-0 cochains")
+    cmd.add_argument("--rank", type=int, help="required for degree 0; must match the cochain")
     cmd.set_defaults(func=_cmd_boundary)
 
     cmd = sub.add_parser("cohomology", help="Harrison cohomology group of k[Z^rank]")

@@ -87,11 +87,13 @@ class HarrisonCochain:
 
     @classmethod
     def from_dict(cls, data: Mapping, rank: int | None = None) -> "HarrisonCochain":
+        """The cochain a ``to_dict`` document describes, over ``rank`` when
+        given (every element must then have that length)."""
         elements = [tuple(int(c) for c in v) for v in data["elements"]]
-        if elements:
+        if rank is None:
+            if not elements:
+                raise DegreeMismatch("a degree-0 cochain needs an explicit rank")
             rank = len(elements[0])
-        elif rank is None:
-            raise DegreeMismatch("a degree-0 cochain needs an explicit rank")
         return cls.from_data(rank, parse_coefficient(data["scalar"], "scalar"), elements)
 
     def dumps(self) -> str:

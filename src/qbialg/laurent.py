@@ -9,6 +9,11 @@ coefficients.  All arithmetic is exact; nothing here ever rounds.
 Group-like monomials q * g^(v_1) (x) ... (x) g^(v_m) with q != 0 are
 exactly the invertible elements of the tensor power, which is why
 ``as_unit`` / ``invert_unit`` ask for a single term and nothing more.
+Such a unit is a ``UnitElement``, and the leg operations (concatenation,
+permutation, identity-leg insertion, and an algebra map or the counit
+on one leg) act on units: each is a splice of exponent tuples and a
+product of scalars.  ``TensorElement`` is the general ring, the JSON
+format and the form in which failed checks report their witnesses.
 """
 
 from __future__ import annotations
@@ -314,6 +319,8 @@ class UnitElement:
 
     def __post_init__(self):
         # results built from valid units go through _raw_unit instead
+        if self.rank < 1:
+            raise RankMismatch(f"rank must be >= 1, got {self.rank}")
         object.__setattr__(self, "scalar", _coeff(self.scalar))
         if not self.scalar:
             raise NotAUnit("scalar part of a unit must be nonzero")
@@ -372,8 +379,11 @@ def _raw_unit(rank: int, scalar: Fraction, monomial: tuple[Vector, ...]) -> Unit
 # -- the operation surface ------------------------------------------------
 
 
-def as_unit(x: TensorElement) -> UnitElement:
-    """Certify x as invertible.  Exactly the one-term elements qualify."""
+def as_unit(x: TensorElement | UnitElement) -> UnitElement:
+    """Certify x as invertible.  Exactly the one-term elements qualify;
+    a ``UnitElement`` is returned unchanged."""
+    if isinstance(x, UnitElement):
+        return x
     if len(x._terms) != 1:
         raise NotAUnit(f"element has {len(x._terms)} terms, units have exactly 1")
     ((key, c),) = x._terms.items()
@@ -385,44 +395,29 @@ def invert_unit(x: TensorElement) -> TensorElement:
     return as_unit(x).inverse().to_tensor()
 
 
-def tensor_concat(x: TensorElement, y: TensorElement) -> TensorElement:
+def tensor_concat(x: UnitElement, y: UnitElement) -> UnitElement:
     """Place x and y side by side: legs concatenate, coefficients multiply."""
     if x.rank != y.rank:
         raise RankMismatch(f"rank {x.rank} vs {y.rank}")
-    out: dict[TermKey, Fraction] = {}
-    for ka, ca in x._terms.items():
-        for kb, cb in y._terms.items():
-            key = ka + kb
-            s = out.get(key, 0) + ca * cb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return _raw(x.rank, x.legs + y.legs, out)
+    return _raw_unit(x.rank, x.scalar * y.scalar, x.monomial + y.monomial)
 
 
-def permute_legs(x: TensorElement, perm: tuple[int, ...]) -> TensorElement:
+def permute_legs(x: UnitElement, perm: tuple[int, ...]) -> UnitElement:
     """Reorder legs: new leg k is old leg perm[k] (1-based source list).
 
     permute_legs(x, (2, 3, 1)) realizes x^(2) (x) x^(3) (x) x^(1).
     """
     if sorted(perm) != list(range(1, x.legs + 1)):
         raise LegOutOfRange(f"{perm} is not a permutation of 1..{x.legs}")
-    out = {}
-    for key, c in x._terms.items():
-        out[tuple(key[p - 1] for p in perm)] = c
-    return _raw(x.rank, x.legs, out)
+    return _raw_unit(x.rank, x.scalar, tuple(x.monomial[p - 1] for p in perm))
 
 
-def insert_unit_leg(x: TensorElement, position: int) -> TensorElement:
+def insert_unit_leg(x: UnitElement, position: int) -> UnitElement:
     """Insert an identity leg so that it becomes leg ``position`` (1-based)."""
     if not 1 <= position <= x.legs + 1:
         raise LegOutOfRange(f"position {position} outside 1..{x.legs + 1}")
-    z = _zero_vector(x.rank)
-    out = {}
-    for key, c in x._terms.items():
-        out[key[: position - 1] + (z,) + key[position - 1 :]] = c
-    return _raw(x.rank, x.legs + 1, out)
+    z = (_zero_vector(x.rank),)
+    return _raw_unit(x.rank, x.scalar, x.monomial[: position - 1] + z + x.monomial[position - 1 :])
 
 
 @dataclass(frozen=True)
@@ -443,8 +438,7 @@ class AlgebraMapSpec:
             raise LegMismatch(f"target_legs must be >= 1, got {self.target_legs}")
         imgs = []
         for im in self.images:
-            if isinstance(im, TensorElement):
-                im = as_unit(im)
+            im = as_unit(im)
             if im.rank != self.rank:
                 raise RankMismatch(f"image rank {im.rank}, expected {self.rank}")
             if im.legs != self.target_legs:
@@ -490,25 +484,18 @@ class CounitSpec:
         return out
 
 
-def apply_algebra_map_on_leg(amap: AlgebraMapSpec, x: TensorElement, leg: int) -> TensorElement:
+def apply_algebra_map_on_leg(amap: AlgebraMapSpec, x: UnitElement, leg: int) -> UnitElement:
     """Apply an algebra map to one leg, splicing its output legs in place."""
     if amap.rank != x.rank:
         raise RankMismatch(f"map rank {amap.rank} vs element rank {x.rank}")
     if not 1 <= leg <= x.legs:
         raise LegOutOfRange(f"leg {leg} outside 1..{x.legs}")
-    out: dict[TermKey, Fraction] = {}
-    for key, c in x._terms.items():
-        u = amap.image_of_vector(key[leg - 1])
-        new_key = key[: leg - 1] + u.monomial + key[leg:]
-        s = out.get(new_key, 0) + c * u.scalar
-        if s:
-            out[new_key] = s
-        else:
-            out.pop(new_key, None)
-    return _raw(x.rank, x.legs - 1 + amap.target_legs, out)
+    mono = x.monomial
+    u = amap.image_of_vector(mono[leg - 1])
+    return _raw_unit(x.rank, x.scalar * u.scalar, mono[: leg - 1] + u.monomial + mono[leg:])
 
 
-def apply_counit_on_leg(eps: CounitSpec, x: TensorElement, leg: int) -> TensorElement:
+def apply_counit_on_leg(eps: CounitSpec, x: UnitElement, leg: int) -> UnitElement:
     """Evaluate the counit on one leg and drop it (needs legs >= 2)."""
     if eps.rank != x.rank:
         raise RankMismatch(f"counit rank {eps.rank} vs element rank {x.rank}")
@@ -516,12 +503,6 @@ def apply_counit_on_leg(eps: CounitSpec, x: TensorElement, leg: int) -> TensorEl
         raise LegMismatch("cannot drop the only leg; counit application needs legs >= 2")
     if not 1 <= leg <= x.legs:
         raise LegOutOfRange(f"leg {leg} outside 1..{x.legs}")
-    out: dict[TermKey, Fraction] = {}
-    for key, c in x._terms.items():
-        new_key = key[: leg - 1] + key[leg:]
-        s = out.get(new_key, 0) + c * eps.value_of_vector(key[leg - 1])
-        if s:
-            out[new_key] = s
-        else:
-            out.pop(new_key, None)
-    return _raw(x.rank, x.legs - 1, out)
+    mono = x.monomial
+    scalar = x.scalar * eps.value_of_vector(mono[leg - 1])
+    return _raw_unit(x.rank, scalar, mono[: leg - 1] + mono[leg:])

@@ -30,7 +30,7 @@ from .laurent import (
     apply_algebra_map_on_leg,
     apply_counit_on_leg,
     as_unit,
-    invert_unit,
+    insert_unit_leg,
     parse_coefficient,
     tensor_concat,
 )
@@ -51,14 +51,18 @@ def _basis_vector(rank: int, i: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class QuasiBialgebraPresentation:
-    """The full datum (coproduct, counit, phi, lambda, rho) over k[Z^r]."""
+    """The full datum (coproduct, counit, phi, lambda, rho) over k[Z^r].
+
+    The constraints may be given as one-term ``TensorElement``s; they are
+    stored as the ``UnitElement``s they are certified to be.
+    """
 
     rank: int
     coproduct: AlgebraMapSpec
     counit: CounitSpec
-    phi: TensorElement
-    lam: TensorElement
-    rho: TensorElement
+    phi: UnitElement
+    lam: UnitElement
+    rho: UnitElement
 
     def __post_init__(self):
         r = self.rank
@@ -66,29 +70,30 @@ class QuasiBialgebraPresentation:
             raise RankMismatch("coproduct/counit rank does not match the presentation")
         if self.coproduct.target_legs != 2:
             raise LegMismatch("a coproduct must have two output legs")
-        for name, elem, legs in (("phi", self.phi, 3), ("lambda", self.lam, 1), ("rho", self.rho, 1)):
+        for field, name, legs in (("phi", "phi", 3), ("lam", "lambda", 1), ("rho", "rho", 1)):
+            elem = getattr(self, field)
             if elem.rank != r:
                 raise RankMismatch(f"{name} has rank {elem.rank}, expected {r}")
             if elem.legs != legs:
                 raise LegMismatch(f"{name} has {elem.legs} legs, expected {legs}")
-            as_unit(elem)  # raises NotAUnit when the constraint is not invertible
+            # raises NotAUnit when the constraint is not invertible
+            object.__setattr__(self, field, as_unit(elem))
 
     def to_dict(self) -> dict:
         return {
             "rank": self.rank,
             "coproduct": [im.to_tensor().to_dict() for im in self.coproduct.images],
             "counit": [str(v) for v in self.counit.values],
-            "phi": self.phi.to_dict(),
-            "lambda": self.lam.to_dict(),
-            "rho": self.rho.to_dict(),
+            "phi": self.phi.to_tensor().to_dict(),
+            "lambda": self.lam.to_tensor().to_dict(),
+            "rho": self.rho.to_tensor().to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "QuasiBialgebraPresentation":
         rank = int(data["rank"])
         images = tuple(
-            as_unit(TensorElement.from_dict(d, f"coproduct[{i}]."))
-            for i, d in enumerate(data["coproduct"])
+            TensorElement.from_dict(d, f"coproduct[{i}].") for i, d in enumerate(data["coproduct"])
         )
         counit = CounitSpec(
             rank,
@@ -143,7 +148,7 @@ class BialgebraIso:
     def as_map(self) -> AlgebraMapSpec:
         return AlgebraMapSpec(self.rank, 1, self.generator_images)
 
-    def apply(self, x: TensorElement) -> TensorElement:
+    def apply(self, x: UnitElement) -> UnitElement:
         """Apply the automorphism to every leg of x."""
         amap = self.as_map()
         for leg in range(1, x.legs + 1):
@@ -161,9 +166,9 @@ def ordinary(rank: int) -> QuasiBialgebraPresentation:
         rank,
         AlgebraMapSpec(rank, 2, images),
         CounitSpec(rank, (Fraction(1),) * rank),
-        TensorElement.one(rank, 3),
-        TensorElement.one(rank, 1),
-        TensorElement.one(rank, 1),
+        UnitElement.identity(rank, 3),
+        UnitElement.identity(rank, 1),
+        UnitElement.identity(rank, 1),
     )
 
 
@@ -177,9 +182,9 @@ def canonical(triple: CanonicalTriple) -> QuasiBialgebraPresentation:
     r = triple.rank
     base = ordinary(r)
     zero = (0,) * r
-    phi = TensorElement.single(1, (triple.h, zero, triple.g))
-    lam = TensorElement.single(triple.q, (tuple(-c for c in triple.g),))
-    rho = TensorElement.single(triple.q, (triple.h,))
+    phi = UnitElement(r, Fraction(1), (triple.h, zero, triple.g))
+    lam = UnitElement(r, triple.q, (tuple(-c for c in triple.g),))
+    rho = UnitElement(r, triple.q, (triple.h,))
     return QuasiBialgebraPresentation(r, base.coproduct, base.counit, phi, lam, rho)
 
 
@@ -199,15 +204,14 @@ def verify(p: QuasiBialgebraPresentation) -> VerificationReport:
     delta = p.coproduct
     eps = p.counit
     phi, lam, rho = p.phi, p.lam, p.rho
-    one1 = TensorElement.one(r, 1)
     checks: list[AxiomCheck] = []
 
     # (i) the 3-cocycle identity for phi in four legs
     lhs = apply_algebra_map_on_leg(delta, phi, 3) * apply_algebra_map_on_leg(delta, phi, 1)
     rhs = (
-        tensor_concat(one1, phi)
+        insert_unit_leg(phi, 1)
         * apply_algebra_map_on_leg(delta, phi, 2)
-        * tensor_concat(phi, one1)
+        * insert_unit_leg(phi, 4)
     )
     checks.append(compare("cocycle", lhs, rhs))
 
@@ -216,16 +220,16 @@ def verify(p: QuasiBialgebraPresentation) -> VerificationReport:
         compare(
             "counital",
             apply_counit_on_leg(eps, phi, 2),
-            tensor_concat(rho, invert_unit(lam)),
+            tensor_concat(rho, lam.inverse()),
         )
     )
 
-    phi_inv = invert_unit(phi)
-    lam_inv = invert_unit(lam)
-    rho_inv = invert_unit(rho)
+    phi_inv = phi.inverse()
+    lam_inv = lam.inverse()
+    rho_inv = rho.inverse()
     for i in range(r):
-        gen = TensorElement.generator(r, i + 1)
-        d = delta.images[i].to_tensor()
+        gen = UnitElement(r, Fraction(1), (_basis_vector(r, i),))
+        d = delta.images[i]
 
         # (iii) coassociativity up to conjugation by phi
         lhs = apply_algebra_map_on_leg(delta, d, 2)
@@ -254,7 +258,9 @@ def verify(p: QuasiBialgebraPresentation) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def twist(p: QuasiBialgebraPresentation, alpha: TensorElement) -> QuasiBialgebraPresentation:
+def twist(
+    p: QuasiBialgebraPresentation, alpha: TensorElement | UnitElement
+) -> QuasiBialgebraPresentation:
     """Conjugate the presentation by an invertible alpha in two legs.
 
     The coproduct is conjugated, the constraint phi picks up the usual
@@ -265,20 +271,18 @@ def twist(p: QuasiBialgebraPresentation, alpha: TensorElement) -> QuasiBialgebra
         raise RankMismatch(f"alpha rank {alpha.rank} vs presentation rank {p.rank}")
     if alpha.legs != 2:
         raise LegMismatch(f"a twist lives in two legs, got {alpha.legs}")
-    alpha_inv = invert_unit(alpha)  # NotAUnit propagates for bad alpha
+    alpha = as_unit(alpha)  # NotAUnit propagates for bad alpha
+    alpha_inv = alpha.inverse()
     r = p.rank
     delta = p.coproduct
-    one1 = TensorElement.one(r, 1)
 
-    new_images = tuple(
-        as_unit(alpha * im.to_tensor() * alpha_inv) for im in delta.images
-    )
+    new_images = tuple(alpha * im * alpha_inv for im in delta.images)
     new_phi = (
-        tensor_concat(one1, alpha)
+        insert_unit_leg(alpha, 1)
         * apply_algebra_map_on_leg(delta, alpha, 2)
         * p.phi
         * apply_algebra_map_on_leg(delta, alpha_inv, 1)
-        * tensor_concat(alpha_inv, one1)
+        * insert_unit_leg(alpha_inv, 3)
     )
     new_lam = p.lam * apply_counit_on_leg(p.counit, alpha_inv, 1)
     new_rho = p.rho * apply_counit_on_leg(p.counit, alpha_inv, 2)
@@ -300,8 +304,8 @@ def normalize(p: QuasiBialgebraPresentation) -> tuple[BialgebraIso, QuasiBialgeb
     for i in range(r):
         e = _basis_vector(r, i)
         v = p.counit.values[i]
-        forced = TensorElement(r, 2, {(e, e): 1 / v})
-        if p.coproduct.images[i].to_tensor() != forced:
+        im = p.coproduct.images[i]
+        if im.scalar != 1 / v or im.monomial != (e, e):
             raise NotForcedForm(
                 f"coproduct of g{i + 1} is not (1/counit) * g{i + 1} (x) g{i + 1}"
             )
@@ -332,14 +336,10 @@ def find_trivializing_twist(p: QuasiBialgebraPresentation) -> TensorElement:
     """
     if not is_ordinary_coalgebra(p):
         raise NotForcedForm("coalgebra part must be ordinary; run normalize first")
-    phi_u = as_unit(p.phi)
-    lam_u = as_unit(p.lam)
-    first, _middle, third = phi_u.monomial
-    candidate = TensorElement(
-        p.rank, 2, {(first, tuple(-c for c in third)): lam_u.scalar}
-    )
+    first, _middle, third = p.phi.monomial
+    candidate = UnitElement(p.rank, p.lam.scalar, (first, tuple(-c for c in third)))
     if twist(p, candidate) != ordinary(p.rank):
         raise NoMonomialTwist(
             "no invertible monomial twist carries this presentation to the ordinary one"
         )
-    return candidate
+    return candidate.to_tensor()

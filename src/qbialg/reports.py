@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import TensorElement
+from .laurent import TensorElement, UnitElement
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class VerificationReport:
         return [c.to_dict() for c in self.checks]
 
 
-def compare(axiom: str, lhs: TensorElement, rhs: TensorElement) -> AxiomCheck:
-    """Build a check entry; witnesses are attached only on failure."""
+def compare(axiom: str, lhs: UnitElement, rhs: UnitElement) -> AxiomCheck:
+    """Build a check entry; witnesses are attached, as tensors, only on failure."""
     if lhs == rhs:
         return AxiomCheck(axiom, True)
-    return AxiomCheck(axiom, False, lhs, rhs)
+    return AxiomCheck(axiom, False, lhs.to_tensor(), rhs.to_tensor())

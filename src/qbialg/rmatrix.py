@@ -13,10 +13,10 @@ from .laurent import (
     LegMismatch,
     RankMismatch,
     TensorElement,
+    UnitElement,
     apply_algebra_map_on_leg,
     as_unit,
     insert_unit_leg,
-    invert_unit,
     permute_legs,
 )
 from .quasibialgebra import (
@@ -28,26 +28,29 @@ from .quasibialgebra import (
 from .reports import AxiomCheck, VerificationReport, compare
 
 
-def check_rmatrix_shape(r_elem: TensorElement, rank: int) -> None:
-    """An R-matrix lives in two legs over the right rank and is a unit."""
+def check_rmatrix_shape(r_elem: TensorElement | UnitElement, rank: int) -> UnitElement:
+    """An R-matrix lives in two legs over the right rank and is a unit;
+    returns it as that unit."""
     if r_elem.rank != rank:
         raise RankMismatch(f"R has rank {r_elem.rank}, expected {rank}")
     if r_elem.legs != 2:
         raise LegMismatch(f"R must have 2 legs, got {r_elem.legs}")
-    as_unit(r_elem)
+    return as_unit(r_elem)
 
 
-def verify_R(p: QuasiBialgebraPresentation, r_elem: TensorElement) -> VerificationReport:
+def verify_R(
+    p: QuasiBialgebraPresentation, r_elem: TensorElement | UnitElement
+) -> VerificationReport:
     """Check the quasi-triangular axioms plus triangularity, exactly.
 
     The two coproduct identities are checked in the three-leg power with
     every phi factor permuted into the leg order the identity calls for;
     the opposite-coproduct identity is checked on each generator.
     """
-    check_rmatrix_shape(r_elem, p.rank)
+    r_elem = check_rmatrix_shape(r_elem, p.rank)
     delta = p.coproduct
     phi = p.phi
-    r_inv = invert_unit(r_elem)
+    r_inv = r_elem.inverse()
     checks: list[AxiomCheck] = []
 
     # (1) coproduct on the first leg of R
@@ -55,7 +58,7 @@ def verify_R(p: QuasiBialgebraPresentation, r_elem: TensorElement) -> Verificati
     rhs = (
         permute_legs(phi, (2, 3, 1))
         * insert_unit_leg(r_elem, 2)
-        * invert_unit(permute_legs(phi, (1, 3, 2)))
+        * permute_legs(phi, (1, 3, 2)).inverse()
         * insert_unit_leg(r_elem, 1)
         * phi
     )
@@ -64,17 +67,17 @@ def verify_R(p: QuasiBialgebraPresentation, r_elem: TensorElement) -> Verificati
     # (2) coproduct on the second leg of R
     lhs = apply_algebra_map_on_leg(delta, r_elem, 2)
     rhs = (
-        invert_unit(permute_legs(phi, (3, 1, 2)))
+        permute_legs(phi, (3, 1, 2)).inverse()
         * insert_unit_leg(r_elem, 2)
         * permute_legs(phi, (2, 1, 3))
         * insert_unit_leg(r_elem, 3)
-        * invert_unit(phi)
+        * phi.inverse()
     )
     checks.append(compare("coproduct_second_leg", lhs, rhs))
 
     # (3) R conjugates the coproduct to its opposite, generator by generator
     for i in range(p.rank):
-        d = delta.images[i].to_tensor()
+        d = delta.images[i]
         checks.append(
             compare(
                 f"opposite_coproduct[g{i + 1}]",
@@ -88,14 +91,17 @@ def verify_R(p: QuasiBialgebraPresentation, r_elem: TensorElement) -> Verificati
     return VerificationReport(tuple(checks))
 
 
-def twist_R(r_elem: TensorElement, alpha: TensorElement) -> TensorElement:
+def twist_R(
+    r_elem: TensorElement | UnitElement, alpha: TensorElement | UnitElement
+) -> TensorElement:
     """Carry an R-matrix along a twist: flip(alpha) * R * alpha^-1."""
     if r_elem.rank != alpha.rank:
         raise RankMismatch(f"R rank {r_elem.rank} vs alpha rank {alpha.rank}")
     if r_elem.legs != 2 or alpha.legs != 2:
         raise LegMismatch("R and alpha must both have 2 legs")
-    as_unit(r_elem)
-    return permute_legs(alpha, (2, 1)) * r_elem * invert_unit(alpha)
+    r_elem = as_unit(r_elem)
+    alpha = as_unit(alpha)
+    return (permute_legs(alpha, (2, 1)) * r_elem * alpha.inverse()).to_tensor()
 
 
 def solve_R(p: QuasiBialgebraPresentation) -> list[TensorElement]:
@@ -112,9 +118,5 @@ def solve_R(p: QuasiBialgebraPresentation) -> list[TensorElement]:
     """
     if not is_ordinary_coalgebra(p):
         raise NotForcedForm("coalgebra part must be ordinary; run normalize first")
-    trivializer = find_trivializing_twist(p)
-    ordinary_solutions = [TensorElement.one(p.rank, 2)]
-    back = invert_unit(trivializer)
-    solutions = [twist_R(s, back) for s in ordinary_solutions]
-    solutions.sort(key=lambda s: s.terms())
-    return solutions
+    back = as_unit(find_trivializing_twist(p)).inverse()
+    return [twist_R(UnitElement.identity(p.rank, 2), back)]

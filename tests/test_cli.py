@@ -1,11 +1,20 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbialg.quasibialgebra import CanonicalTriple, canonical, ordinary
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args, stdin=None):
@@ -49,6 +58,34 @@ def test_verify_corrupted_exits_one(tmp_path, canonical_file):
     report = json.loads(res.stdout)
     failed = [c for c in report if not c["pass"]]
     assert failed and failed[0]["lhs"] is not None  # witness attached
+
+
+def _failing_runs():
+    """Failing verify and verify-r runs: subcommand and the document for each flag."""
+    canonical_doc = canonical(CanonicalTriple(Fraction(2), (1,), (1,))).to_dict()
+    bad_phi = copy.deepcopy(canonical_doc)
+    bad_phi["phi"]["terms"][0]["e"][0][0] += 1
+    bad_counit = ordinary(2).to_dict()
+    bad_counit["counit"] = ["2", "1/3"]
+    r_scalar_3 = {"rank": 1, "legs": 2, "terms": [{"c": "3", "e": [[2], [-2]]}]}
+    return {
+        "verify_phi_exponent": ("verify", {"--input": bad_phi}),
+        "verify_counit": ("verify", {"--input": bad_counit}),
+        "verify_r_scalar": ("verify-r", {"--input": canonical_doc, "--r": r_scalar_3}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_failing_runs()))
+def test_failure_report_is_byte_identical_to_golden(tmp_path, name):
+    command, docs = _failing_runs()[name]
+    args = [command]
+    for flag, doc in docs.items():
+        path = tmp_path / f"{flag[2:]}.json"
+        path.write_text(json.dumps(doc))
+        args += [flag, str(path)]
+    res = run_cli(*args)
+    assert res.returncode == 1
+    assert res.stdout == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_input_errors_exit_two(tmp_path):
@@ -291,3 +328,90 @@ def test_degree_limit_is_checked_at_the_parse_boundary(tmp_path, capsys):
     cochain.write_text(json.dumps({"scalar": "2", "elements": [[1], [3]]}))
     assert main(["boundary", "--degree", "2", "--input", str(cochain)]) == 0
     assert json.loads(capsys.readouterr().out) == {"scalar": "1", "elements": [[-1], [0], [3]]}
+
+
+def test_rank_limit_is_checked_at_the_parse_boundary(tmp_path, capsys):
+    from qbialg.cli import MAX_RANK, main
+
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text(json.dumps({"scalar": "5", "elements": []}))
+    cochain = tmp_path / "cochain.json"
+    cochain.write_text(json.dumps({"scalar": "3", "elements": [[1, 0], [0, 2]]}))
+    # no rank-0 or negative-rank cochain, and no rank the cochain contradicts
+    for rank, path, degree in (("0", scalar, "0"), ("-3", scalar, "0"), ("5", cochain, "2")):
+        assert main(["boundary", "--degree", degree, "--input", str(path), "--rank", rank]) == 2
+        assert capsys.readouterr().out == ""
+    # the limit is checked before the input file is read
+    missing = tmp_path / "never-read.json"
+    too_big = str(MAX_RANK + 1)
+    assert main(["boundary", "--degree", "0", "--input", str(missing), "--rank", too_big]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--rank" in err and "never-read" not in err
+
+    assert main(["boundary", "--degree", "2", "--input", str(cochain), "--rank", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["elements"] == [[-1, 0], [0, 0], [0, 2]]
+    assert main(["boundary", "--degree", "0", "--input", str(scalar), "--rank", str(MAX_RANK)]) == 0
+    assert json.loads(capsys.readouterr().out)["elements"] == [[0] * MAX_RANK]
+
+
+# -- fuzz: every exit code is 0, 1 or 2, and stdout is JSON or empty ---------
+
+fuzz_coefficients = st.sampled_from(["1", "-1", "2", "1/2", "-3/2", "0"])
+
+
+@st.composite
+def fuzz_inputs(draw):
+    """A presentation document near a canonical one, and a second element.
+
+    Each constraint, the counit and the coproduct may be replaced by a
+    drawn element of one or two terms, so some inputs are valid, some
+    fail a check and some are not units at all.
+    """
+    rank = draw(st.integers(1, 2))
+
+    def vector(r):
+        return [draw(st.integers(-2, 2)) for _ in range(r)]
+
+    def element(legs, r=rank):
+        terms = [
+            {"c": draw(fuzz_coefficients), "e": [vector(r) for _ in range(legs)]}
+            for _ in range(draw(st.integers(1, 2)))
+        ]
+        return {"rank": r, "legs": legs, "terms": terms}
+
+    q = draw(fuzz_coefficients.filter(lambda c: c != "0"))
+    doc = canonical(CanonicalTriple(q, vector(rank), vector(rank))).to_dict()
+    for key, legs in (("phi", 3), ("lambda", 1), ("rho", 1)):
+        if draw(st.booleans()):
+            doc[key] = element(legs)
+    if draw(st.booleans()):
+        doc["counit"] = [draw(fuzz_coefficients) for _ in range(rank)]
+    if draw(st.booleans()):
+        doc["coproduct"] = [element(2) for _ in range(rank)]
+    other = element(draw(st.sampled_from((2, 2, 1, 3))), draw(st.sampled_from((rank, rank, 3))))
+    return doc, other
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzz_inputs())
+def test_presentation_commands_fuzz(inputs):
+    from qbialg.cli import main
+
+    doc, other = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        presentation = Path(tmp) / "presentation.json"
+        presentation.write_text(json.dumps(doc))
+        element = Path(tmp) / "element.json"
+        element.write_text(json.dumps(other))
+        for extra in (
+            ("verify",), ("twist", "--twist", str(element)), ("verify-r", "--r", str(element)),
+            ("normalize",), ("trivialize",), ("solve-r",),
+        ):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([extra[0], "--input", str(presentation), *extra[1:]])
+            assert code in (0, 1, 2), extra
+            if code == 2:
+                assert out.getvalue() == "", extra
+            else:
+                json.loads(out.getvalue())

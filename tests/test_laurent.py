@@ -36,6 +36,12 @@ def random_element(rng, rank, legs, max_terms=4, span=3):
     return TensorElement(rank, legs, terms)
 
 
+def random_unit(rng, rank, legs, span=3):
+    scalar = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+    vecs = [[rng.randint(-span, span) for _ in range(rank)] for _ in range(legs)]
+    return UnitElement(rank, scalar, vecs)
+
+
 def test_zero_and_one():
     z = TensorElement.zero(2, 3)
     assert z.is_zero() and not z and str(z) == "0"
@@ -127,26 +133,25 @@ def test_not_a_unit():
 
 
 def test_tensor_concat():
-    x = TensorElement.single(2, [(1,)])
-    y = TensorElement.single(3, [(0,), (2,)])
-    assert tensor_concat(x, y) == TensorElement.single(6, [(1,), (0,), (2,)])
-    # bilinear in both arguments
-    z = TensorElement.single(1, [(4,)])
-    assert tensor_concat(x + z, y) == tensor_concat(x, y) + tensor_concat(z, y)
+    x = UnitElement(1, 2, [(1,)])
+    y = UnitElement(1, 3, [(0,), (2,)])
+    assert tensor_concat(x, y) == UnitElement(1, 6, [(1,), (0,), (2,)])
+    with pytest.raises(RankMismatch):
+        tensor_concat(x, UnitElement(2, 1, [(0, 0)]))
 
 
 def test_permute_legs():
-    x = TensorElement.single(5, [(1,), (2,), (3,)])
-    assert permute_legs(x, (2, 3, 1)) == TensorElement.single(5, [(2,), (3,), (1,)])
+    x = UnitElement(1, 5, [(1,), (2,), (3,)])
+    assert permute_legs(x, (2, 3, 1)) == UnitElement(1, 5, [(2,), (3,), (1,)])
     rng = random.Random(3)
     for _ in range(20):
-        y = random_element(rng, 2, 3)
+        y = random_unit(rng, 2, 3)
         assert permute_legs(permute_legs(y, (2, 3, 1)), (3, 1, 2)) == y
 
 
 def test_insert_unit_leg():
-    x = TensorElement.single(2, [(1,), (2,)])
-    assert insert_unit_leg(x, 2) == TensorElement.single(2, [(1,), (0,), (2,)])
+    x = UnitElement(1, 2, [(1,), (2,)])
+    assert insert_unit_leg(x, 2) == UnitElement(1, 2, [(1,), (0,), (2,)])
     assert insert_unit_leg(x, 1).legs == 3
     with pytest.raises(LegOutOfRange):
         insert_unit_leg(x, 4)
@@ -170,16 +175,8 @@ def test_serialization_format():
 
 def test_algebra_map_spec():
     # coproduct-shaped map g -> g (x) g
-    delta = AlgebraMapSpec(
-        2,
-        2,
-        tuple(
-            as_unit(
-                tensor_concat(TensorElement.generator(2, i), TensorElement.generator(2, i))
-            )
-            for i in (1, 2)
-        ),
-    )
+    gens = [as_unit(TensorElement.generator(2, i)) for i in (1, 2)]
+    delta = AlgebraMapSpec(2, 2, tuple(tensor_concat(g, g) for g in gens))
     u = delta.image_of_vector((2, -1))
     assert u.scalar == 1 and u.monomial == ((2, -1), (2, -1))
 
@@ -188,21 +185,21 @@ def test_apply_algebra_map_on_leg():
     delta = AlgebraMapSpec(
         1, 2, (as_unit(TensorElement.single(1, [(1,), (1,)])),)
     )
-    x = TensorElement.single(3, [(2,), (5,)])
-    assert apply_algebra_map_on_leg(delta, x, 1) == TensorElement.single(3, [(2,), (2,), (5,)])
-    assert apply_algebra_map_on_leg(delta, x, 2) == TensorElement.single(3, [(2,), (5,), (5,)])
+    x = UnitElement(1, 3, [(2,), (5,)])
+    assert apply_algebra_map_on_leg(delta, x, 1) == UnitElement(1, 3, [(2,), (2,), (5,)])
+    assert apply_algebra_map_on_leg(delta, x, 2) == UnitElement(1, 3, [(2,), (5,), (5,)])
     # scalar in the image accumulates through the exponent
     scaled = AlgebraMapSpec(1, 2, (as_unit(TensorElement.single(2, [(1,), (0,)])),))
-    y = TensorElement.single(1, [(3,)])
-    assert apply_algebra_map_on_leg(scaled, y, 1) == TensorElement.single(8, [(3,), (0,)])
+    y = UnitElement(1, 1, [(3,)])
+    assert apply_algebra_map_on_leg(scaled, y, 1) == UnitElement(1, 8, [(3,), (0,)])
 
 
 def test_apply_counit_on_leg():
     eps = CounitSpec(1, (Fraction(2),))
-    x = TensorElement.single(3, [(2,), (1,)])
-    assert apply_counit_on_leg(eps, x, 1) == TensorElement.single(12, [(1,)])
+    x = UnitElement(1, 3, [(2,), (1,)])
+    assert apply_counit_on_leg(eps, x, 1) == UnitElement(1, 12, [(1,)])
     with pytest.raises(LegMismatch):
-        apply_counit_on_leg(eps, TensorElement.single(1, [(1,)]), 1)
+        apply_counit_on_leg(eps, UnitElement(1, 1, [(1,)]), 1)
 
 
 def test_counit_nonzero_required():
@@ -348,3 +345,79 @@ def test_public_unit_constructor_still_validates():
         UnitElement(1, "1e5", [(1,)])
     with pytest.raises(RankMismatch):
         UnitElement(2, Fraction(1), [(1,)])
+    for rank in (0, -3):
+        with pytest.raises(RankMismatch):
+            UnitElement(rank, Fraction(1), [])
+
+
+# -- leg operations against the multi-term reference ---------------------------
+#
+# The leg operations act on units.  These are the multi-term forms they
+# replaced, kept as the reference route: on a one-term element each must
+# give the unit result, read as a tensor.
+
+
+def _accumulate(rank, legs, pairs):
+    out = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return TensorElement(rank, legs, out)
+
+
+def ref_tensor_concat(x, y):
+    pairs = ((ka + kb, ca * cb) for ka, ca in x.terms() for kb, cb in y.terms())
+    return _accumulate(x.rank, x.legs + y.legs, pairs)
+
+
+def ref_permute_legs(x, perm):
+    pairs = ((tuple(key[p - 1] for p in perm), c) for key, c in x.terms())
+    return _accumulate(x.rank, x.legs, pairs)
+
+
+def ref_insert_unit_leg(x, position):
+    z = (0,) * x.rank
+    pairs = ((key[: position - 1] + (z,) + key[position - 1 :], c) for key, c in x.terms())
+    return _accumulate(x.rank, x.legs + 1, pairs)
+
+
+def ref_apply_algebra_map_on_leg(amap, x, leg):
+    pairs = []
+    for key, c in x.terms():
+        u = amap.image_of_vector(key[leg - 1])
+        pairs.append((key[: leg - 1] + u.monomial + key[leg:], c * u.scalar))
+    return _accumulate(x.rank, x.legs - 1 + amap.target_legs, pairs)
+
+
+def ref_apply_counit_on_leg(eps, x, leg):
+    pairs = (
+        (key[: leg - 1] + key[leg:], c * eps.value_of_vector(key[leg - 1])) for key, c in x.terms()
+    )
+    return _accumulate(x.rank, x.legs - 1, pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_leg_operations_match_the_multi_term_reference(rank, legs, other_legs, data):
+    def unit(m):
+        vecs = [[data.draw(st.integers(-4, 4)) for _ in range(rank)] for _ in range(m)]
+        return UnitElement(rank, data.draw(scalars), vecs)
+
+    x, y = unit(legs), unit(other_legs)
+    tx = x.to_tensor()
+    assert tensor_concat(x, y).to_tensor() == ref_tensor_concat(tx, y.to_tensor())
+
+    perm = tuple(data.draw(st.permutations(range(1, legs + 1))))
+    assert permute_legs(x, perm).to_tensor() == ref_permute_legs(tx, perm)
+
+    position = data.draw(st.integers(1, legs + 1))
+    assert insert_unit_leg(x, position).to_tensor() == ref_insert_unit_leg(tx, position)
+
+    leg = data.draw(st.integers(1, legs))
+    target = data.draw(st.integers(1, 2))
+    amap = AlgebraMapSpec(rank, target, tuple(unit(target) for _ in range(rank)))
+    got = apply_algebra_map_on_leg(amap, x, leg).to_tensor()
+    assert got == ref_apply_algebra_map_on_leg(amap, tx, leg)
+
+    if legs >= 2:
+        eps = CounitSpec(rank, tuple(data.draw(scalars) for _ in range(rank)))
+        assert apply_counit_on_leg(eps, x, leg).to_tensor() == ref_apply_counit_on_leg(eps, tx, leg)

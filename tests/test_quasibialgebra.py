@@ -58,9 +58,9 @@ def test_canonical_passes_all_axioms():
 
 def test_canonical_structure_golden():
     p = canonical(CanonicalTriple(Fraction(2), (1,), (1,)))
-    assert p.phi == TensorElement.single(1, [(1,), (0,), (1,)])
-    assert p.lam == TensorElement.single(2, [(-1,)])
-    assert p.rho == TensorElement.single(2, [(1,)])
+    assert p.phi == UnitElement(1, 1, [(1,), (0,), (1,)])
+    assert p.lam == UnitElement(1, 2, [(-1,)])
+    assert p.rho == UnitElement(1, 2, [(1,)])
     assert is_ordinary_coalgebra(p)
 
 
@@ -86,7 +86,7 @@ def test_verify_detects_corruption():
         p.rank,
         p.coproduct,
         p.counit,
-        p.phi * TensorElement.single(1, [(1,), (0,), (0,)]),
+        p.phi * UnitElement(1, 1, [(1,), (0,), (0,)]),
         p.lam,
         p.rho,
     )
@@ -231,6 +231,16 @@ def test_normalize_rejects_non_forced_coproduct():
     )
     with pytest.raises(NotForcedForm):
         normalize(crooked)
+
+
+def test_normalize_checks_the_forced_scalar():
+    # diagonal exponents, but the scalar is not 1/counit
+    base = ordinary(1)
+    unscaled = QuasiBialgebraPresentation(
+        1, base.coproduct, CounitSpec(1, (Fraction(2),)), base.phi, base.lam, base.rho
+    )
+    with pytest.raises(NotForcedForm):
+        normalize(unscaled)
 
 
 def test_presentation_serialization():
