@@ -8,11 +8,16 @@ emitted), 2 on malformed input, which includes a ``--degree`` above
 ``MAX_DEGREE`` for boundary and cohomology and a ``--rank`` above
 ``MAX_RANK`` for boundary.  Output is deterministic:
 identical argv, input files, and seeds give byte-identical stdout.
+
+``main(argv)`` may be called any number of times in one process: it
+builds its parser with ``build_parser`` on the first call and reuses it,
+since parsing leaves the parser unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -20,7 +25,14 @@ from fractions import Fraction
 
 from . import homcat
 from .harrison import HarrisonCochain, boundary, cohomology
-from .laurent import TensorElement, parse_coefficient
+from .laurent import (
+    LegMismatch,
+    RankMismatch,
+    TensorElement,
+    UnitElement,
+    as_unit,
+    parse_coefficient,
+)
 from .quasibialgebra import (
     CanonicalTriple,
     NoMonomialTwist,
@@ -66,10 +78,14 @@ def _read_json(path: str):
             where = path
     except OSError as exc:
         raise InputParseError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputParseError(f"{path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputParseError(f"{where}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # too long an integer, too deep a nest
+        raise InputParseError(f"{where}: {exc}") from exc
 
 
 def _presentation(path: str) -> QuasiBialgebraPresentation:
@@ -80,10 +96,16 @@ def _presentation(path: str) -> QuasiBialgebraPresentation:
         raise InputParseError(f"{path}: {exc}") from exc
 
 
-def _element(path: str) -> TensorElement:
+def _element(path: str, rank: int) -> UnitElement:
+    """The two-leg unit over ``rank`` that a --twist or --r file holds."""
     data = _read_json(path)
     try:
-        return TensorElement.from_dict(data)
+        elem = TensorElement.from_dict(data)
+        if elem.rank != rank:
+            raise RankMismatch(f"rank {elem.rank}, expected the presentation's rank {rank}")
+        if elem.legs != 2:
+            raise LegMismatch(f"{elem.legs} legs, expected 2")
+        return as_unit(elem)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"{path}: {exc}") from exc
 
@@ -117,7 +139,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_twist(args) -> int:
     p = _presentation(args.input)
-    alpha = _element(args.twist)
+    alpha = _element(args.twist, p.rank)
     _emit(twist(p, alpha).to_dict())
     return 0
 
@@ -172,7 +194,7 @@ def _cmd_solve_r(args) -> int:
 
 def _cmd_verify_r(args) -> int:
     p = _presentation(args.input)
-    r_elem = _element(args.r)
+    r_elem = _element(args.r, p.rank)
     report = verify_R(p, r_elem)
     _emit(report.to_list())
     return 0 if report.ok else 1
@@ -374,18 +396,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Reuse is safe: parse_args returns a fresh namespace and leaves the
+    # parser unchanged, and argparse reads sys.stdout, sys.stderr and the
+    # terminal width when it prints, not when the parser is built.
+    # build_parser is looked up on the first call, not bound at import, so
+    # a wrapper installed before then (perfbench/tracing.py) sees the build.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
     except InputParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,7 @@ from functools import partial, reduce
 from typing import Sequence
 
 from . import matrices as mat
-from .laurent import _coeff
+from .laurent import _coeff, format_coefficient
 from .matrices import Matrix, NotInvertible
 
 
@@ -321,7 +321,7 @@ def _ratio(first: _LegMap, second: _LegMap) -> Matrix:
 
 
 def _strings(m: Matrix) -> tuple:
-    return tuple(tuple(str(x) for x in row) for row in m)
+    return tuple(tuple(map(format_coefficient, row)) for row in m)
 
 
 # -- constraints ------------------------------------------------------------

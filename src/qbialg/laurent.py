@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -91,6 +92,41 @@ def parse_coefficient(value, field: str) -> Fraction:
         return Fraction(text)
     except ValueError as exc:  # more digits than int() converts
         raise ValueError(f"{field}: {exc}") from None
+
+
+# sys.get_int_max_str_digits is missing before Python 3.10.7, which has no limit
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+# An integer of b bits has at most floor(b * log10(2)) + 1 digits, and
+# 0.30103 > log10(2).  So one of at most this many bits converts under any
+# limit: a nonzero limit is at least sys.int_info.str_digits_check_threshold,
+# 640 digits.
+_ALWAYS_FITS_BITS = (640 * 100000 - 1) // 30103
+
+
+def _integer_text(n: int, limit: int) -> str:
+    bits = n.bit_length()
+    if not limit or bits * 30103 // 100000 < limit:
+        return str(n)
+    return f"{'-' if n < 0 else ''}<{bits}-bit integer>"
+
+
+def format_coefficient(c: Fraction | int) -> str:
+    """``str(c)``, except that an integer part too long for ``str()`` under
+    ``sys.get_int_max_str_digits()`` is written as ``<N-bit integer>``.
+
+    Computed coefficients can outgrow the input: counit 2 and an exponent
+    of 3,000,000 give 2^3000000, which has 903,090 digits.  Whether a part
+    is too long is decided from its bit length, never by trying ``str()``.
+    Such a text is a report, not an input: ``parse_coefficient`` refuses it.
+    """
+    num, den = c.numerator, c.denominator
+    if num.bit_length() <= _ALWAYS_FITS_BITS and den.bit_length() <= _ALWAYS_FITS_BITS:
+        return str(num) if den == 1 else f"{num}/{den}"
+    limit = _int_max_str_digits()
+    text = _integer_text(num, limit)
+    return text if den == 1 else f"{text}/{_integer_text(den, limit)}"
 
 
 def _coeff(value) -> Fraction:
@@ -272,7 +308,8 @@ class TensorElement:
             "rank": self.rank,
             "legs": self.legs,
             "terms": [
-                {"c": str(c), "e": [list(v) for v in key]} for key, c in self.terms()
+                {"c": format_coefficient(c), "e": [list(v) for v in key]}
+                for key, c in self.terms()
             ],
         }
 
@@ -334,6 +371,8 @@ class UnitElement:
 
     @classmethod
     def identity(cls, rank: int, legs: int) -> "UnitElement":
+        if rank < 1:
+            raise RankMismatch(f"rank must be >= 1, got {rank}")
         return _raw_unit(rank, Fraction(1), (_zero_vector(rank),) * legs)
 
     def inverse(self) -> "UnitElement":

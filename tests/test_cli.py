@@ -354,6 +354,94 @@ def test_rank_limit_is_checked_at_the_parse_boundary(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["elements"] == [[0] * MAX_RANK]
 
 
+def test_reused_parser_answers_as_a_fresh_process(tmp_path, monkeypatch, canonical_file):
+    from qbialg import cli
+
+    # help text wraps at the terminal width, which both sides read from here
+    monkeypatch.setenv("COLUMNS", "80")
+    two_terms = tmp_path / "two_terms.json"
+    two_terms.write_text(json.dumps(
+        {"rank": 1, "legs": 2, "terms": [{"c": "1", "e": [[0], [0]]}, {"c": "1", "e": [[1], [0]]}]}
+    ))
+    homcheck = ["homcheck", "--q", "2", "--a", "1", "--b", "1"]
+    compare = ["compare-hom", "--q1", "1", "--a1", "1", "--b1=-1"]
+    sequence = [
+        ["no-such-command"],
+        ["homcheck", "--q", "1", "--a", "0"],
+        [*homcheck, "--trials", "x"],
+        ["--help"],
+        ["homcheck", "--help"],
+        [*homcheck, "--dims", "1", "--trials", "2", "--seed", "3"],
+        homcheck,
+        [*compare, "--tilde", "--dims", "1", "--trials", "2"],
+        [*compare, "--q2", "1", "--a2", "0", "--b2", "0", "--dims", "1", "--trials", "2"],
+        ["verify", "--input", str(canonical_file)],
+        ["twist", "--input", str(canonical_file), "--twist", str(two_terms)],
+        ["cohomology", "--rank", "2", "--degree", "4"],
+    ]
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for argv in sequence:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            fresh = subprocess.run([sys.executable, "-m", "qbialg", *argv], capture_output=True)
+            assert (code, out.getvalue().encode(), err.getvalue().encode()) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
+def test_witness_too_long_for_decimal_exits_one(tmp_path, ordinary_file, capsys):
+    from qbialg.cli import main
+
+    # a well-formed presentation whose counital witness is 2^3000000
+    data = json.loads(ordinary_file.read_text())
+    data["counit"] = ["2"]
+    data["phi"]["terms"][0]["e"] = [[0], [3000000], [0]]
+    path = tmp_path / "long_witness.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--input", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    (counital,) = [c for c in report if c["axiom"] == "counital"]
+    assert counital["lhs"]["terms"][0]["c"] == "<3000001-bit integer>"
+    # homcat's witnesses too: the ratio of q1 = q and q2 = 1/q is q^2
+    q = "7" * 4000
+    argv = ["compare-hom", "--q1", q, "--a1", "1", "--b1", "2", "--q2", f"1/{q}",
+            "--a2", "0", "--b2", "0", "--dims", "2", "--trials", "1"]
+    assert main(argv) == 1
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert "<26575-bit integer>" in json.dumps([e["ratio"] for e in entries])
+
+
+def test_unreadable_bytes_are_malformed_input(tmp_path, capsys):
+    from qbialg.cli import main
+
+    path = tmp_path / "bytes.json"
+    # an integer literal too long for int(), text that is not UTF-8, and
+    # arrays nested deeper than the decoder recurses
+    for content in (b'{"rank": ' + b"1" * 5000 + b"}", b'{"rank": "\xff"}', b"[" * 100000):
+        path.write_bytes(content)
+        for argv in (
+            ["verify", "--input", str(path)],
+            ["boundary", "--degree", "1", "--input", str(path)],
+        ):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and str(path) in err
+
+
 # -- fuzz: every exit code is 0, 1 or 2, and stdout is JSON or empty ---------
 
 fuzz_coefficients = st.sampled_from(["1", "-1", "2", "1/2", "-3/2", "0"])

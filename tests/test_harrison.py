@@ -18,7 +18,7 @@ from qbialg.harrison import (
     cohomology,
 )
 from qbialg.intlinalg import invariant_factors, kernel_basis, quotient_invariants, solve_columns
-from qbialg.laurent import TensorElement, UnitElement
+from qbialg.laurent import RankMismatch, TensorElement, UnitElement
 
 
 def random_cochain(rng, rank, degree, span=3):
@@ -239,6 +239,9 @@ def test_cochain_validation():
     assert c.degree == 0 and c.rank == 2
     with pytest.raises(DegreeMismatch):
         random_cochain(random.Random(0), 1, 2) * random_cochain(random.Random(0), 1, 3)
+    for rank in (0, -1):
+        with pytest.raises(RankMismatch):
+            HarrisonCochain.identity(rank, 2)
 
 
 def test_from_data_takes_only_exact_scalars():

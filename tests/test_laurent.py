@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from qbialg.laurent import (
     apply_algebra_map_on_leg,
     apply_counit_on_leg,
     as_unit,
+    format_coefficient,
     insert_unit_leg,
     invert_unit,
     parse_coefficient,
@@ -230,6 +232,41 @@ def test_parse_coefficient():
             parse_coefficient(text, "where")
 
 
+@pytest.fixture()
+def digit_limit():
+    """Set the interpreter's decimal conversion limit to its minimum, 640."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no integer string conversion limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(saved)
+
+
+def test_format_coefficient_bounds_what_str_cannot_write(digit_limit):
+    for c in (Fraction(3), Fraction(-1, 2), 7, Fraction(10**639), Fraction(-1, 10**639)):
+        assert format_coefficient(c) == str(c)
+    assert format_coefficient(10**640) == "<2127-bit integer>"
+    assert format_coefficient(Fraction(-(2**3000))) == "-<3001-bit integer>"
+    assert format_coefficient(Fraction(3, 2**3000)) == "3/<3001-bit integer>"
+    # decimal exactly when str() can write it, up to one digit of caution
+    for bits in range(2110, 2140):
+        for n in (2 ** (bits - 1), 2**bits - 1):
+            text = format_coefficient(n)
+            if text.startswith("<"):
+                sys.set_int_max_str_digits(0)
+                assert len(str(n)) >= digit_limit
+                sys.set_int_max_str_digits(digit_limit)
+            else:
+                assert text == str(n)
+    with pytest.raises(ValueError):
+        parse_coefficient(format_coefficient(10**640), "c")
+    # with no limit, or a higher one, the same numbers are written in full
+    for limit in (0, 4300):
+        sys.set_int_max_str_digits(limit)
+        assert format_coefficient(Fraction(3, 2**3000)) == str(Fraction(3, 2**3000))
+
+
 def test_from_dict_names_the_bad_coefficient():
     doc = {"rank": 1, "legs": 1, "terms": [{"c": "1", "e": [[0]]}, {"c": "1e9", "e": [[1]]}]}
     with pytest.raises(ValueError, match=r"^phi\.terms\[1\]\.c: .*'1e9'"):
@@ -348,6 +385,13 @@ def test_public_unit_constructor_still_validates():
     for rank in (0, -3):
         with pytest.raises(RankMismatch):
             UnitElement(rank, Fraction(1), [])
+
+
+def test_identity_checks_rank_as_the_constructor_does():
+    for rank, legs in ((-1, 2), (0, 2), (0, 0)):
+        with pytest.raises(RankMismatch):
+            UnitElement.identity(rank, legs)
+    assert UnitElement.identity(2, 0) == UnitElement(2, Fraction(1), [])
 
 
 # -- leg operations against the multi-term reference ---------------------------

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbialg.laurent import (
     AlgebraMapSpec,
@@ -259,3 +261,35 @@ def test_verification_report_shape():
     assert "cocycle" in names and "counital" in names
     assert any(n.startswith("quasi_coassociativity") for n in names)
     assert all(c["pass"] and c["lhs"] is None for c in data)
+
+
+# -- the same properties for every canonical triple and unit twist ------------
+
+exponents = st.integers(-3, 3)
+nonzero_scalars = st.builds(
+    Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)
+)
+
+
+@st.composite
+def presentations_and_twists(draw):
+    """A canonical presentation of rank <= 4 and two unit twists over it."""
+    rank = draw(st.integers(1, 4))
+    vector = st.tuples(*[exponents] * rank)
+    p = canonical(CanonicalTriple(draw(nonzero_scalars), draw(vector), draw(vector)))
+    alpha, beta = (
+        UnitElement(rank, draw(nonzero_scalars), (draw(vector), draw(vector))) for _ in range(2)
+    )
+    return p, alpha, beta
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations_and_twists())
+def test_twist_properties(case):
+    p, alpha, beta = case
+    twisted = twist(p, alpha)
+    assert verify(twisted).ok
+    assert twist(twisted, beta) == twist(p, alpha * beta)
+    assert twist(twisted, alpha.inverse()) == p
+    assert QuasiBialgebraPresentation.loads(p.dumps()) == p
+    assert QuasiBialgebraPresentation.loads(twisted.dumps()) == twisted
