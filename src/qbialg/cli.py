@@ -5,8 +5,11 @@ group elements as comma-separated exponent lists, and writes exactly one
 JSON report to stdout; diagnostics go to stderr.  Exit codes: 0 when all
 requested checks pass, 1 when a check fails (the report is still
 emitted), 2 on malformed input, which includes a ``--degree`` above
-``MAX_DEGREE`` for boundary and cohomology and a ``--rank`` above
-``MAX_RANK`` for boundary.  Output is deterministic:
+``MAX_DEGREE`` for boundary and cohomology, a ``--rank`` above
+``MAX_RANK`` for boundary, and for homcheck and compare-hom an exponent
+(``--a``, ``--b``, ``--a1``, ``--b1``, ``--a2``, ``--b2``) beyond
+``MAX_EXPONENT`` in absolute value, a ``--trials`` above ``MAX_TRIALS``
+or a ``--dims`` entry above ``MAX_DIM``.  Output is deterministic:
 identical argv, input files, and seeds give byte-identical stdout.
 
 ``main(argv)`` may be called any number of times in one process: it
@@ -60,6 +63,21 @@ MAX_DEGREE = 256
 # exponent vector per slot, so an unchecked flag could ask for unbounded
 # output from a tiny degree-0 input.
 MAX_RANK = 256
+
+# Largest absolute exponent accepted by homcheck and compare-hom.  A
+# comparison that cannot be decided on exponents raises an automorphism
+# to (differences of) these, and the entries of f^e grow geometrically
+# with e, so an unchecked flag could ask for unbounded work.
+MAX_EXPONENT = 64
+
+# Largest --trials accepted by homcheck and compare-hom: each trial
+# samples fresh objects and maps.
+MAX_TRIALS = 1000
+
+# Largest --dims entry accepted by homcheck and compare-hom.  A
+# constraint on three objects of dimension d is a d^3 x d^3 matrix when
+# it has to be built in full.
+MAX_DIM = 6
 
 
 def _check_degree(degree: int) -> None:
@@ -264,24 +282,45 @@ def _object_pool(dims: str | None, seed: int) -> list[homcat.HomObject]:
     if not dims:
         return []
     sizes = _int_csv(dims, "--dims")
-    if min(sizes) < 1:
-        raise InputParseError(f"--dims: every dimension must be >= 1, got {dims!r}")
+    if min(sizes) < 1 or max(sizes) > MAX_DIM:
+        raise InputParseError(
+            f"--dims: every dimension must be between 1 and {MAX_DIM}, got {dims!r}"
+        )
     rng = random.Random(seed)
     return [homcat.HomObject(d, homcat.random_unimodular(rng, d)) for d in sizes]
 
 
 def _trials(trials: int) -> int:
-    """Refuse a run that would check nothing."""
+    """Refuse a run that would check nothing, or ask for too much."""
     if trials < 1:
         raise InputParseError(f"--trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise InputParseError(f"--trials must be <= {MAX_TRIALS}, got {trials}")
     return trials
 
 
-def _cmd_homcheck(args) -> int:
+def _exponent(e: int, flag: str) -> int:
+    if abs(e) > MAX_EXPONENT:
+        raise InputParseError(
+            f"{flag} must be between -{MAX_EXPONENT} and {MAX_EXPONENT}, got {e}"
+        )
+    return e
+
+
+def _params(args, q: str, a: str, b: str) -> homcat.MonoidalParams:
+    """The structure named by the flags ``--<q> --<a> --<b>``."""
     try:
-        params = homcat.MonoidalParams(_fraction(args.q, "--q"), args.a, args.b)
+        return homcat.MonoidalParams(
+            _fraction(getattr(args, q), f"--{q}"),
+            _exponent(getattr(args, a), f"--{a}"),
+            _exponent(getattr(args, b), f"--{b}"),
+        )
     except ValueError as exc:
         raise InputParseError(str(exc)) from exc
+
+
+def _cmd_homcheck(args) -> int:
+    params = _params(args, "q", "a", "b")
     trials = _trials(args.trials)
     pool = _object_pool(args.dims, args.seed)
     report = homcat.check_coherence(params, pool, trials=trials, seed=args.seed)
@@ -290,17 +329,11 @@ def _cmd_homcheck(args) -> int:
 
 
 def _cmd_compare_hom(args) -> int:
-    try:
-        first = homcat.MonoidalParams(_fraction(args.q1, "--q1"), args.a1, args.b1)
-    except ValueError as exc:
-        raise InputParseError(str(exc)) from exc
+    first = _params(args, "q1", "a1", "b1")
     if args.tilde:
         second = homcat.HTILDE_STRUCTURE
     elif args.q2 is not None and args.a2 is not None and args.b2 is not None:
-        try:
-            second = homcat.MonoidalParams(_fraction(args.q2, "--q2"), args.a2, args.b2)
-        except ValueError as exc:
-            raise InputParseError(str(exc)) from exc
+        second = _params(args, "q2", "a2", "b2")
     else:
         raise InputParseError("provide either --tilde or all of --q2/--a2/--b2")
     trials = _trials(args.trials)

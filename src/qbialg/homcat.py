@@ -12,12 +12,23 @@ monoidal structures on this category:
 The checker does not trust any of the coherence claims: it composes
 both sides of each axiom on sampled objects and compares them exactly.
 Every constraint and every composite of constraints is a scalar times
-a permutation of tensor legs times one small matrix per leg, so both
-sides are composed leg by leg and first compared leg by leg: equal
-permutations, proportional legs and matching scalars prove the full
-matrices equal.  A full Kronecker matrix is only materialized when
-that test does not decide, and for the witness of a failure or the
-ratio of two unequal constraints.
+a permutation of tensor legs times, on each leg, a word in powers f^e
+of the objects' automorphisms and sampled intertwiners, each checked
+once by ``HomMorphism``.  Composing concatenates words, and two sides
+are compared by the first of three routes that decides:
+
+1. Normal forms, on exponents alone.  An intertwiner m: X -> Y
+   satisfies f_Y^k m = m f_X^k, so each leg's word rewrites to its
+   maps followed by one power of its source.  Equal permutations,
+   equal scalars and, per leg, the same maps with the same summed
+   exponent make the sides equal for every choice of the objects, and
+   no matrix is multiplied.
+2. Leg matrices.  When the normal forms differ (an automorphism of
+   finite order, such as -I or a swap, can still make the sides
+   equal), each leg's word is multiplied out; equal permutations,
+   proportional legs and matching scalars prove the sides equal.
+3. Full Kronecker matrices, built when neither route decides, and for
+   the witness of a failure or the ratio of two unequal constraints.
 
 Flattening convention everywhere: row-major with the left tensor factor
 slowest.
@@ -30,7 +41,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import matrices as mat
 from .laurent import _coeff, format_coefficient
@@ -100,8 +111,12 @@ class HomMorphism:
         object.__setattr__(self, "matrix", m)
 
 
+_UNIT = HomObject(1, ((1,),))
+
+
 def unit_object() -> HomObject:
-    return HomObject(1, ((1,),))
+    """The tensor unit, one shared object."""
+    return _UNIT
 
 
 def tensor_obj(x: HomObject, y: HomObject) -> HomObject:
@@ -177,27 +192,61 @@ def _permuted(perm: Sequence[int], items: Sequence) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class _LegMap:
-    """scalar * (leg permutation) * (legwise matrices), composed cheaply.
+class _Bare(NamedTuple):
+    """A matrix on one leg, not known to intertwine anything."""
 
-    ``perm[i]`` is the output slot receiving input leg i; ``mats[i]`` is
-    the square matrix applied to leg i before the permutation.  Axiom
-    sides and constraints are built entirely out of these, so neither
-    composing nor comparing them touches a full Kronecker matrix.
+    matrix: Matrix
+
+
+def _factor_matrix(factor) -> Matrix:
+    if type(factor) is tuple:
+        obj, exp = factor
+        return obj.power(exp)
+    return factor.matrix
+
+
+class _LegMap:
+    """scalar * (leg permutation) * (one word of factors per leg).
+
+    ``perm[i]`` is the output slot receiving input leg i; ``words[i]``
+    lists the factors applied to leg i before the permutation, in
+    matrix-product order (the last factor acts first).  A factor is a
+    pair (X, e) standing for f_X^e, an intertwiner ``HomMorphism``,
+    whose constructor checked it, or a ``_Bare`` matrix, which nothing
+    is moved across.  Composing concatenates words; the leg matrices
+    ``mats`` are multiplied out only when something asks for them.
     """
 
-    scalar: Fraction
-    perm: tuple[int, ...]
-    mats: tuple[Matrix, ...]
+    __slots__ = ("scalar", "perm", "words", "_mats")
+
+    def __init__(self, scalar: Fraction, perm: tuple[int, ...], words: tuple[tuple, ...]):
+        self.scalar = scalar
+        self.perm = perm
+        self.words = words
+        self._mats = None
+
+    @classmethod
+    def from_matrices(cls, scalar, perm: Sequence[int], mats: Sequence[Matrix]) -> "_LegMap":
+        """One bare matrix per leg."""
+        return cls(Fraction(scalar), tuple(perm), tuple((_Bare(m),) for m in mats))
 
     def after(self, other: "_LegMap") -> "_LegMap":
         """Composite self . other (other runs first)."""
-        perm = tuple(self.perm[other.perm[i]] for i in range(len(other.perm)))
-        mats = tuple(
-            _compose(self.mats[other.perm[i]], other.mats[i]) for i in range(len(other.mats))
-        )
-        return _LegMap(self.scalar * other.scalar, perm, mats)
+        perm = tuple(self.perm[p] for p in other.perm)
+        words = tuple(self.words[p] + w for p, w in zip(other.perm, other.words))
+        return _LegMap(self.scalar * other.scalar, perm, words)
+
+    @property
+    def mats(self) -> tuple[Matrix, ...]:
+        if self._mats is None:
+            mats = []
+            for word in self.words:
+                m = _factor_matrix(word[0])
+                for factor in word[1:]:
+                    m = _compose(m, _factor_matrix(factor))
+                mats.append(m)
+            self._mats = tuple(mats)
+        return self._mats
 
     def to_matrix(self) -> Matrix:
         mats = list(self.mats)
@@ -238,12 +287,41 @@ def _compose(a: Matrix, b: Matrix) -> Matrix:
     return mat.mul(a, b)
 
 
+def _normal_word(word: tuple):
+    """(maps, source, e) with word == maps[0] ... maps[-1] . f_source^e, or None.
+
+    Read from the left, a power of the object a map lands in moves to
+    its right as the same power of the object the map leaves:
+    f_Y^k . m == m . f_X^k for an intertwiner m: X -> Y.  A bare matrix,
+    or a power of any other object, leaves the word without a normal form.
+    """
+    maps = []
+    obj = None  # the object between the factors read so far and the rest
+    exp = 0
+    for factor in word:
+        kind = type(factor)
+        if kind is tuple and (obj is None or factor[0] is obj):
+            obj = factor[0]
+            exp += factor[1]
+        elif kind is HomMorphism and (obj is None or factor.target is obj):
+            maps.append(factor)
+            obj = factor.source
+        else:
+            return None
+    return tuple(maps), obj, exp
+
+
+def _normal_form(legs: _LegMap):
+    """The normal form of every leg, or None when one has none."""
+    forms = tuple(map(_normal_word, legs.words))
+    return None if None in forms else forms
+
+
 def _legs(objs: Sequence[HomObject], exps: Sequence[int], scalar=Fraction(1), perm=None) -> _LegMap:
-    n = len(objs)
     return _LegMap(
-        Fraction(scalar),
-        tuple(range(n)) if perm is None else tuple(perm),
-        tuple(o.power(e) for o, e in zip(objs, exps)),
+        scalar if type(scalar) is Fraction else Fraction(scalar),
+        tuple(range(len(objs))) if perm is None else tuple(perm),
+        tuple(((o, e),) for o, e in zip(objs, exps)),
     )
 
 
@@ -271,12 +349,18 @@ def _leg_ratio(a: Matrix, b: Matrix) -> Fraction | None:
 def _same_matrix(lhs: _LegMap, rhs: _LegMap) -> bool:
     """A sound, sufficient test that two leg maps have the same full matrix.
 
-    True when the permutations agree, each lhs leg is c_i times the rhs
-    leg, and lhs.scalar * prod(c_i) == rhs.scalar.  False only means
-    undecided: the full matrices may still be equal.
+    True when the permutations and the scalars agree and so do the
+    normal forms of the words, whatever the objects; or, on the leg
+    matrices, when each lhs leg is c_i times the rhs leg and
+    lhs.scalar * prod(c_i) == rhs.scalar.  False only means undecided:
+    the full matrices may still be equal.
     """
     if lhs.perm != rhs.perm:
         return False
+    if lhs.scalar == rhs.scalar:
+        form = _normal_form(lhs)
+        if form is not None and form == _normal_form(rhs):
+            return True
     scalar = lhs.scalar
     for a, b in zip(lhs.mats, rhs.mats):
         c = _leg_ratio(a, b)
@@ -317,7 +401,7 @@ def _ratio(first: _LegMap, second: _LegMap) -> Matrix:
     mats = _permuted(
         first.perm, [mat.mul(b, mat.inverse(a)) for a, b in zip(first.mats, second.mats)]
     )
-    return _LegMap(second.scalar / first.scalar, tuple(range(len(mats))), mats).to_matrix()
+    return _LegMap.from_matrices(second.scalar / first.scalar, range(len(mats)), mats).to_matrix()
 
 
 def _strings(m: Matrix) -> tuple:
@@ -432,9 +516,14 @@ def _symmetry_legs(p, u, v) -> tuple[_LegMap, _LegMap]:
     return lhs, _identity_legs((u, v))
 
 
+def _maps_legs(maps) -> _LegMap:
+    """The tensor product of the maps, leg by leg."""
+    return _LegMap(Fraction(1), tuple(range(len(maps))), tuple((m,) for m in maps))
+
+
 def _naturality_associator_legs(p, sources, targets, maps) -> tuple[_LegMap, _LegMap]:
     s = structure_maps(p)
-    xi = _LegMap(Fraction(1), (0, 1, 2), tuple(maps))
+    xi = _maps_legs(maps)
     lhs = _legs(targets, s.assoc_exp).after(xi)
     rhs = xi.after(_legs(sources, s.assoc_exp))
     return lhs, rhs
@@ -444,14 +533,14 @@ def _naturality_unitor_legs(p, sources, targets, maps, side: str) -> tuple[_LegM
     s = structure_maps(p)
     exp = s.left_exp if side == "left" else s.right_exp
     scal = s.left_scalar if side == "left" else s.right_scalar
-    one = ((1,),)
     unit = unit_object()
+    one = (unit, 0)
     (source,), (target,), (m,) = sources, targets, maps
     if side == "left":
-        xi = _LegMap(Fraction(1), (0, 1), (one, m))
+        xi = _maps_legs((one, m))
         src, tgt, exps = (unit, source), (unit, target), (0, exp)
     else:
-        xi = _LegMap(Fraction(1), (0, 1), (m, one))
+        xi = _maps_legs((m, one))
         src, tgt, exps = (source, unit), (target, unit), (exp, 0)
     lhs = _legs(tgt, exps, scalar=scal).after(xi)
     rhs = xi.after(_legs(src, exps, scalar=scal))
@@ -461,10 +550,8 @@ def _naturality_unitor_legs(p, sources, targets, maps, side: str) -> tuple[_LegM
 def _naturality_braiding_legs(p, sources, targets, maps) -> tuple[_LegMap, _LegMap]:
     s = structure_maps(p)
     b1, b2 = s.braid_exp
-    lhs = _legs(targets, (b1, b2), perm=(1, 0)).after(
-        _LegMap(Fraction(1), (0, 1), tuple(maps))
-    )
-    rhs = _LegMap(Fraction(1), (0, 1), (maps[1], maps[0])).after(
+    lhs = _legs(targets, (b1, b2), perm=(1, 0)).after(_maps_legs(maps))
+    rhs = _maps_legs((maps[1], maps[0])).after(
         _legs(sources, (b1, b2), perm=(1, 0))
     )
     return lhs, rhs
@@ -496,15 +583,15 @@ def symmetry_sides(p, u, v) -> tuple[Matrix, Matrix]:
 
 
 def naturality_associator_sides(p, sources, targets, maps) -> tuple[Matrix, Matrix]:
-    return _matrices(_naturality_associator_legs(p, sources, targets, maps))
+    return _matrices(_naturality_associator_legs(p, sources, targets, tuple(map(_Bare, maps))))
 
 
 def naturality_unitor_sides(p, source, target, m, side: str) -> tuple[Matrix, Matrix]:
-    return _matrices(_naturality_unitor_legs(p, (source,), (target,), (m,), side))
+    return _matrices(_naturality_unitor_legs(p, (source,), (target,), (_Bare(m),), side))
 
 
 def naturality_braiding_sides(p, sources, targets, maps) -> tuple[Matrix, Matrix]:
-    return _matrices(_naturality_braiding_legs(p, sources, targets, maps))
+    return _matrices(_naturality_braiding_legs(p, sources, targets, tuple(map(_Bare, maps))))
 
 
 # -- random sampling, all through one seeded generator ----------------------
@@ -537,8 +624,10 @@ def random_morphism(rng: random.Random, x: HomObject) -> tuple[HomObject, Matrix
 
     The target automorphism is a unimodular conjugate of the source one
     and the map is that conjugation times a small polynomial in f, which
-    commutes with f; intertwining therefore holds by construction and is
-    still asserted by HomMorphism wherever these get wrapped.
+    commutes with f; intertwining therefore holds by construction, and
+    ``check_coherence`` still has ``HomMorphism`` check it on every use
+    before any power is moved across the map.  f^2 comes from the
+    object's cache of powers.
     """
     n = x.dim
     u = random_unimodular(rng, n)
@@ -547,7 +636,7 @@ def random_morphism(rng: random.Random, x: HomObject) -> tuple[HomObject, Matrix
     if not any(coeffs):
         coeffs[rng.randrange(3)] = 1
     poly = mat.scale(coeffs[0], mat.identity(n))
-    for c, fp in zip(coeffs[1:], (f, mat.mul(f, f))):
+    for c, fp in zip(coeffs[1:], (f, x.power(2))):
         if c:
             poly = tuple(tuple(a + c * b for a, b in zip(ra, rb)) for ra, rb in zip(poly, fp))
     target = HomObject(n, mat.mul(mat.mul(u, f), mat.inverse(u)))
@@ -666,7 +755,9 @@ def check_coherence(
             args = objs
             if natural:
                 mors = [random_morphism(rng, o) for o in objs]
-                args = (objs, tuple(m[0] for m in mors), tuple(m[1] for m in mors))
+                targets = tuple(t for t, _ in mors)
+                maps = tuple(HomMorphism(o, t, m) for o, (t, m) in zip(objs, mors))
+                args = (objs, targets, maps)
             dims = tuple(o.dim for o in objs)
             results.append(_decide(dims, (build(s, *args) for build in builders)))
         groups.append((axiom, tuple(results)))

@@ -373,6 +373,8 @@ class UnitElement:
     def identity(cls, rank: int, legs: int) -> "UnitElement":
         if rank < 1:
             raise RankMismatch(f"rank must be >= 1, got {rank}")
+        if legs < 0:
+            raise LegMismatch(f"legs must be >= 0, got {legs}")
         return _raw_unit(rank, Fraction(1), (_zero_vector(rank),) * legs)
 
     def inverse(self) -> "UnitElement":

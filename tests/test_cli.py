@@ -354,6 +354,46 @@ def test_rank_limit_is_checked_at_the_parse_boundary(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["elements"] == [[0] * MAX_RANK]
 
 
+def test_hom_limits_are_checked_at_the_parse_boundary(capsys, monkeypatch):
+    from qbialg import homcat
+    from qbialg.cli import MAX_DIM, MAX_EXPONENT, MAX_TRIALS, main
+
+    homcheck = {"--q": "2", "--a": "1", "--b": "-1", "--dims": "1", "--trials": "1"}
+    family = {"--q1": "2", "--a1": "1", "--b1": "-1", "--dims": "1", "--trials": "1"}
+    compare = {**family, "--q2": "1", "--a2": "0", "--b2": "0"}
+    tilde = {**family, "--tilde": None}
+
+    def argv(command, flags):
+        return [command] + [x for k, v in flags.items() for x in ((k,) if v is None else (k, v))]
+
+    broken = [("homcheck", homcheck, flag) for flag in ("--a", "--b")]
+    broken += [("compare-hom", compare, flag) for flag in ("--a1", "--b1", "--a2", "--b2")]
+    cases = [(cmd, {**flags, flag: str(sign * (MAX_EXPONENT + 1))}, flag)
+             for cmd, flags, flag in broken for sign in (1, -1)]
+    for cmd, flags in (("homcheck", homcheck), ("compare-hom", tilde)):
+        cases.append((cmd, {**flags, "--trials": str(MAX_TRIALS + 1)}, "--trials"))
+        cases.append((cmd, {**flags, "--dims": f"1,{MAX_DIM + 1}"}, "--dims"))
+
+    def no_draw(*args):
+        raise AssertionError("an object was drawn")
+
+    with monkeypatch.context() as m:
+        m.setattr(homcat, "random_unimodular", no_draw)
+        for cmd, flags, flag in cases:
+            assert main(argv(cmd, flags)) == 2, (cmd, flag)
+            out, err = capsys.readouterr()
+            assert out == "" and flag in err, (cmd, flag, err)
+
+    # the bounds themselves are accepted
+    edge = {"--dims": f"1,{MAX_DIM}"}
+    for cmd, flags in (
+        ("homcheck", {**homcheck, **edge, "--a": str(MAX_EXPONENT), "--b": str(-MAX_EXPONENT)}),
+        ("compare-hom", {**compare, "--a1": str(-MAX_EXPONENT), "--b2": str(MAX_EXPONENT)}),
+    ):
+        assert main(argv(cmd, flags)) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["trials"] == 1
+
+
 def test_reused_parser_answers_as_a_fresh_process(tmp_path, monkeypatch, canonical_file):
     from qbialg import cli
 

@@ -37,9 +37,13 @@ from qbialg.homcat import (
     tensor_obj,
     triangle_sides,
     unit_object,
+    _Bare,
     _check_intertwines,
+    _decide,
     _leg_ratio,
     _LegMap,
+    _legs,
+    _normal_form,
     _same_matrix,
 )
 from qbialg.matrices import NotInvertible
@@ -353,9 +357,9 @@ def test_intertwining_falls_back_to_the_full_check():
     x = obj([[1, 0], [0, -1]])
     swap = frac_rows([[0, 1], [1, 0]])  # anticommutes with the automorphism of x
     # neither leg intertwines, but the two signs cancel in the tensor product
-    _check_intertwines(_LegMap(Fraction(1), (0, 1), (swap, swap)), (x, x))
+    _check_intertwines(_LegMap.from_matrices(1, (0, 1), (swap, swap)), (x, x))
     with pytest.raises(ValueError):
-        _check_intertwines(_LegMap(Fraction(1), (0, 1), (swap, mat.identity(2))), (x, x))
+        _check_intertwines(_LegMap.from_matrices(1, (0, 1), (swap, mat.identity(2))), (x, x))
 
 
 @st.composite
@@ -389,8 +393,8 @@ def leg_map_pairs(draw):
         and rhs_scalar == matched
         and all(any(x for row in m for x in row) for m in rhs_mats)
     )
-    lhs = _LegMap(lhs_scalar, perm, tuple(lhs_mats))
-    return lhs, _LegMap(rhs_scalar, rhs_perm, rhs_mats), equal_by_construction
+    lhs = _LegMap.from_matrices(lhs_scalar, perm, lhs_mats)
+    return lhs, _LegMap.from_matrices(rhs_scalar, rhs_perm, rhs_mats), equal_by_construction
 
 
 @settings(max_examples=300, deadline=None)
@@ -402,3 +406,156 @@ def test_legwise_equality_never_disagrees_with_full_matrices(case):
         assert lhs.to_matrix() == rhs.to_matrix()
     if equal_by_construction:
         assert decided  # proportional nonzero legs with matching scalars decide
+
+
+# -- the normal form on exponents against full matrices ----------------------
+
+
+def _finite_order(n):
+    """-I, and the cyclic shift of the coordinates (a swap for n = 2)."""
+    shift = tuple(tuple(int(j == (i + 1) % n) for j in range(n)) for i in range(n))
+    return (mat.scale(-1, mat.identity(n)), shift)
+
+
+@st.composite
+def hom_objects(draw):
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("random", "minus", "shift")))
+    if kind == "random":
+        return HomObject(n, random_unimodular(random.Random(draw(st.integers(0, 2**32))), n))
+    return HomObject(n, _finite_order(n)[kind == "shift"])
+
+
+def _word(objs, maps, exps, bare=None):
+    """f_{X_k}^{e_k} m_k ... m_1 f_{X_0}^{e_0}; with a bare endomorphism b
+    of X_0 the word goes on as f_{X_0}^{e_0} b f_{X_0}^{e_{k+1}}."""
+    word = []
+    for j in range(len(objs) - 1, -1, -1):
+        word.append((objs[j], exps[j]))
+        if j:
+            word.append(maps[j - 1])
+    if bare is not None:
+        word += [_Bare(bare), (objs[0], exps[-1])]
+    return tuple(word)
+
+
+@st.composite
+def word_pairs(draw):
+    """Two leg maps written in powers and checked intertwiners, and a flag
+    saying whether their normal forms agree by construction.
+
+    Per leg, a chain X_0 -> X_1 -> ... of random_morphism maps with a
+    power of the right object before and after each map.  The rhs may
+    take another map out of X_0, and spreads the same total exponent
+    differently or changes it.  A map that does not intertwine is refused
+    by HomMorphism and only ever enters a word bare, on both sides.
+    """
+    n = draw(st.integers(1, 3))
+    exponent = st.integers(-3, 3)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lhs_words, rhs_words, agree = [], [], True
+    for _ in range(n):
+        objs = [draw(hom_objects())]
+        maps = []
+        for _ in range(draw(st.integers(0, 2))):
+            y, m = random_morphism(rng, objs[-1])
+            maps.append(HomMorphism(objs[-1], y, m))
+            objs.append(y)
+        rhs_objs, rhs_maps = objs, maps
+        if maps and draw(st.booleans()):
+            y, m = random_morphism(rng, objs[0])
+            rhs_objs, rhs_maps = [objs[0], y], [HomMorphism(objs[0], y, m)]
+        bare = None
+        if draw(st.booleans()):
+            m = random_unimodular(rng, objs[0].dim)
+            if mat.mul(objs[0].matrix, m) != mat.mul(m, objs[0].matrix):
+                with pytest.raises(ValueError):
+                    HomMorphism(objs[0], objs[0], m)
+                bare = m
+        extra = bare is not None
+        exps = [draw(exponent) for _ in range(len(objs) + extra)]
+        rhs_exps = [draw(exponent) for _ in range(len(rhs_objs) + extra)]
+        if draw(st.booleans()):  # the same total, spread differently
+            rhs_exps[-1] = sum(exps) - sum(rhs_exps[:-1])
+        agree &= bare is None and rhs_maps == maps and sum(rhs_exps) == sum(exps)
+        lhs_words.append(_word(objs, maps, exps, bare))
+        rhs_words.append(_word(rhs_objs, rhs_maps, rhs_exps, bare))
+    perm = tuple(draw(st.permutations(range(n))))
+    rhs_perm = tuple(draw(st.permutations(range(n)))) if draw(st.booleans()) else perm
+    scalar = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2)])
+    lhs_scalar = draw(scalar)
+    rhs_scalar = draw(scalar) if draw(st.booleans()) else lhs_scalar
+    agree &= rhs_perm == perm and rhs_scalar == lhs_scalar
+    lhs = _LegMap(lhs_scalar, perm, tuple(lhs_words))
+    return lhs, _LegMap(rhs_scalar, rhs_perm, tuple(rhs_words)), agree
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_pairs())
+def test_normal_form_never_disagrees_with_full_matrices(case):
+    lhs, rhs, agree = case
+    form = _normal_form(lhs)
+    decided = (
+        lhs.perm == rhs.perm
+        and lhs.scalar == rhs.scalar
+        and form is not None
+        and form == _normal_form(rhs)
+    )
+    equal = lhs.to_matrix() == rhs.to_matrix()
+    if decided:
+        assert equal
+    assert decided == agree  # the normal form sees every pair built to agree
+    if _same_matrix(lhs, rhs):
+        assert equal
+    dims = tuple(len(m) for m in lhs.mats)
+    assert _decide(dims, [(lhs, rhs)]).passed == equal
+
+
+def test_finite_order_coincidence_passes_through_the_fallback():
+    for f in (*_finite_order(2), ((-1,),)):
+        x = HomObject(len(f), f)
+        lhs, rhs = _legs((x, x), (2, 1)), _legs((x, x), (0, 3))
+        assert _normal_form(lhs) != _normal_form(rhs)  # exponents differ ...
+        assert lhs.to_matrix() == rhs.to_matrix()  # ... but f^2 == I
+        assert _same_matrix(lhs, rhs)
+        assert _decide((x.dim, x.dim), [(lhs, rhs)]).passed
+    # a 3-cycle has order 3, so f^2 != I and the sides differ
+    x = HomObject(3, _finite_order(3)[1])
+    lhs, rhs = _legs((x,), (2,)), _legs((x,), (0,))
+    assert not _same_matrix(lhs, rhs)
+    assert not _decide((3,), [(lhs, rhs)]).passed
+
+
+def test_nothing_moves_across_a_map_that_does_not_intertwine():
+    x = HomObject(2, ((1, 1), (0, 1)))
+    m = ((0, 1), (1, 0))  # does not commute with the shear
+    with pytest.raises(ValueError):
+        HomMorphism(x, x, m)
+    lhs = _LegMap(Fraction(1), (0,), (((x, 1), _Bare(m)),))
+    rhs = _LegMap(Fraction(1), (0,), ((_Bare(m), (x, 1)),))
+    assert _normal_form(lhs) is None and _normal_form(rhs) is None
+    assert lhs.to_matrix() != rhs.to_matrix()
+    assert not _decide((2,), [(lhs, rhs)]).passed
+
+
+def test_a_power_moves_only_across_a_map_into_its_object():
+    x = HomObject(2, ((1, 1), (0, 1)))
+    y, m = random_morphism(random.Random(4), x)
+    m = HomMorphism(x, y, m)
+    z = HomObject(2, ((2, 1), (1, 1)))  # same dimension as y, another automorphism
+    moved = _LegMap(Fraction(1), (0,), ((m, (x, 1)),))
+    for word in (((z, 1), m), ((y, 1), (z, 0), m), ((z, 1), (y, 0), m)):
+        legs = _LegMap(Fraction(1), (0,), (word,))
+        assert _normal_form(legs) is None
+        assert _same_matrix(legs, moved) == (legs.to_matrix() == moved.to_matrix())
+    assert _normal_form(_LegMap(Fraction(1), (0,), (((y, 1), m),))) == _normal_form(moved)
+
+
+def test_sampled_maps_are_checked_before_an_instance_uses_them(monkeypatch):
+    from qbialg import homcat
+
+    shear = obj([[1, 1], [0, 1]])
+    # a sampler gone wrong: the swap does not commute with the shear
+    monkeypatch.setattr(homcat, "random_morphism", lambda rng, x: (x, frac_rows([[0, 1], [1, 0]])))
+    with pytest.raises(ValueError, match="intertwine"):
+        check_coherence(PARAM_SETS[2], [shear], trials=1, seed=0)

@@ -394,6 +394,13 @@ def test_identity_checks_rank_as_the_constructor_does():
     assert UnitElement.identity(2, 0) == UnitElement(2, Fraction(1), [])
 
 
+def test_identity_checks_leg_count():
+    for legs in (-1, -3):
+        with pytest.raises(LegMismatch):
+            UnitElement.identity(1, legs)
+    assert UnitElement.identity(1, 2) == UnitElement(1, Fraction(1), [[0], [0]])
+
+
 # -- leg operations against the multi-term reference ---------------------------
 #
 # The leg operations act on units.  These are the multi-term forms they
