@@ -9,8 +9,10 @@ emitted), 2 on malformed input, which includes a ``--degree`` above
 ``MAX_RANK`` for boundary, and for homcheck and compare-hom an exponent
 (``--a``, ``--b``, ``--a1``, ``--b1``, ``--a2``, ``--b2``) beyond
 ``MAX_EXPONENT`` in absolute value, a ``--trials`` above ``MAX_TRIALS``
-or a ``--dims`` entry above ``MAX_DIM``.  Output is deterministic:
-identical argv, input files, and seeds give byte-identical stdout.
+or a ``--dims`` entry above ``MAX_DIM``, and for compare-hom any of
+``--q2``, ``--a2``, ``--b2`` given with ``--tilde``.  Output is
+deterministic: identical argv, input files, and seeds give
+byte-identical stdout.
 
 ``main(argv)`` may be called any number of times in one process: it
 builds its parser with ``build_parser`` on the first call and reuses it,
@@ -331,6 +333,9 @@ def _cmd_homcheck(args) -> int:
 def _cmd_compare_hom(args) -> int:
     first = _params(args, "q1", "a1", "b1")
     if args.tilde:
+        given = [f"--{f}" for f in ("q2", "a2", "b2") if getattr(args, f) is not None]
+        if given:
+            raise InputParseError(f"--tilde names the second structure; drop {'/'.join(given)}")
         second = homcat.HTILDE_STRUCTURE
     elif args.q2 is not None and args.a2 is not None and args.b2 is not None:
         second = _params(args, "q2", "a2", "b2")

@@ -15,7 +15,7 @@ Every constraint and every composite of constraints is a scalar times
 a permutation of tensor legs times, on each leg, a word in powers f^e
 of the objects' automorphisms and sampled intertwiners, each checked
 once by ``HomMorphism``.  Composing concatenates words, and two sides
-are compared by the first of three routes that decides:
+are compared by the first of two routes that decides:
 
 1. Normal forms, on exponents alone.  An intertwiner m: X -> Y
    satisfies f_Y^k m = m f_X^k, so each leg's word rewrites to its
@@ -23,12 +23,11 @@ are compared by the first of three routes that decides:
    equal scalars and, per leg, the same maps with the same summed
    exponent make the sides equal for every choice of the objects, and
    no matrix is multiplied.
-2. Leg matrices.  When the normal forms differ (an automorphism of
-   finite order, such as -I or a swap, can still make the sides
-   equal), each leg's word is multiplied out; equal permutations,
-   proportional legs and matching scalars prove the sides equal.
-3. Full Kronecker matrices, built when neither route decides, and for
-   the witness of a failure or the ratio of two unequal constraints.
+2. Full Kronecker matrices, the exact check on the sampled objects,
+   built when the normal forms differ (an automorphism of finite
+   order, such as -I or a swap, can still make the sides equal), and
+   for the witness of a failure or the ratio of two unequal
+   constraints.
 
 Flattening convention everywhere: row-major with the left tensor factor
 slowest.
@@ -155,6 +154,19 @@ class StructureMaps:
     right_scalar: Fraction
     right_exp: int
     braid_exp: tuple[int, int]
+
+    def __post_init__(self):
+        # the one coefficient path, as in MonoidalParams; a zero scalar
+        # is allowed, and makes its constraint singular
+        for name in ("left_scalar", "right_scalar"):
+            object.__setattr__(self, name, _coeff(getattr(self, name)))
+        for name in ("left_exp", "right_exp"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        for name, length in (("assoc_exp", 3), ("braid_exp", 2)):
+            exps = tuple(map(operator.index, getattr(self, name)))
+            if len(exps) != length:
+                raise ValueError(f"{name} needs {length} exponents, got {len(exps)}")
+            object.__setattr__(self, name, exps)
 
 
 def structure_maps(p) -> StructureMaps:
@@ -329,64 +341,23 @@ def _identity_legs(objs: Sequence[HomObject]) -> _LegMap:
     return _legs(objs, [0] * len(objs))
 
 
-def _leg_ratio(a: Matrix, b: Matrix) -> Fraction | None:
-    """The c with a == c * b, or None when a is no multiple of b."""
-    if a == b:
-        return Fraction(1)
-    if mat.shape(a) != mat.shape(b):
-        return None
-    pivot = next(((x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb) if y), None)
-    if pivot is None:  # b is zero and a is not
-        return None
-    # a == (x0 / y0) * b, tested entrywise as x * y0 == x0 * y so that
-    # integer legs stay integers; the one division goes through Fraction
-    x0, y0 = pivot
-    if all(x * y0 == x0 * y for ra, rb in zip(a, b) for x, y in zip(ra, rb)):
-        return Fraction(x0, y0)
-    return None
-
-
 def _same_matrix(lhs: _LegMap, rhs: _LegMap) -> bool:
     """A sound, sufficient test that two leg maps have the same full matrix.
 
-    True when the permutations and the scalars agree and so do the
-    normal forms of the words, whatever the objects; or, on the leg
-    matrices, when each lhs leg is c_i times the rhs leg and
-    lhs.scalar * prod(c_i) == rhs.scalar.  False only means undecided:
-    the full matrices may still be equal.
+    True when the permutations, the scalars and the normal forms of the
+    words agree, which makes the sides equal whatever the objects.
+    False only means undecided: the full matrices may still be equal.
     """
-    if lhs.perm != rhs.perm:
+    if lhs.perm != rhs.perm or lhs.scalar != rhs.scalar:
         return False
-    if lhs.scalar == rhs.scalar:
-        form = _normal_form(lhs)
-        if form is not None and form == _normal_form(rhs):
-            return True
-    scalar = lhs.scalar
-    for a, b in zip(lhs.mats, rhs.mats):
-        c = _leg_ratio(a, b)
-        if c is None:
-            return False
-        scalar *= c
-    return scalar == rhs.scalar
+    form = _normal_form(lhs)
+    return form is not None and form == _normal_form(rhs)
 
 
 def _morphism(legs: _LegMap, sources: Sequence[HomObject]) -> HomMorphism:
     """The full morphism from the tensor of the sources, checked in full."""
     targets = _permuted(legs.perm, sources)
     return HomMorphism(reduce(tensor_obj, sources), reduce(tensor_obj, targets), legs.to_matrix())
-
-
-def _check_intertwines(legs: _LegMap, sources: Sequence[HomObject]) -> None:
-    """Raise ValueError unless the leg map is a morphism.
-
-    Leg i runs from sources[i] to the same object in slot perm[i]; when
-    every leg intertwines, so does their tensor product.  A leg that does
-    not decides nothing (scalars can cancel across legs), so the full
-    check runs then.  Invertibility needs no check here: each source
-    object checked its own automorphism when it was built.
-    """
-    if any(_compose(o.matrix, m) != _compose(m, o.matrix) for o, m in zip(sources, legs.mats)):
-        _morphism(legs, sources)
 
 
 def _ratio(first: _LegMap, second: _LegMap) -> Matrix:
@@ -826,7 +797,10 @@ def compare_structures(
 
     Entries record exact equality per constraint per instance; when the
     matrices differ, the ratio (second against first) is attached so a
-    reader can see the twist relating the two structures.
+    reader can see the twist relating the two structures.  Each leg of
+    a constraint is a power of that leg's own object, so it is a
+    morphism by construction; the public constraint functions check
+    that in full through ``HomMorphism``.
     """
     s1 = structure_maps(p1)
     s2 = structure_maps(p2)
@@ -838,8 +812,6 @@ def compare_structures(
         for name, arity, build in _CONSTRAINTS:
             factors = objs[:arity]
             first, second = build(s1, *factors), build(s2, *factors)
-            _check_intertwines(first, factors)
-            _check_intertwines(second, factors)
             dims = tuple(o.dim for o in factors)
             if _same_matrix(first, second) or first.to_matrix() == second.to_matrix():
                 entries.append(ConstraintComparison(name, dims, True))

@@ -255,6 +255,16 @@ def test_compare_hom():
     assert report["identical"] is False
     assert any(e["ratio"] for e in report["entries"])
     assert run_cli("compare-hom", "--q1", "1", "--a1", "0", "--b1", "0").returncode == 2
+    # --tilde names the second structure; a conflicting one is refused, not ignored
+    res = run_cli(
+        "compare-hom", "--q1", "1", "--a1", "1", "--b1", "-1", "--tilde",
+        "--q2", "2", "--a2", "5", "--b2", "5",
+    )
+    assert res.returncode == 2 and res.stdout == ""
+    assert "--q2/--a2/--b2" in res.stderr
+    res = run_cli("compare-hom", "--q1", "1", "--a1", "1", "--b1", "-1", "--tilde", "--b2", "0")
+    assert res.returncode == 2 and res.stdout == ""
+    assert "--b2" in res.stderr and "--q2" not in res.stderr
 
 
 def test_determinism_byte_identical():

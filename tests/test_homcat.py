@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import random
 from fractions import Fraction
 
@@ -38,9 +37,7 @@ from qbialg.homcat import (
     triangle_sides,
     unit_object,
     _Bare,
-    _check_intertwines,
     _decide,
-    _leg_ratio,
     _LegMap,
     _legs,
     _normal_form,
@@ -97,6 +94,21 @@ def test_params_validation():
         MonoidalParams(Fraction(1), 1.5, 0)  # would truncate to 1
     with pytest.raises(TypeError):
         MonoidalParams(Fraction(1), 0, 1.5)
+    # StructureMaps takes the same path; a zero scalar stays allowed
+    plain = StructureMaps([0, 0, 0], 1, 0, "1", 0, [0, 0])
+    assert plain == PLAIN_STRUCTURE and type(plain.left_scalar) is Fraction
+    assert StructureMaps((0, 0, 0), 0, 0, 1, 0, (0, 0)).left_scalar == 0
+    for bad, error in (
+        (dict(left_scalar=0.1), TypeError),  # would check with 3602879701896397/2**55
+        (dict(right_scalar="1e5"), ValueError),  # exponent notation
+        (dict(assoc_exp=(0.5, 0, 0)), TypeError),
+        (dict(left_exp=1.5), TypeError),
+        (dict(braid_exp=(0, 0.5)), TypeError),
+        (dict(assoc_exp=(0, 0)), ValueError),
+        (dict(braid_exp=(0, 0, 0)), ValueError),
+    ):
+        with pytest.raises(error):
+            dataclasses.replace(PLAIN_STRUCTURE, **bad)
 
 
 def test_tensor_obj_and_unit():
@@ -169,15 +181,6 @@ def test_random_unimodular_has_unimodular_inverse():
         inv = mat.inverse(u)
         assert all(type(x) is int for row in u for x in row)
         assert all(type(x) is int for row in inv for x in row)
-
-
-def test_leg_ratio_of_integer_legs_is_a_fraction():
-    two, three = mat.scale(2, mat.identity(2)), mat.scale(3, mat.identity(2))
-    assert all(type(x) is int for row in two + three for x in row)
-    ratio = _leg_ratio(two, three)
-    assert ratio == Fraction(2, 3) and type(ratio) is Fraction
-    assert _leg_ratio(three, two) == Fraction(3, 2)
-    assert _leg_ratio(two, ((1, 0), (0, 2))) is None
 
 
 def test_random_morphism_intertwines():
@@ -353,61 +356,6 @@ def test_compare_braiding_ratio_matches_full_matrices():
     assert entry.ratio == tuple(tuple(str(v) for v in row) for row in expect)
 
 
-def test_intertwining_falls_back_to_the_full_check():
-    x = obj([[1, 0], [0, -1]])
-    swap = frac_rows([[0, 1], [1, 0]])  # anticommutes with the automorphism of x
-    # neither leg intertwines, but the two signs cancel in the tensor product
-    _check_intertwines(_LegMap.from_matrices(1, (0, 1), (swap, swap)), (x, x))
-    with pytest.raises(ValueError):
-        _check_intertwines(_LegMap.from_matrices(1, (0, 1), (swap, mat.identity(2))), (x, x))
-
-
-@st.composite
-def leg_map_pairs(draw):
-    """Two leg maps, often equal by construction, with a flag saying so.
-
-    The lhs legs are multiples c_i of the rhs legs, and the scalars, the
-    permutations and one lhs entry may be perturbed.  Legs and factors
-    can be zero and legs can be 1-dimensional.
-    """
-    n = draw(st.integers(1, 3))
-    dims = [draw(st.integers(1, 3)) for _ in range(n)]
-    perm = tuple(draw(st.permutations(range(n))))
-    entry = st.integers(-2, 2).map(Fraction)
-    rhs_mats = tuple(tuple(tuple(draw(entry) for _ in range(d)) for _ in range(d)) for d in dims)
-    factors = [draw(entry) for _ in range(n)]
-    lhs_mats = [mat.scale(c, m) for c, m in zip(factors, rhs_mats)]
-    lhs_scalar = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(3)]))
-    matched = lhs_scalar * math.prod(factors)
-    rhs_scalar = draw(st.sampled_from([matched, matched + 1, Fraction(0)]))
-    rhs_perm = tuple(draw(st.permutations(range(n)))) if draw(st.booleans()) else perm
-    perturb = draw(st.booleans())
-    if perturb:
-        i = draw(st.integers(0, n - 1))
-        rows = [list(r) for r in lhs_mats[i]]
-        rows[0][0] += 1
-        lhs_mats[i] = frac_rows(rows)
-    equal_by_construction = (
-        not perturb
-        and rhs_perm == perm
-        and rhs_scalar == matched
-        and all(any(x for row in m for x in row) for m in rhs_mats)
-    )
-    lhs = _LegMap.from_matrices(lhs_scalar, perm, lhs_mats)
-    return lhs, _LegMap.from_matrices(rhs_scalar, rhs_perm, rhs_mats), equal_by_construction
-
-
-@settings(max_examples=300, deadline=None)
-@given(leg_map_pairs())
-def test_legwise_equality_never_disagrees_with_full_matrices(case):
-    lhs, rhs, equal_by_construction = case
-    decided = _same_matrix(lhs, rhs)
-    if decided:
-        assert lhs.to_matrix() == rhs.to_matrix()
-    if equal_by_construction:
-        assert decided  # proportional nonzero legs with matching scalars decide
-
-
 # -- the normal form on exponents against full matrices ----------------------
 
 
@@ -517,7 +465,7 @@ def test_finite_order_coincidence_passes_through_the_fallback():
         lhs, rhs = _legs((x, x), (2, 1)), _legs((x, x), (0, 3))
         assert _normal_form(lhs) != _normal_form(rhs)  # exponents differ ...
         assert lhs.to_matrix() == rhs.to_matrix()  # ... but f^2 == I
-        assert _same_matrix(lhs, rhs)
+        assert not _same_matrix(lhs, rhs)  # only the full matrices see it
         assert _decide((x.dim, x.dim), [(lhs, rhs)]).passed
     # a 3-cycle has order 3, so f^2 != I and the sides differ
     x = HomObject(3, _finite_order(3)[1])
@@ -547,8 +495,41 @@ def test_a_power_moves_only_across_a_map_into_its_object():
     for word in (((z, 1), m), ((y, 1), (z, 0), m), ((z, 1), (y, 0), m)):
         legs = _LegMap(Fraction(1), (0,), (word,))
         assert _normal_form(legs) is None
-        assert _same_matrix(legs, moved) == (legs.to_matrix() == moved.to_matrix())
+        assert not _same_matrix(legs, moved)
+        equal = legs.to_matrix() == moved.to_matrix()
+        assert _decide((2,), [(legs, moved)]).passed == equal
     assert _normal_form(_LegMap(Fraction(1), (0,), (((y, 1), m),))) == _normal_form(moved)
+
+
+@st.composite
+def structures(draw):
+    """Any StructureMaps, inside the family or not: a nonzero middle
+    associator exponent leaves it."""
+    exponent = st.integers(-3, 3)
+    scalar = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])
+    return StructureMaps(
+        (draw(exponent), draw(exponent), draw(exponent)),
+        draw(scalar),
+        draw(exponent),
+        draw(scalar),
+        draw(exponent),
+        (draw(exponent), draw(exponent)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(structures(), st.lists(hom_objects(), min_size=3, max_size=3))
+def test_every_constraint_intertwines_by_construction(s, objs):
+    # compare_structures relies on this without a check of its own; the
+    # public constraints build the full HomMorphism, which checks it
+    x, y, z = objs
+    associator(s, x, y, z)
+    left_unitor(s, x)
+    right_unitor(s, x)
+    braiding(s, x, y)
+    report = compare_structures(s, s, objs, trials=2, seed=0)
+    assert report.identical
+    assert all(e.ratio is None for e in report.entries)
 
 
 def test_sampled_maps_are_checked_before_an_instance_uses_them(monkeypatch):
