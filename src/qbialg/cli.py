@@ -30,14 +30,7 @@ from fractions import Fraction
 
 from . import homcat
 from .harrison import HarrisonCochain, boundary, cohomology
-from .laurent import (
-    LegMismatch,
-    RankMismatch,
-    TensorElement,
-    UnitElement,
-    as_unit,
-    parse_coefficient,
-)
+from .laurent import TensorElement, UnitElement, as_unit, parse_coefficient
 from .quasibialgebra import (
     CanonicalTriple,
     NoMonomialTwist,
@@ -116,16 +109,11 @@ def _presentation(path: str) -> QuasiBialgebraPresentation:
         raise InputParseError(f"{path}: {exc}") from exc
 
 
-def _element(path: str, rank: int) -> UnitElement:
-    """The two-leg unit over ``rank`` that a --twist or --r file holds."""
+def _element(path: str, rank: int, flag: str) -> UnitElement:
+    """The two-leg unit over ``rank`` that the file given to ``flag`` holds."""
     data = _read_json(path)
     try:
-        elem = TensorElement.from_dict(data)
-        if elem.rank != rank:
-            raise RankMismatch(f"rank {elem.rank}, expected the presentation's rank {rank}")
-        if elem.legs != 2:
-            raise LegMismatch(f"{elem.legs} legs, expected 2")
-        return as_unit(elem)
+        return as_unit(TensorElement.from_dict(data), rank, 2, flag)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"{path}: {exc}") from exc
 
@@ -159,7 +147,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_twist(args) -> int:
     p = _presentation(args.input)
-    alpha = _element(args.twist, p.rank)
+    alpha = _element(args.twist, p.rank, "--twist")
     _emit(twist(p, alpha).to_dict())
     return 0
 
@@ -168,9 +156,6 @@ def _cmd_trivialize(args) -> int:
     p = _presentation(args.input)
     try:
         alpha = find_trivializing_twist(p)
-    except NotForcedForm as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NoMonomialTwist as exc:
         print(f"no trivializing twist: {exc}", file=sys.stderr)
         _emit({"exists": False, "twist": None})
@@ -201,9 +186,6 @@ def _cmd_solve_r(args) -> int:
     p = _presentation(args.input)
     try:
         solutions = solve_R(p)
-    except NotForcedForm as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NoMonomialTwist as exc:
         print(f"cannot solve: {exc}", file=sys.stderr)
         _emit({"r_matrices": None, "reason": str(exc)})
@@ -214,7 +196,7 @@ def _cmd_solve_r(args) -> int:
 
 def _cmd_verify_r(args) -> int:
     p = _presentation(args.input)
-    r_elem = _element(args.r, p.rank)
+    r_elem = _element(args.r, p.rank, "--r")
     report = verify_R(p, r_elem)
     _emit(report.to_list())
     return 0 if report.ok else 1
@@ -451,7 +433,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputParseError as exc:
+    except (InputParseError, NotForcedForm) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

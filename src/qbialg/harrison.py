@@ -20,7 +20,6 @@ forms are taken of Dₙ and Dₙ₋₁ alone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -95,9 +94,6 @@ class HarrisonCochain:
                 raise DegreeMismatch("a degree-0 cochain needs an explicit rank")
             rank = len(elements[0])
         return cls.from_data(rank, parse_coefficient(data["scalar"], "scalar"), elements)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def coface(i: CofaceIndex, c: HarrisonCochain) -> HarrisonCochain:
@@ -311,9 +307,7 @@ class ThreeCocycleClassification:
 
     def parameters_of(self, elem: TensorElement) -> tuple[Vector, Vector]:
         """Recover (h, g) from a cocycle; rejects non-cocycles."""
-        u = as_unit(elem)
-        if u.legs != 3 or u.rank != self.rank:
-            raise DegreeMismatch("a degree-3 cocycle has three legs over the given rank")
+        u = as_unit(elem, self.rank, 3, "cocycle")
         if u.scalar != 1 or any(u.monomial[1]):
             raise ValueError("element is not in the kernel of the degree-3 boundary")
         return u.monomial[0], u.monomial[2]

@@ -7,8 +7,10 @@ map from m-tuples of integer exponent vectors to nonzero rational
 coefficients.  All arithmetic is exact; nothing here ever rounds.
 
 Group-like monomials q * g^(v_1) (x) ... (x) g^(v_m) with q != 0 are
-exactly the invertible elements of the tensor power, which is why
-``as_unit`` / ``invert_unit`` ask for a single term and nothing more.
+exactly the invertible elements of the tensor power.  ``as_unit`` is the
+one place that certifies a unit: it checks the rank and the leg count the
+caller expects, then asks for a single term and nothing more, and names
+the caller's field in every error.
 Such a unit is a ``UnitElement``, and the leg operations (concatenation,
 permutation, identity-leg insertion, and an algebra map or the counit
 on one leg) act on units: each is a splice of exponent tuples and a
@@ -18,7 +20,6 @@ format and the form in which failed checks report their witnesses.
 
 from __future__ import annotations
 
-import json
 import operator
 import re
 import sys
@@ -211,12 +212,6 @@ class TensorElement:
         """Terms in canonical order (lex on concatenated exponents)."""
         return sorted(self._terms.items(), key=lambda kv: tuple(chain.from_iterable(kv[0])))
 
-    def coefficient(self, key: TermKey) -> Fraction:
-        return self._terms.get(tuple(tuple(v) for v in key), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def term_count(self) -> int:
         return len(self._terms)
 
@@ -325,13 +320,6 @@ class TensorElement:
             terms[key] = terms.get(key, 0) + c
         return cls(rank, legs, terms)
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def loads(cls, text: str) -> "TensorElement":
-        return cls.from_dict(json.loads(text))
-
 
 def _raw(rank: int, legs: int, terms: dict[TermKey, Fraction]) -> TensorElement:
     """Internal constructor that skips per-term validation."""
@@ -420,20 +408,29 @@ def _raw_unit(rank: int, scalar: Fraction, monomial: tuple[Vector, ...]) -> Unit
 # -- the operation surface ------------------------------------------------
 
 
-def as_unit(x: TensorElement | UnitElement) -> UnitElement:
-    """Certify x as invertible.  Exactly the one-term elements qualify;
-    a ``UnitElement`` is returned unchanged."""
+def as_unit(x: TensorElement | UnitElement, rank: int, legs: int, field: str) -> UnitElement:
+    """Certify x as an invertible element of k[Z^rank]^(x legs).
+
+    The rank is checked first, then the leg count, then that x has
+    exactly one term; the error (RankMismatch, LegMismatch or NotAUnit)
+    starts with ``field``.  A ``UnitElement`` of that shape is returned
+    unchanged.
+    """
+    if x.rank != rank:
+        raise RankMismatch(f"{field}: element has rank {x.rank}, expected {rank}")
+    if x.legs != legs:
+        raise LegMismatch(f"{field}: element has {x.legs} legs, expected {legs}")
     if isinstance(x, UnitElement):
         return x
     if len(x._terms) != 1:
-        raise NotAUnit(f"element has {len(x._terms)} terms, units have exactly 1")
+        raise NotAUnit(f"{field}: element has {len(x._terms)} terms, units have exactly 1")
     ((key, c),) = x._terms.items()
-    return UnitElement(x.rank, c, key)
+    return UnitElement(rank, c, key)
 
 
 def invert_unit(x: TensorElement) -> TensorElement:
     """Inverse of an invertible element; raises NotAUnit otherwise."""
-    return as_unit(x).inverse().to_tensor()
+    return as_unit(x, x.rank, x.legs, "x").inverse().to_tensor()
 
 
 def tensor_concat(x: UnitElement, y: UnitElement) -> UnitElement:
@@ -477,17 +474,13 @@ class AlgebraMapSpec:
     def __post_init__(self):
         if self.target_legs < 1:
             raise LegMismatch(f"target_legs must be >= 1, got {self.target_legs}")
-        imgs = []
-        for im in self.images:
-            im = as_unit(im)
-            if im.rank != self.rank:
-                raise RankMismatch(f"image rank {im.rank}, expected {self.rank}")
-            if im.legs != self.target_legs:
-                raise LegMismatch(f"image has {im.legs} legs, expected {self.target_legs}")
-            imgs.append(im)
+        imgs = tuple(
+            as_unit(im, self.rank, self.target_legs, f"image[{i}]")
+            for i, im in enumerate(self.images)
+        )
         if len(imgs) != self.rank:
             raise RankMismatch(f"need {self.rank} generator images, got {len(imgs)}")
-        object.__setattr__(self, "images", tuple(imgs))
+        object.__setattr__(self, "images", imgs)
 
     def image_of_vector(self, e: Vector) -> UnitElement:
         """Image of the monomial g^e, as a unit of the target power."""

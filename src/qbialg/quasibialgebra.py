@@ -13,7 +13,6 @@ maps that holds on each g_i holds everywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -70,14 +69,8 @@ class QuasiBialgebraPresentation:
             raise RankMismatch("coproduct/counit rank does not match the presentation")
         if self.coproduct.target_legs != 2:
             raise LegMismatch("a coproduct must have two output legs")
-        for field, name, legs in (("phi", "phi", 3), ("lam", "lambda", 1), ("rho", "rho", 1)):
-            elem = getattr(self, field)
-            if elem.rank != r:
-                raise RankMismatch(f"{name} has rank {elem.rank}, expected {r}")
-            if elem.legs != legs:
-                raise LegMismatch(f"{name} has {elem.legs} legs, expected {legs}")
-            # raises NotAUnit when the constraint is not invertible
-            object.__setattr__(self, field, as_unit(elem))
+        for attr, field, legs in (("phi", "phi", 3), ("lam", "lambda", 1), ("rho", "rho", 1)):
+            object.__setattr__(self, attr, as_unit(getattr(self, attr), r, legs, field))
 
     def to_dict(self) -> dict:
         return {
@@ -107,13 +100,6 @@ class QuasiBialgebraPresentation:
             TensorElement.from_dict(data["lambda"], "lambda."),
             TensorElement.from_dict(data["rho"], "rho."),
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def loads(cls, text: str) -> "QuasiBialgebraPresentation":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -267,11 +253,7 @@ def twist(
     boundary-like correction, and lambda, rho absorb the counit of the
     inverse.  Twisting by alpha and then by its inverse is the identity.
     """
-    if alpha.rank != p.rank:
-        raise RankMismatch(f"alpha rank {alpha.rank} vs presentation rank {p.rank}")
-    if alpha.legs != 2:
-        raise LegMismatch(f"a twist lives in two legs, got {alpha.legs}")
-    alpha = as_unit(alpha)  # NotAUnit propagates for bad alpha
+    alpha = as_unit(alpha, p.rank, 2, "alpha")
     alpha_inv = alpha.inverse()
     r = p.rank
     delta = p.coproduct

@@ -10,8 +10,6 @@ insertion; no floating point, no normalization by convention.
 from __future__ import annotations
 
 from .laurent import (
-    LegMismatch,
-    RankMismatch,
     TensorElement,
     UnitElement,
     apply_algebra_map_on_leg,
@@ -31,11 +29,7 @@ from .reports import AxiomCheck, VerificationReport, compare
 def check_rmatrix_shape(r_elem: TensorElement | UnitElement, rank: int) -> UnitElement:
     """An R-matrix lives in two legs over the right rank and is a unit;
     returns it as that unit."""
-    if r_elem.rank != rank:
-        raise RankMismatch(f"R has rank {r_elem.rank}, expected {rank}")
-    if r_elem.legs != 2:
-        raise LegMismatch(f"R must have 2 legs, got {r_elem.legs}")
-    return as_unit(r_elem)
+    return as_unit(r_elem, rank, 2, "R")
 
 
 def verify_R(
@@ -95,12 +89,8 @@ def twist_R(
     r_elem: TensorElement | UnitElement, alpha: TensorElement | UnitElement
 ) -> TensorElement:
     """Carry an R-matrix along a twist: flip(alpha) * R * alpha^-1."""
-    if r_elem.rank != alpha.rank:
-        raise RankMismatch(f"R rank {r_elem.rank} vs alpha rank {alpha.rank}")
-    if r_elem.legs != 2 or alpha.legs != 2:
-        raise LegMismatch("R and alpha must both have 2 legs")
-    r_elem = as_unit(r_elem)
-    alpha = as_unit(alpha)
+    r_elem = as_unit(r_elem, r_elem.rank, 2, "R")
+    alpha = as_unit(alpha, r_elem.rank, 2, "alpha")
     return (permute_legs(alpha, (2, 1)) * r_elem * alpha.inverse()).to_tensor()
 
 
@@ -118,5 +108,5 @@ def solve_R(p: QuasiBialgebraPresentation) -> list[TensorElement]:
     """
     if not is_ordinary_coalgebra(p):
         raise NotForcedForm("coalgebra part must be ordinary; run normalize first")
-    back = as_unit(find_trivializing_twist(p)).inverse()
+    back = as_unit(find_trivializing_twist(p), p.rank, 2, "trivializing twist").inverse()
     return [twist_R(UnitElement.identity(p.rank, 2), back)]

@@ -271,7 +271,7 @@ def test_criterion_9_cli_determinism_and_exit_codes(tmp_path):
         assert first.stdout == second.stdout
 
     good = tmp_path / "good.json"
-    good.write_text(canonical(CanonicalTriple(Fraction(2), (1,), (1,))).dumps())
+    good.write_text(json.dumps(canonical(CanonicalTriple(Fraction(2), (1,), (1,))).to_dict()))
     assert _run_cli("verify", "--input", str(good)).returncode == 0
 
     corrupted = json.loads(good.read_text())

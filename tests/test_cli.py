@@ -30,14 +30,14 @@ def run_cli(*args, stdin=None):
 def canonical_file(tmp_path):
     p = canonical(CanonicalTriple(Fraction(2), (1,), (1,)))
     path = tmp_path / "canonical.json"
-    path.write_text(p.dumps())
+    path.write_text(json.dumps(p.to_dict()))
     return path
 
 
 @pytest.fixture()
 def ordinary_file(tmp_path):
     path = tmp_path / "ordinary.json"
-    path.write_text(ordinary(1).dumps())
+    path.write_text(json.dumps(ordinary(1).to_dict()))
     return path
 
 
@@ -98,6 +98,38 @@ def test_input_errors_exit_two(tmp_path):
     assert "garbled.json" in res.stderr
     res = run_cli("no-such-command")
     assert res.returncode == 2
+
+
+def test_malformed_unit_files_exit_two(tmp_path, canonical_file, capsys):
+    from qbialg.cli import main
+
+    three_legs = tmp_path / "three_legs.json"
+    three_legs.write_text(json.dumps({"rank": 1, "legs": 3, "terms": [{"c": "1", "e": [[0]] * 3}]}))
+    rank_two = tmp_path / "rank_two.json"
+    rank_two.write_text(json.dumps({"rank": 2, "legs": 2, "terms": [{"c": "1", "e": [[0, 0]] * 2}]}))
+    for argv in (
+        ["twist", "--input", str(canonical_file), "--twist", str(three_legs)],
+        ["verify-r", "--input", str(canonical_file), "--r", str(rank_two)],
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{argv[-1]}: {argv[-2]}: element has " in err
+
+
+def test_forced_form_exits_two_where_only_normalize_accepts_it(tmp_path, ordinary_file, capsys):
+    from qbialg.cli import main
+
+    data = json.loads(ordinary_file.read_text())
+    data["counit"] = ["2"]
+    data["coproduct"][0]["terms"][0]["c"] = "1/2"
+    forced = tmp_path / "forced.json"
+    forced.write_text(json.dumps(data))
+    for command in ("trivialize", "solve-r"):
+        assert main([command, "--input", str(forced)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: coalgebra part must be ordinary; run normalize first\n"
+        )
+    assert main(["normalize", "--input", str(forced)]) == 0
 
 
 def test_stdin_input(ordinary_file):

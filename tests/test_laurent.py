@@ -1,12 +1,16 @@
 import json
 import random
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbialg import cli
+from qbialg.harrison import cocycle_classify
 from qbialg.laurent import (
     AlgebraMapSpec,
     CounitSpec,
@@ -26,6 +30,8 @@ from qbialg.laurent import (
     permute_legs,
     tensor_concat,
 )
+from qbialg.quasibialgebra import QuasiBialgebraPresentation, ordinary, twist
+from qbialg.rmatrix import check_rmatrix_shape, twist_R
 
 
 def random_element(rng, rank, legs, max_terms=4, span=3):
@@ -46,10 +52,10 @@ def random_unit(rng, rank, legs, span=3):
 
 def test_zero_and_one():
     z = TensorElement.zero(2, 3)
-    assert z.is_zero() and not z and str(z) == "0"
+    assert not z and str(z) == "0"
     e = TensorElement.one(2, 3)
     assert e.term_count() == 1
-    assert e.coefficient((((0, 0),) * 3)) == 1
+    assert dict(e.terms()) == {((0, 0),) * 3: 1}
 
 
 def test_zero_coefficients_dropped():
@@ -115,23 +121,107 @@ def test_rank_and_leg_mismatches():
 
 def test_units():
     x = TensorElement.single(Fraction(2, 3), [(1,), (-2,)])
-    u = as_unit(x)
+    u = as_unit(x, 1, 2, "x")
     assert u.scalar == Fraction(2, 3) and u.monomial == ((1,), (-2,))
     assert u.to_tensor() == x
     assert x * invert_unit(x) == TensorElement.one(1, 2)
     assert u.power(3).scalar == Fraction(8, 27)
     assert u.power(-1).monomial == ((-1,), (2,))
     assert (u * u.inverse()) == UnitElement.identity(1, 2)
+    assert as_unit(u, 1, 2, "u") is u
+    with pytest.raises(RankMismatch, match="^u: element has rank 1, expected 2$"):
+        as_unit(u, 2, 2, "u")
+    with pytest.raises(LegMismatch, match="^u: element has 2 legs, expected 1$"):
+        as_unit(u, 1, 1, "u")
 
 
 def test_not_a_unit():
     two_terms = TensorElement.one(1, 1) + TensorElement.generator(1, 1)
     with pytest.raises(NotAUnit):
-        as_unit(two_terms)
+        as_unit(two_terms, 1, 1, "x")
     with pytest.raises(NotAUnit):
-        as_unit(TensorElement.zero(1, 1))
+        as_unit(TensorElement.zero(1, 1), 1, 1, "x")
     with pytest.raises(NotAUnit):
         UnitElement(1, Fraction(0), ((1,),))
+
+
+# -- one certification for every unit read or passed in -----------------------
+
+
+def _presentation_with(field):
+    def call(elem):
+        units = {
+            "phi": UnitElement.identity(1, 3),
+            "lambda": UnitElement.identity(1, 1),
+            "rho": UnitElement.identity(1, 1),
+            field: elem,
+        }
+        base = ordinary(1)
+        return QuasiBialgebraPresentation(
+            1, base.coproduct, base.counit, units["phi"], units["lambda"], units["rho"]
+        )
+
+    return call
+
+
+def _from_file(flag):
+    """cli._element on a file holding the element; raises the refusal it wraps."""
+
+    def call(elem):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "element.json"
+            path.write_text(json.dumps(elem.to_dict()))
+            try:
+                return cli._element(str(path), 1, flag)
+            except cli.InputParseError as exc:
+                assert str(exc) == f"{path}: {exc.__cause__}"
+                raise exc.__cause__
+
+    return call
+
+
+# entry point: (field named in the error, legs expected, call on a would-be rank-1 unit)
+CERTIFIED = {
+    "presentation.phi": ("phi", 3, _presentation_with("phi")),
+    "presentation.lambda": ("lambda", 1, _presentation_with("lambda")),
+    "presentation.rho": ("rho", 1, _presentation_with("rho")),
+    "AlgebraMapSpec": ("image", 2, lambda e: AlgebraMapSpec(1, 2, (e,))),
+    "twist": ("alpha", 2, lambda e: twist(ordinary(1), e)),
+    "check_rmatrix_shape": ("R", 2, lambda e: check_rmatrix_shape(e, 1)),
+    "twist_R.R": ("R", 2, lambda e: twist_R(e, UnitElement.identity(e.rank, 2))),
+    "twist_R.alpha": ("alpha", 2, lambda e: twist_R(UnitElement.identity(1, 2), e)),
+    "cli --twist": ("--twist", 2, _from_file("--twist")),
+    "cli --r": ("--r", 2, _from_file("--r")),
+    "parameters_of": ("cocycle", 3, lambda e: cocycle_classify(1).parameters_of(e)),
+}
+
+
+def _malformed(case, legs):
+    """An element of the wrong rank, leg count or term count, and its refusal."""
+    if case == "rank":
+        return TensorElement.single(1, [(0, 0)] * legs), RankMismatch
+    if case == "legs":
+        return TensorElement.single(1, [(0,)] * (legs + 1)), LegMismatch
+    return TensorElement(1, legs, {((0,),) * legs: 1, ((1,),) * legs: 1}), NotAUnit
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [
+        (entry, case)
+        for entry in CERTIFIED
+        for case in ("rank", "legs", "terms")
+        # R sets the rank that twist_R certifies alpha at
+        if (entry, case) != ("twist_R.R", "rank")
+    ],
+)
+def test_every_entry_point_certifies_units_through_as_unit(entry, case):
+    field, legs, call = CERTIFIED[entry]
+    call(TensorElement.single(1, [(0,)] * legs))
+    elem, refusal = _malformed(case, legs)
+    with pytest.raises(refusal) as err:
+        call(elem)
+    assert str(err.value).startswith(field), str(err.value)
 
 
 def test_tensor_concat():
@@ -163,21 +253,22 @@ def test_serialization_round_trip():
     rng = random.Random(11)
     for _ in range(30):
         x = random_element(rng, rng.randint(1, 3), rng.randint(1, 3))
-        again = TensorElement.loads(x.dumps())
+        text = json.dumps(x.to_dict())
+        again = TensorElement.from_dict(json.loads(text))
         assert again == x
-        assert again.dumps() == x.dumps()
+        assert json.dumps(again.to_dict()) == text
 
 
 def test_serialization_format():
     x = TensorElement.single(Fraction(1, 2), [(1, 0), (0, -1)])
     d = x.to_dict()
     assert d == {"rank": 2, "legs": 2, "terms": [{"c": "1/2", "e": [[1, 0], [0, -1]]}]}
-    assert json.loads(x.dumps()) == d
+    assert json.loads(json.dumps(d)) == d
 
 
 def test_algebra_map_spec():
     # coproduct-shaped map g -> g (x) g
-    gens = [as_unit(TensorElement.generator(2, i)) for i in (1, 2)]
+    gens = [as_unit(TensorElement.generator(2, i), 2, 1, "g") for i in (1, 2)]
     delta = AlgebraMapSpec(2, 2, tuple(tensor_concat(g, g) for g in gens))
     u = delta.image_of_vector((2, -1))
     assert u.scalar == 1 and u.monomial == ((2, -1), (2, -1))
@@ -185,13 +276,13 @@ def test_algebra_map_spec():
 
 def test_apply_algebra_map_on_leg():
     delta = AlgebraMapSpec(
-        1, 2, (as_unit(TensorElement.single(1, [(1,), (1,)])),)
+        1, 2, (as_unit(TensorElement.single(1, [(1,), (1,)]), 1, 2, "image"),)
     )
     x = UnitElement(1, 3, [(2,), (5,)])
     assert apply_algebra_map_on_leg(delta, x, 1) == UnitElement(1, 3, [(2,), (2,), (5,)])
     assert apply_algebra_map_on_leg(delta, x, 2) == UnitElement(1, 3, [(2,), (5,), (5,)])
     # scalar in the image accumulates through the exponent
-    scaled = AlgebraMapSpec(1, 2, (as_unit(TensorElement.single(2, [(1,), (0,)])),))
+    scaled = AlgebraMapSpec(1, 2, (as_unit(TensorElement.single(2, [(1,), (0,)]), 1, 2, "image"),))
     y = UnitElement(1, 1, [(3,)])
     assert apply_algebra_map_on_leg(scaled, y, 1) == UnitElement(1, 8, [(3,), (0,)])
 
