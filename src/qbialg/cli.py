@@ -243,15 +243,12 @@ def _cmd_classify(args) -> int:
         raise InputParseError(str(exc)) from exc
     p = canonical(triple)
     alpha = find_trivializing_twist(p)
-    solutions = solve_R(p)
-    if len(solutions) != 1:
-        print(f"expected one R-matrix, found {len(solutions)}", file=sys.stderr)
-        return 1
+    (r_matrix,) = solve_R(p)
     _emit(
         {
             "presentation": p.to_dict(),
             "trivializing_twist": alpha.to_dict(),
-            "r_matrix": solutions[0].to_dict(),
+            "r_matrix": r_matrix.to_dict(),
         }
     )
     return 0
@@ -332,6 +329,9 @@ def _cmd_compare_hom(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+# argparse reads a separate "-1/3" as an option, so a negative value needs "="
+_Q_HELP = "nonzero scalar, e.g. 2 or 1/2; write --%(dest)s=-1/3 for a negative one"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="canonical presentation for (q, h, g) plus its trivializing twist and R-matrix",
     )
     cmd.add_argument("--rank", type=int, required=True)
-    cmd.add_argument("--q", required=True, help="nonzero scalar, e.g. 2 or 1/2")
+    cmd.add_argument("--q", required=True, help=_Q_HELP)
     cmd.add_argument(
         "--h", required=True, help="comma-separated exponents; write --h=-1,2 for a leading minus"
     )
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(func=_cmd_classify)
 
     cmd = sub.add_parser("homcheck", help="coherence report for one monoidal structure")
-    cmd.add_argument("--q", required=True)
+    cmd.add_argument("--q", required=True, help=_Q_HELP)
     cmd.add_argument("--a", type=int, required=True)
     cmd.add_argument("--b", type=int, required=True)
     cmd.add_argument("--dims", help="comma-separated object dimensions to sample from")
@@ -401,10 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(func=_cmd_homcheck)
 
     cmd = sub.add_parser("compare-hom", help="compare two monoidal structures constraint by constraint")
-    cmd.add_argument("--q1", required=True)
+    cmd.add_argument("--q1", required=True, help=_Q_HELP)
     cmd.add_argument("--a1", type=int, required=True)
     cmd.add_argument("--b1", type=int, required=True)
-    cmd.add_argument("--q2")
+    cmd.add_argument("--q2", help=_Q_HELP)
     cmd.add_argument("--a2", type=int)
     cmd.add_argument("--b2", type=int)
     cmd.add_argument("--tilde", action="store_true", help="compare against the modified structure")

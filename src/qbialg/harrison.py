@@ -316,24 +316,24 @@ class ThreeCocycleClassification:
 def cocycle_classify(rank: int) -> ThreeCocycleClassification:
     """Derive the degree-3 cocycle lattice from the coboundary matrix.
 
-    The kernel basis comes out of Smith normal form; the shape claims
-    (middle slot zero, outer slots jointly unimodular) are then checked
-    rather than assumed, so a wrong coboundary matrix cannot silently
-    produce the familiar answer.
+    The kernel basis of D₃ = ``coboundary_matrix(1, 3)`` comes out of
+    Smith normal form; the shape claims (rank 2, middle slot zero, outer
+    slots jointly unimodular) are then checked rather than assumed, so a
+    wrong coboundary matrix cannot silently produce the familiar answer.
+    Rank indices never mix, so d³ = D₃ ⊗ I_r (as in ``cohomology``) and
+    its kernel is ker D₃ ⊗ Z^r: each vector times each of e₁ … e_r.
     """
     if rank < 1:
         raise RankMismatch(f"rank must be >= 1, got {rank}")
-    basis = kernel_basis(coboundary_matrix(rank, 3))
-    if len(basis) != 2 * rank:
-        raise ArithmeticError(
-            f"kernel of the degree-3 boundary has rank {len(basis)}, expected {2 * rank}"
-        )
-    if any(v[rank + k] for v in basis for k in range(rank)):
+    basis = kernel_basis(coboundary_matrix(1, 3))
+    if len(basis) != 2:
+        raise ArithmeticError(f"kernel of the degree-3 boundary has rank {len(basis)}, expected 2")
+    if any(v[1] for v in basis):
         raise ArithmeticError("degree-3 kernel has a nonvanishing middle slot")
-    outer = [
-        [v[k] for v in basis] for k in list(range(rank)) + list(range(2 * rank, 3 * rank))
-    ]
-    factors = invariant_factors(outer)
-    if len(factors) != 2 * rank or any(f != 1 for f in factors):
+    factors = invariant_factors([[v[0] for v in basis], [v[2] for v in basis]])
+    if len(factors) != 2 or any(f != 1 for f in factors):
         raise ArithmeticError("outer slots of the degree-3 kernel are not free")
-    return ThreeCocycleClassification(rank, tuple(tuple(v) for v in basis))
+    vectors = (
+        tuple(x * (j == k) for x in v for j in range(rank)) for v in basis for k in range(rank)
+    )
+    return ThreeCocycleClassification(rank, tuple(vectors))

@@ -23,11 +23,11 @@ are compared by the first of two routes that decides:
    equal scalars and, per leg, the same maps with the same summed
    exponent make the sides equal for every choice of the objects, and
    no matrix is multiplied.
-2. Full Kronecker matrices, the exact check on the sampled objects,
-   built when the normal forms differ (an automorphism of finite
-   order, such as -I or a swap, can still make the sides equal), and
-   for the witness of a failure or the ratio of two unequal
-   constraints.
+2. Exact matrices on the sampled objects, built when the normal forms
+   differ (an automorphism of finite order, such as -I or a swap, can
+   still make the sides equal): coherence builds both full Kronecker
+   matrices, whose difference is a failure's witness; a comparison
+   builds one, the ratio, from the two constraints' exponent differences.
 
 Flattening convention everywhere: row-major with the left tensor factor
 slowest.
@@ -40,7 +40,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import matrices as mat
 from .laurent import _coeff, format_coefficient
@@ -204,12 +204,6 @@ def _permuted(perm: Sequence[int], items: Sequence) -> tuple:
     return tuple(out)
 
 
-class _Bare(NamedTuple):
-    """A matrix on one leg, not known to intertwine anything."""
-
-    matrix: Matrix
-
-
 def _factor_matrix(factor) -> Matrix:
     if type(factor) is tuple:
         obj, exp = factor
@@ -223,10 +217,10 @@ class _LegMap:
     ``perm[i]`` is the output slot receiving input leg i; ``words[i]``
     lists the factors applied to leg i before the permutation, in
     matrix-product order (the last factor acts first).  A factor is a
-    pair (X, e) standing for f_X^e, an intertwiner ``HomMorphism``,
-    whose constructor checked it, or a ``_Bare`` matrix, which nothing
-    is moved across.  Composing concatenates words; the leg matrices
-    ``mats`` are multiplied out only when something asks for them.
+    pair (X, e) standing for f_X^e or an intertwiner ``HomMorphism``,
+    whose constructor checked it.  Composing concatenates words; the
+    leg matrices ``mats`` are multiplied out only when something asks
+    for them.
     """
 
     __slots__ = ("scalar", "perm", "words", "_mats")
@@ -236,11 +230,6 @@ class _LegMap:
         self.perm = perm
         self.words = words
         self._mats = None
-
-    @classmethod
-    def from_matrices(cls, scalar, perm: Sequence[int], mats: Sequence[Matrix]) -> "_LegMap":
-        """One bare matrix per leg."""
-        return cls(Fraction(scalar), tuple(perm), tuple((_Bare(m),) for m in mats))
 
     def after(self, other: "_LegMap") -> "_LegMap":
         """Composite self . other (other runs first)."""
@@ -304,8 +293,9 @@ def _normal_word(word: tuple):
 
     Read from the left, a power of the object a map lands in moves to
     its right as the same power of the object the map leaves:
-    f_Y^k . m == m . f_X^k for an intertwiner m: X -> Y.  A bare matrix,
-    or a power of any other object, leaves the word without a normal form.
+    f_Y^k . m == m . f_X^k for an intertwiner m: X -> Y.  A power of any
+    other object, or a map out of any other object, leaves the word
+    without a normal form.
     """
     maps = []
     obj = None  # the object between the factors read so far and the rest
@@ -360,19 +350,20 @@ def _morphism(legs: _LegMap, sources: Sequence[HomObject]) -> HomMorphism:
     return HomMorphism(reduce(tensor_obj, sources), reduce(tensor_obj, targets), legs.to_matrix())
 
 
-def _ratio(first: _LegMap, second: _LegMap) -> Matrix:
-    """second . first^-1 as a full matrix, for two maps with one permutation.
+def _ratio(first: _LegMap, second: _LegMap) -> _LegMap:
+    """second . first^-1, for two constraints on the same objects and permutation.
 
-    With P the common permutation, P (x)B_i (P (x)A_i)^-1 is
-    P ((x) B_i A_i^-1) P^-1: the identity permutation with B_i A_i^-1 in
-    slot perm[i].
+    Each is s P (x) f_i^e_i, one power per leg, so with P the common
+    permutation the ratio is (s2/s1) P ((x) f_i^(e2_i - e1_i)) P^-1:
+    the identity permutation with f_i^(e2_i - e1_i) in slot perm[i].
     """
     if not first.scalar:
         raise NotInvertible("matrix is singular")
-    mats = _permuted(
-        first.perm, [mat.mul(b, mat.inverse(a)) for a, b in zip(first.mats, second.mats)]
+    pairs = zip(first.words, second.words)
+    objs, diffs = zip(*((x, e2 - e1) for ((x, e1),), ((_, e2),) in pairs))
+    return _legs(
+        _permuted(first.perm, objs), _permuted(first.perm, diffs), second.scalar / first.scalar
     )
-    return _LegMap.from_matrices(second.scalar / first.scalar, range(len(mats)), mats).to_matrix()
 
 
 def _strings(m: Matrix) -> tuple:
@@ -554,15 +545,18 @@ def symmetry_sides(p, u, v) -> tuple[Matrix, Matrix]:
 
 
 def naturality_associator_sides(p, sources, targets, maps) -> tuple[Matrix, Matrix]:
-    return _matrices(_naturality_associator_legs(p, sources, targets, tuple(map(_Bare, maps))))
+    maps = tuple(map(HomMorphism, sources, targets, maps))
+    return _matrices(_naturality_associator_legs(p, sources, targets, maps))
 
 
 def naturality_unitor_sides(p, source, target, m, side: str) -> tuple[Matrix, Matrix]:
-    return _matrices(_naturality_unitor_legs(p, (source,), (target,), (_Bare(m),), side))
+    m = HomMorphism(source, target, m)
+    return _matrices(_naturality_unitor_legs(p, (source,), (target,), (m,), side))
 
 
 def naturality_braiding_sides(p, sources, targets, maps) -> tuple[Matrix, Matrix]:
-    return _matrices(_naturality_braiding_legs(p, sources, targets, tuple(map(_Bare, maps))))
+    maps = tuple(map(HomMorphism, sources, targets, maps))
+    return _matrices(_naturality_braiding_legs(p, sources, targets, maps))
 
 
 # -- random sampling, all through one seeded generator ----------------------
@@ -800,7 +794,9 @@ def compare_structures(
     reader can see the twist relating the two structures.  Each leg of
     a constraint is a power of that leg's own object, so it is a
     morphism by construction; the public constraint functions check
-    that in full through ``HomMorphism``.
+    that in full through ``HomMorphism``.  An instance the normal forms
+    leave open builds one matrix, the ratio: the constraints are equal
+    exactly when it is the identity, or when both scalars are zero.
     """
     s1 = structure_maps(p1)
     s2 = structure_maps(p2)
@@ -813,10 +809,11 @@ def compare_structures(
             factors = objs[:arity]
             first, second = build(s1, *factors), build(s2, *factors)
             dims = tuple(o.dim for o in factors)
-            if _same_matrix(first, second) or first.to_matrix() == second.to_matrix():
-                entries.append(ConstraintComparison(name, dims, True))
-            else:
-                entries.append(
-                    ConstraintComparison(name, dims, False, _strings(_ratio(first, second)))
-                )
+            equal = _same_matrix(first, second) or not (first.scalar or second.scalar)
+            if not equal:
+                ratio = _ratio(first, second).to_matrix()
+                equal = ratio == mat.identity(len(ratio))
+            entries.append(
+                ConstraintComparison(name, dims, equal, None if equal else _strings(ratio))
+            )
     return ComparisonReport(seed, trials, tuple(entries))

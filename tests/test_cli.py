@@ -270,6 +270,25 @@ def test_homcheck():
     assert run_cli("homcheck", "--q", "0", "--a", "0", "--b", "0").returncode == 2
 
 
+def test_negative_fraction_scalar_is_written_with_equals():
+    # argparse reads a separate "-1/3" as an option; "--q=-1/3" is the
+    # spelling the help text gives
+    res = run_cli("classify", "--rank", "1", "--q=-1/3", "--h", "1", "--g", "1")
+    assert res.returncode == 0
+    assert "r_matrix" in json.loads(res.stdout)
+    res = run_cli("homcheck", "--q=-1/3", "--a", "1", "--b", "0", "--trials", "2")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["params"] == {"q": "-1/3", "a": 1, "b": 0}
+    res = run_cli(
+        "compare-hom", "--q1=-1/3", "--a1", "1", "--b1", "0",
+        "--q2=-1/3", "--a2", "1", "--b2", "0", "--trials", "2",
+    )
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["identical"] is True
+    res = run_cli("classify", "--rank", "1", "--q", "-1/3", "--h", "1", "--g", "1")
+    assert res.returncode == 2 and "expected one argument" in res.stderr
+
+
 def test_compare_hom():
     res = run_cli(
         "compare-hom", "--q1", "1", "--a1", "1", "--b1", "-1", "--tilde",

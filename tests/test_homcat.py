@@ -36,13 +36,13 @@ from qbialg.homcat import (
     tensor_obj,
     triangle_sides,
     unit_object,
-    _Bare,
     _decide,
     _LegMap,
     _legs,
     _normal_form,
     _same_matrix,
 )
+from qbialg.laurent import format_coefficient
 from qbialg.matrices import NotInvertible
 
 PARAM_SETS = [
@@ -374,16 +374,16 @@ def hom_objects(draw):
     return HomObject(n, _finite_order(n)[kind == "shift"])
 
 
-def _word(objs, maps, exps, bare=None):
-    """f_{X_k}^{e_k} m_k ... m_1 f_{X_0}^{e_0}; with a bare endomorphism b
-    of X_0 the word goes on as f_{X_0}^{e_0} b f_{X_0}^{e_{k+1}}."""
+def _word(objs, maps, exps, foreign=None):
+    """f_{X_k}^{e_k} m_k ... m_1 f_{X_0}^{e_0}; with a foreign object Z of
+    X_0's dimension the word goes on as f_{X_0}^{e_0} f_Z f_{X_0}^{e_{k+1}}."""
     word = []
     for j in range(len(objs) - 1, -1, -1):
         word.append((objs[j], exps[j]))
         if j:
             word.append(maps[j - 1])
-    if bare is not None:
-        word += [_Bare(bare), (objs[0], exps[-1])]
+    if foreign is not None:
+        word += [(foreign, 1), (objs[0], exps[-1])]
     return tuple(word)
 
 
@@ -395,8 +395,9 @@ def word_pairs(draw):
     Per leg, a chain X_0 -> X_1 -> ... of random_morphism maps with a
     power of the right object before and after each map.  The rhs may
     take another map out of X_0, and spreads the same total exponent
-    differently or changes it.  A map that does not intertwine is refused
-    by HomMorphism and only ever enters a word bare, on both sides.
+    differently or changes it.  A matrix that does not intertwine is
+    refused by HomMorphism and only ever enters a word as the automorphism
+    of a foreign object, on both sides, which nothing moves across.
     """
     n = draw(st.integers(1, 3))
     exponent = st.integers(-3, 3)
@@ -413,21 +414,21 @@ def word_pairs(draw):
         if maps and draw(st.booleans()):
             y, m = random_morphism(rng, objs[0])
             rhs_objs, rhs_maps = [objs[0], y], [HomMorphism(objs[0], y, m)]
-        bare = None
+        foreign = None
         if draw(st.booleans()):
             m = random_unimodular(rng, objs[0].dim)
             if mat.mul(objs[0].matrix, m) != mat.mul(m, objs[0].matrix):
                 with pytest.raises(ValueError):
                     HomMorphism(objs[0], objs[0], m)
-                bare = m
-        extra = bare is not None
+                foreign = HomObject(objs[0].dim, m)
+        extra = foreign is not None
         exps = [draw(exponent) for _ in range(len(objs) + extra)]
         rhs_exps = [draw(exponent) for _ in range(len(rhs_objs) + extra)]
         if draw(st.booleans()):  # the same total, spread differently
             rhs_exps[-1] = sum(exps) - sum(rhs_exps[:-1])
-        agree &= bare is None and rhs_maps == maps and sum(rhs_exps) == sum(exps)
-        lhs_words.append(_word(objs, maps, exps, bare))
-        rhs_words.append(_word(rhs_objs, rhs_maps, rhs_exps, bare))
+        agree &= foreign is None and rhs_maps == maps and sum(rhs_exps) == sum(exps)
+        lhs_words.append(_word(objs, maps, exps, foreign))
+        rhs_words.append(_word(rhs_objs, rhs_maps, rhs_exps, foreign))
     perm = tuple(draw(st.permutations(range(n))))
     rhs_perm = tuple(draw(st.permutations(range(n)))) if draw(st.booleans()) else perm
     scalar = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2)])
@@ -477,10 +478,20 @@ def test_finite_order_coincidence_passes_through_the_fallback():
 def test_nothing_moves_across_a_map_that_does_not_intertwine():
     x = HomObject(2, ((1, 1), (0, 1)))
     m = ((0, 1), (1, 0))  # does not commute with the shear
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="intertwine"):
         HomMorphism(x, x, m)
-    lhs = _LegMap(Fraction(1), (0,), (((x, 1), _Bare(m)),))
-    rhs = _LegMap(Fraction(1), (0,), ((_Bare(m), (x, 1)),))
+    # the public naturality sides check their maps as well
+    s = structure_maps(PARAM_SETS[2])
+    with pytest.raises(ValueError, match="intertwine"):
+        naturality_unitor_sides(s, x, x, m, "left")
+    with pytest.raises(ValueError, match="intertwine"):
+        naturality_associator_sides(s, (x, x, x), (x, x, x), (m, m, m))
+    with pytest.raises(ValueError, match="intertwine"):
+        naturality_braiding_sides(s, (x, x), (x, x), (m, m))
+    # so m enters a word only as the automorphism of another object
+    z = HomObject(2, m)
+    lhs = _LegMap(Fraction(1), (0,), (((x, 1), (z, 1)),))
+    rhs = _LegMap(Fraction(1), (0,), (((z, 1), (x, 1)),))
     assert _normal_form(lhs) is None and _normal_form(rhs) is None
     assert lhs.to_matrix() != rhs.to_matrix()
     assert not _decide((2,), [(lhs, rhs)]).passed
@@ -530,6 +541,47 @@ def test_every_constraint_intertwines_by_construction(s, objs):
     report = compare_structures(s, s, objs, trials=2, seed=0)
     assert report.identical
     assert all(e.ratio is None for e in report.entries)
+
+
+_PUBLIC_CONSTRAINTS = {
+    "associator": associator,
+    "left_unitor": left_unitor,
+    "right_unitor": right_unitor,
+    "braiding": braiding,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(structures(), structures(), hom_objects())
+def test_compare_agrees_with_the_public_constraint_matrices(s1, s2, x):
+    # a one-object pool: every factor of every instance is x
+    report = compare_structures(s1, s2, [x], trials=2, seed=0)
+    assert report.entries
+    for entry in report.entries:
+        build = _PUBLIC_CONSTRAINTS[entry.constraint]
+        objs = (x,) * len(entry.dims)
+        m1, m2 = build(s1, *objs).matrix, build(s2, *objs).matrix
+        assert entry.equal == (m1 == m2)
+        if entry.equal:
+            assert entry.ratio is None
+        else:
+            expect = mat.mul(m2, mat.inverse(m1))
+            assert entry.ratio == tuple(tuple(map(format_coefficient, row)) for row in expect)
+
+
+def test_compare_zero_scalars():
+    x = obj([[2]])
+    zero = dataclasses.replace(PLAIN_STRUCTURE, left_scalar=Fraction(0))
+    # both constraints are the zero map, whatever their exponents
+    report = compare_structures(
+        zero, dataclasses.replace(zero, left_exp=1), objects=[x], trials=1
+    )
+    (entry,) = [e for e in report.entries if e.constraint == "left_unitor"]
+    assert entry.equal and entry.ratio is None
+    # only the second zero: unequal, and the ratio is the zero matrix
+    report = compare_structures(PLAIN_STRUCTURE, zero, objects=[x], trials=1)
+    (entry,) = [e for e in report.entries if e.constraint == "left_unitor"]
+    assert not entry.equal and entry.ratio == (("0",),)
 
 
 def test_sampled_maps_are_checked_before_an_instance_uses_them(monkeypatch):
