@@ -11,11 +11,16 @@ monoidal structures on this category:
 
 The checker does not trust any of the coherence claims: it composes
 both sides of each axiom on sampled objects and compares them exactly.
-Every constraint and every composite of constraints is a scalar times
-a permutation of tensor legs times, on each leg, a word in powers f^e
-of the objects' automorphisms and sampled intertwiners, each checked
-once by ``HomMorphism``.  Composing concatenates words, and two sides
-are compared by the first of two routes that decides:
+Each side is its textbook composite of the four constraints a, l, r, c
+at tensor objects, all built by one block rule: f_(X(x)Y)^e is
+f_X^e (x) f_Y^e, so a constraint at X (x) Y puts its exponent on every
+leg of X and of Y, and the braiding moves whole blocks of legs.  A test
+cross-checks every side against products of the public constraint
+matrices.  Every constraint and every composite of constraints is a
+scalar times a permutation of tensor legs times, on each leg, a word in
+powers f^e of the objects' automorphisms and sampled intertwiners, each
+checked once by ``HomMorphism``.  Composing concatenates words, and two
+sides are compared by the first of two routes that decides:
 
 1. Normal forms, on exponents alone.  An intertwiner m: X -> Y
    satisfies f_Y^k m = m f_X^k, so each leg's word rewrites to its
@@ -211,6 +216,14 @@ def _factor_matrix(factor) -> Matrix:
     return factor.matrix
 
 
+_ONE = Fraction(1)
+
+
+def _product(a: Fraction, b: Fraction) -> Fraction:
+    """a * b, skipping the product when a factor is the shared scalar 1."""
+    return b if a is _ONE else a if b is _ONE else a * b
+
+
 class _LegMap:
     """scalar * (leg permutation) * (one word of factors per leg).
 
@@ -233,9 +246,15 @@ class _LegMap:
 
     def after(self, other: "_LegMap") -> "_LegMap":
         """Composite self . other (other runs first)."""
-        perm = tuple(self.perm[p] for p in other.perm)
-        words = tuple(self.words[p] + w for p, w in zip(other.perm, other.words))
-        return _LegMap(self.scalar * other.scalar, perm, words)
+        perm = tuple([self.perm[p] for p in other.perm])
+        words = tuple([self.words[p] + w for p, w in zip(other.perm, other.words)])
+        return _LegMap(_product(self.scalar, other.scalar), perm, words)
+
+    def tensor(self, other: "_LegMap") -> "_LegMap":
+        """self (x) other: other's legs follow self's."""
+        n = len(self.perm)
+        perm = self.perm + tuple([n + p for p in other.perm])
+        return _LegMap(_product(self.scalar, other.scalar), perm, self.words + other.words)
 
     @property
     def mats(self) -> tuple[Matrix, ...]:
@@ -319,18 +338,6 @@ def _normal_form(legs: _LegMap):
     return None if None in forms else forms
 
 
-def _legs(objs: Sequence[HomObject], exps: Sequence[int], scalar=Fraction(1), perm=None) -> _LegMap:
-    return _LegMap(
-        scalar if type(scalar) is Fraction else Fraction(scalar),
-        tuple(range(len(objs))) if perm is None else tuple(perm),
-        tuple(((o, e),) for o, e in zip(objs, exps)),
-    )
-
-
-def _identity_legs(objs: Sequence[HomObject]) -> _LegMap:
-    return _legs(objs, [0] * len(objs))
-
-
 def _same_matrix(lhs: _LegMap, rhs: _LegMap) -> bool:
     """A sound, sufficient test that two leg maps have the same full matrix.
 
@@ -344,8 +351,10 @@ def _same_matrix(lhs: _LegMap, rhs: _LegMap) -> bool:
     return form is not None and form == _normal_form(rhs)
 
 
-def _morphism(legs: _LegMap, sources: Sequence[HomObject]) -> HomMorphism:
-    """The full morphism from the tensor of the sources, checked in full."""
+def _morphism(legs: _LegMap) -> HomMorphism:
+    """The full morphism of a constraint, from the tensor of its legs' objects,
+    checked in full."""
+    sources = tuple([word[0][0] for word in legs.words])
     targets = _permuted(legs.perm, sources)
     return HomMorphism(reduce(tensor_obj, sources), reduce(tensor_obj, targets), legs.to_matrix())
 
@@ -360,9 +369,9 @@ def _ratio(first: _LegMap, second: _LegMap) -> _LegMap:
     if not first.scalar:
         raise NotInvertible("matrix is singular")
     pairs = zip(first.words, second.words)
-    objs, diffs = zip(*((x, e2 - e1) for ((x, e1),), ((_, e2),) in pairs))
-    return _legs(
-        _permuted(first.perm, objs), _permuted(first.perm, diffs), second.scalar / first.scalar
+    words = tuple([((x, e2 - e1),) for ((x, e1),), ((_, e2),) in pairs])
+    return _LegMap(
+        second.scalar / first.scalar, tuple(range(len(words))), _permuted(first.perm, words)
     )
 
 
@@ -370,193 +379,177 @@ def _strings(m: Matrix) -> tuple:
     return tuple(tuple(map(format_coefficient, row)) for row in m)
 
 
-# -- constraints ------------------------------------------------------------
+# -- the four constraints at tensor objects ---------------------------------
+#
+# A block is a tuple of objects: the legs of their tensor product.  Every
+# exponent of a structure enters here and nowhere else.
 
 
-def _associator_legs(p, x: HomObject, y: HomObject, z: HomObject) -> _LegMap:
-    return _legs((x, y, z), structure_maps(p).assoc_exp)
+def _blocks(blocks: Sequence[tuple], exps=None, scalar: Fraction = _ONE, perm=None) -> _LegMap:
+    """exps[i] on every leg of blocks[i], times scalar, then leg j to slot perm[j].
+
+    f_(X(x)Y)^e = f_X^e (x) f_Y^e, so a constraint at a tensor object
+    puts its exponent on every leg of that object.  Without exponents
+    this is the identity.
+    """
+    if exps is None:
+        exps = (0,) * len(blocks)
+    words = tuple([((x, e),) for block, e in zip(blocks, exps) for x in block])
+    return _LegMap(scalar, tuple(range(len(words))) if perm is None else perm, words)
 
 
-def _left_unitor_legs(p, x: HomObject) -> _LegMap:
-    s = structure_maps(p)
-    return _legs((x,), (s.left_exp,), scalar=s.left_scalar)
+_I = (_UNIT,)  # the unit as a block
+_I_LEG = (_UNIT, 0)  # f_I^0, the identity on the unit's leg, as a word factor
 
 
-def _right_unitor_legs(p, x: HomObject) -> _LegMap:
-    s = structure_maps(p)
-    return _legs((x,), (s.right_exp,), scalar=s.right_scalar)
+def _assoc(s: StructureMaps, x: tuple, y: tuple, z: tuple, sign: int = 1) -> _LegMap:
+    """a_{X,Y,Z}: (X (x) Y) (x) Z -> X (x) (Y (x) Z); its inverse for sign -1."""
+    e1, e2, e3 = s.assoc_exp
+    return _blocks((x, y, z), (e1, e2, e3) if sign > 0 else (-e1, -e2, -e3))
 
 
-def _braiding_legs(p, x: HomObject, y: HomObject) -> _LegMap:
-    return _legs((x, y), structure_maps(p).braid_exp, perm=(1, 0))
+def _lunit(s: StructureMaps, x: tuple) -> _LegMap:
+    """l_X: I (x) X -> X, keeping the unit's one-dimensional leg."""
+    return _blocks((_I, x), (0, s.left_exp), s.left_scalar)
+
+
+def _runit(s: StructureMaps, x: tuple) -> _LegMap:
+    """r_X: X (x) I -> X, keeping the unit's one-dimensional leg."""
+    return _blocks((x, _I), (s.right_exp, 0), s.right_scalar)
+
+
+def _braid(s: StructureMaps, x: tuple, y: tuple) -> _LegMap:
+    """c_{X,Y}: X (x) Y -> Y (x) X, moving X's legs past Y's."""
+    n, m = len(x), len(y)
+    return _blocks((x, y), s.braid_exp, perm=(*range(m, m + n), *range(m)))
 
 
 def associator(p, x: HomObject, y: HomObject, z: HomObject) -> HomMorphism:
-    return _morphism(_associator_legs(p, x, y, z), (x, y, z))
+    return _morphism(_assoc(structure_maps(p), (x,), (y,), (z,)))
 
 
 def left_unitor(p, x: HomObject) -> HomMorphism:
-    return _morphism(_left_unitor_legs(p, x), (x,))
+    return _morphism(_lunit(structure_maps(p), (x,)))
 
 
 def right_unitor(p, x: HomObject) -> HomMorphism:
-    return _morphism(_right_unitor_legs(p, x), (x,))
+    return _morphism(_runit(structure_maps(p), (x,)))
 
 
 def braiding(p, x: HomObject, y: HomObject) -> HomMorphism:
-    return _morphism(_braiding_legs(p, x, y), (x, y))
+    return _morphism(_braid(structure_maps(p), (x,), (y,)))
 
 
 # -- the coherence axioms, one pair of sides each ---------------------------
+#
+# Each side is its textbook composite of constraints at blocks.
 
 
-def _pentagon_legs(p, u, v, w, x) -> tuple[_LegMap, _LegMap]:
-    s = structure_maps(p)
-    e1, e2, e3 = s.assoc_exp
-    objs = (u, v, w, x)
+def _pentagon(s, u, v, w, x) -> tuple[_LegMap, _LegMap]:
+    """(id_U (x) a_{V,W,X}) a_{U,V(x)W,X} (a_{U,V,W} (x) id_X) = a_{U,V,W(x)X} a_{U(x)V,W,X}"""
     lhs = (
-        _legs(objs, (0, e1, e2, e3))
-        .after(_legs(objs, (e1, e2, e2, e3)))
-        .after(_legs(objs, (e1, e2, e3, 0)))
+        _blocks((u,)).tensor(_assoc(s, v, w, x))
+        .after(_assoc(s, u, v + w, x))
+        .after(_assoc(s, u, v, w).tensor(_blocks((x,))))
     )
-    rhs = _legs(objs, (e1, e2, e3, e3)).after(_legs(objs, (e1, e1, e2, e3)))
-    return lhs, rhs
+    return lhs, _assoc(s, u, v, w + x).after(_assoc(s, u + v, w, x))
 
 
-def _triangle_legs(p, v, w) -> tuple[_LegMap, _LegMap]:
-    s = structure_maps(p)
-    e1, e2, e3 = s.assoc_exp
-    k = unit_object()
-    objs = (v, k, w)
-    lhs = _legs(objs, (0, 0, s.left_exp), scalar=s.left_scalar).after(
-        _legs(objs, (e1, e2, e3))
-    )
-    rhs = _legs(objs, (s.right_exp, 0, 0), scalar=s.right_scalar)
-    return lhs, rhs
+def _triangle(s, v, w) -> tuple[_LegMap, _LegMap]:
+    """(id_V (x) l_W) a_{V,I,W} = r_V (x) id_W"""
+    lhs = _blocks((v,)).tensor(_lunit(s, w)).after(_assoc(s, v, _I, w))
+    return lhs, _runit(s, v).tensor(_blocks((w,)))
 
 
-def _hexagon_forward_legs(p, u, v, w) -> tuple[_LegMap, _LegMap]:
-    s = structure_maps(p)
-    e1, e2, e3 = s.assoc_exp
-    b1, b2 = s.braid_exp
-    lhs = (
-        _legs((v, w, u), (e1, e2, e3))
-        .after(_legs((u, v, w), (b1, b2, b2), perm=(2, 0, 1)))
-        .after(_legs((u, v, w), (e1, e2, e3)))
-    )
+def _hexagon_forward(s, u, v, w) -> tuple[_LegMap, _LegMap]:
+    """a_{V,W,U} c_{U,V(x)W} a_{U,V,W} = (id_V (x) c_{U,W}) a_{V,U,W} (c_{U,V} (x) id_W)"""
+    lhs = _assoc(s, v, w, u).after(_braid(s, u, v + w)).after(_assoc(s, u, v, w))
     rhs = (
-        _legs((v, u, w), (0, b1, b2), perm=(0, 2, 1))
-        .after(_legs((v, u, w), (e1, e2, e3)))
-        .after(_legs((u, v, w), (b1, b2, 0), perm=(1, 0, 2)))
+        _blocks((v,)).tensor(_braid(s, u, w))
+        .after(_assoc(s, v, u, w))
+        .after(_braid(s, u, v).tensor(_blocks((w,))))
     )
     return lhs, rhs
 
 
-def _hexagon_backward_legs(p, u, v, w) -> tuple[_LegMap, _LegMap]:
-    s = structure_maps(p)
-    e1, e2, e3 = s.assoc_exp
-    b1, b2 = s.braid_exp
-    lhs = (
-        _legs((w, u, v), (-e1, -e2, -e3))
-        .after(_legs((u, v, w), (b1, b1, b2), perm=(1, 2, 0)))
-        .after(_legs((u, v, w), (-e1, -e2, -e3)))
-    )
+def _hexagon_backward(s, u, v, w) -> tuple[_LegMap, _LegMap]:
+    """a^-1_{W,U,V} c_{U(x)V,W} a^-1_{U,V,W} = (c_{U,W} (x) id_V) a^-1_{U,W,V} (id_U (x) c_{V,W})"""
+    lhs = _assoc(s, w, u, v, -1).after(_braid(s, u + v, w)).after(_assoc(s, u, v, w, -1))
     rhs = (
-        _legs((u, w, v), (b1, b2, 0), perm=(1, 0, 2))
-        .after(_legs((u, w, v), (-e1, -e2, -e3)))
-        .after(_legs((u, v, w), (0, b1, b2), perm=(0, 2, 1)))
+        _braid(s, u, w).tensor(_blocks((v,)))
+        .after(_assoc(s, u, w, v, -1))
+        .after(_blocks((u,)).tensor(_braid(s, v, w)))
     )
     return lhs, rhs
 
 
-def _symmetry_legs(p, u, v) -> tuple[_LegMap, _LegMap]:
-    s = structure_maps(p)
-    b1, b2 = s.braid_exp
-    lhs = _legs((v, u), (b1, b2), perm=(1, 0)).after(
-        _legs((u, v), (b1, b2), perm=(1, 0))
-    )
-    return lhs, _identity_legs((u, v))
+def _symmetry(s, u, v) -> tuple[_LegMap, _LegMap]:
+    """c_{V,U} c_{U,V} = id_{U(x)V}"""
+    return _braid(s, v, u).after(_braid(s, u, v)), _blocks((u, v))
 
 
 def _maps_legs(maps) -> _LegMap:
     """The tensor product of the maps, leg by leg."""
-    return _LegMap(Fraction(1), tuple(range(len(maps))), tuple((m,) for m in maps))
+    return _LegMap(_ONE, tuple(range(len(maps))), tuple([(m,) for m in maps]))
 
 
-def _naturality_associator_legs(p, sources, targets, maps) -> tuple[_LegMap, _LegMap]:
-    s = structure_maps(p)
-    xi = _maps_legs(maps)
-    lhs = _legs(targets, s.assoc_exp).after(xi)
-    rhs = xi.after(_legs(sources, s.assoc_exp))
-    return lhs, rhs
+def _natural(constraint, s, sources, targets, maps) -> tuple[_LegMap, _LegMap]:
+    """The naturality square of a constraint on one-leg objects:
+    C_targets . (maps) = (maps, moved as C moves legs) . C_sources.
+
+    ``maps`` holds one factor per leg of C's source: an intertwiner, or
+    ``_I_LEG`` on a unitor's unit leg.
+    """
+    before = constraint(s, *[(x,) for x in sources])
+    lhs = constraint(s, *[(y,) for y in targets]).after(_maps_legs(maps))
+    return lhs, _maps_legs(_permuted(before.perm, maps)).after(before)
 
 
-def _naturality_unitor_legs(p, sources, targets, maps, side: str) -> tuple[_LegMap, _LegMap]:
-    s = structure_maps(p)
-    exp = s.left_exp if side == "left" else s.right_exp
-    scal = s.left_scalar if side == "left" else s.right_scalar
-    unit = unit_object()
-    one = (unit, 0)
-    (source,), (target,), (m,) = sources, targets, maps
+def _natural_unitor(s, sources, targets, maps, side: str) -> tuple[_LegMap, _LegMap]:
     if side == "left":
-        xi = _maps_legs((one, m))
-        src, tgt, exps = (unit, source), (unit, target), (0, exp)
-    else:
-        xi = _maps_legs((m, one))
-        src, tgt, exps = (source, unit), (target, unit), (exp, 0)
-    lhs = _legs(tgt, exps, scalar=scal).after(xi)
-    rhs = xi.after(_legs(src, exps, scalar=scal))
-    return lhs, rhs
+        return _natural(_lunit, s, sources, targets, (_I_LEG,) + maps)
+    return _natural(_runit, s, sources, targets, maps + (_I_LEG,))
 
 
-def _naturality_braiding_legs(p, sources, targets, maps) -> tuple[_LegMap, _LegMap]:
-    s = structure_maps(p)
-    b1, b2 = s.braid_exp
-    lhs = _legs(targets, (b1, b2), perm=(1, 0)).after(_maps_legs(maps))
-    rhs = _maps_legs((maps[1], maps[0])).after(
-        _legs(sources, (b1, b2), perm=(1, 0))
-    )
-    return lhs, rhs
-
-
-def _matrices(sides: tuple[_LegMap, _LegMap]) -> tuple[Matrix, Matrix]:
-    lhs, rhs = sides
+def _matrices(build, p, *args) -> tuple[Matrix, Matrix]:
+    """Both sides of build's axiom for structure p, as full matrices."""
+    lhs, rhs = build(structure_maps(p), *args)
     return lhs.to_matrix(), rhs.to_matrix()
 
 
 def pentagon_sides(p, u, v, w, x) -> tuple[Matrix, Matrix]:
-    return _matrices(_pentagon_legs(p, u, v, w, x))
+    return _matrices(_pentagon, p, (u,), (v,), (w,), (x,))
 
 
 def triangle_sides(p, v, w) -> tuple[Matrix, Matrix]:
-    return _matrices(_triangle_legs(p, v, w))
+    return _matrices(_triangle, p, (v,), (w,))
 
 
 def hexagon_forward_sides(p, u, v, w) -> tuple[Matrix, Matrix]:
-    return _matrices(_hexagon_forward_legs(p, u, v, w))
+    return _matrices(_hexagon_forward, p, (u,), (v,), (w,))
 
 
 def hexagon_backward_sides(p, u, v, w) -> tuple[Matrix, Matrix]:
-    return _matrices(_hexagon_backward_legs(p, u, v, w))
+    return _matrices(_hexagon_backward, p, (u,), (v,), (w,))
 
 
 def symmetry_sides(p, u, v) -> tuple[Matrix, Matrix]:
-    return _matrices(_symmetry_legs(p, u, v))
+    return _matrices(_symmetry, p, (u,), (v,))
 
 
 def naturality_associator_sides(p, sources, targets, maps) -> tuple[Matrix, Matrix]:
     maps = tuple(map(HomMorphism, sources, targets, maps))
-    return _matrices(_naturality_associator_legs(p, sources, targets, maps))
+    return _matrices(partial(_natural, _assoc), p, sources, targets, maps)
 
 
 def naturality_unitor_sides(p, source, target, m, side: str) -> tuple[Matrix, Matrix]:
     m = HomMorphism(source, target, m)
-    return _matrices(_naturality_unitor_legs(p, (source,), (target,), (m,), side))
+    return _matrices(_natural_unitor, p, (source,), (target,), (m,), side)
 
 
 def naturality_braiding_sides(p, sources, targets, maps) -> tuple[Matrix, Matrix]:
     maps = tuple(map(HomMorphism, sources, targets, maps))
-    return _matrices(_naturality_braiding_legs(p, sources, targets, maps))
+    return _matrices(partial(_natural, _braid), p, sources, targets, maps)
 
 
 # -- random sampling, all through one seeded generator ----------------------
@@ -664,22 +657,19 @@ class CoherenceReport:
 # (axiom, objects drawn per instance, leg builders whose sides must all
 # agree, whether each object also gets a random morphism out of it)
 _AXIOMS = (
-    ("pentagon", 4, (_pentagon_legs,), False),
-    ("triangle", 2, (_triangle_legs,), False),
-    ("hexagon_forward", 3, (_hexagon_forward_legs,), False),
-    ("hexagon_backward", 3, (_hexagon_backward_legs,), False),
-    ("symmetry", 2, (_symmetry_legs,), False),
-    ("naturality_associator", 3, (_naturality_associator_legs,), True),
+    ("pentagon", 4, (_pentagon,), False),
+    ("triangle", 2, (_triangle,), False),
+    ("hexagon_forward", 3, (_hexagon_forward,), False),
+    ("hexagon_backward", 3, (_hexagon_backward,), False),
+    ("symmetry", 2, (_symmetry,), False),
+    ("naturality_associator", 3, (partial(_natural, _assoc),), True),
     (
         "naturality_unitors",
         1,
-        (
-            partial(_naturality_unitor_legs, side="left"),
-            partial(_naturality_unitor_legs, side="right"),
-        ),
+        (partial(_natural_unitor, side="left"), partial(_natural_unitor, side="right")),
         True,
     ),
-    ("naturality_braiding", 2, (_naturality_braiding_legs,), True),
+    ("naturality_braiding", 2, (partial(_natural, _braid),), True),
 )
 
 COHERENCE_AXIOMS = tuple(name for name, *_ in _AXIOMS)
@@ -717,12 +707,13 @@ def check_coherence(
         results = []
         for t in range(trials):
             objs = _sample(rng, pool, t, arity, max_dim)
-            args = objs
             if natural:
                 mors = [random_morphism(rng, o) for o in objs]
                 targets = tuple(t for t, _ in mors)
                 maps = tuple(HomMorphism(o, t, m) for o, (t, m) in zip(objs, mors))
                 args = (objs, targets, maps)
+            else:
+                args = tuple((o,) for o in objs)
             dims = tuple(o.dim for o in objs)
             results.append(_decide(dims, (build(s, *args) for build in builders)))
         groups.append((axiom, tuple(results)))
@@ -770,12 +761,12 @@ class ComparisonReport:
         }
 
 
-# (constraint, leading objects of the trial it takes, leg builder)
+# (constraint, leading objects of the trial it takes, block constraint)
 _CONSTRAINTS = (
-    ("associator", 3, _associator_legs),
-    ("left_unitor", 1, _left_unitor_legs),
-    ("right_unitor", 1, _right_unitor_legs),
-    ("braiding", 2, _braiding_legs),
+    ("associator", 3, _assoc),
+    ("left_unitor", 1, _lunit),
+    ("right_unitor", 1, _runit),
+    ("braiding", 2, _braid),
 )
 
 
@@ -805,10 +796,10 @@ def compare_structures(
     entries = []
     for t in range(trials):
         objs = _sample(rng, pool, t, 3, max_dim)
+        blocks = tuple([(o,) for o in objs])
         for name, arity, build in _CONSTRAINTS:
-            factors = objs[:arity]
-            first, second = build(s1, *factors), build(s2, *factors)
-            dims = tuple(o.dim for o in factors)
+            first, second = build(s1, *blocks[:arity]), build(s2, *blocks[:arity])
+            dims = tuple(o.dim for o in objs[:arity])
             equal = _same_matrix(first, second) or not (first.scalar or second.scalar)
             if not equal:
                 ratio = _ratio(first, second).to_matrix()

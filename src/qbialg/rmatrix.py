@@ -17,12 +17,7 @@ from .laurent import (
     insert_unit_leg,
     permute_legs,
 )
-from .quasibialgebra import (
-    NotForcedForm,
-    QuasiBialgebraPresentation,
-    find_trivializing_twist,
-    is_ordinary_coalgebra,
-)
+from .quasibialgebra import QuasiBialgebraPresentation, find_trivializing_twist
 from .reports import AxiomCheck, VerificationReport, compare
 
 
@@ -104,9 +99,8 @@ def solve_R(p: QuasiBialgebraPresentation) -> list[TensorElement]:
     solution is the identity.  A general presentation is first carried
     to the ordinary one by its trivializing twist, and solutions are
     carried back; twisting is a bijection on R-matrices, so the list is
-    complete.
+    complete.  ``find_trivializing_twist`` refuses a coalgebra part that
+    is not ordinary.
     """
-    if not is_ordinary_coalgebra(p):
-        raise NotForcedForm("coalgebra part must be ordinary; run normalize first")
     back = as_unit(find_trivializing_twist(p), p.rank, 2, "trivializing twist").inverse()
     return [twist_R(UnitElement.identity(p.rank, 2), back)]

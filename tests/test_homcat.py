@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from qbialg.homcat import (
     unit_object,
     _decide,
     _LegMap,
-    _legs,
+    _blocks,
     _normal_form,
     _same_matrix,
 )
@@ -153,6 +154,14 @@ def test_constraint_matrices_one_dim():
     assert left_unitor(p, x).matrix == frac_rows([[Fraction(3, 4)]])
     assert right_unitor(p, x).matrix == frac_rows([[6]])
     assert braiding(p, x, y).matrix == frac_rows([[8 * Fraction(1, 125)]])
+    # the unitors pass through the unit's leg, and still run from x to x
+    shear = obj([[1, 1], [0, 1]])
+    for unitor in (left_unitor, right_unitor):
+        for z in (x, shear):
+            m = unitor(p, z)
+            assert m.source == z and m.target == z
+    assert left_unitor(p, shear).matrix == frac_rows([[3, -6], [0, 3]])  # 3 f^-2
+    assert right_unitor(p, shear).matrix == frac_rows([[3, 3], [0, 3]])  # 3 f
 
 
 def test_braiding_flips_factors():
@@ -366,8 +375,8 @@ def _finite_order(n):
 
 
 @st.composite
-def hom_objects(draw):
-    n = draw(st.integers(1, 3))
+def hom_objects(draw, max_dim=3):
+    n = draw(st.integers(1, max_dim))
     kind = draw(st.sampled_from(("random", "minus", "shift")))
     if kind == "random":
         return HomObject(n, random_unimodular(random.Random(draw(st.integers(0, 2**32))), n))
@@ -463,14 +472,14 @@ def test_normal_form_never_disagrees_with_full_matrices(case):
 def test_finite_order_coincidence_passes_through_the_fallback():
     for f in (*_finite_order(2), ((-1,),)):
         x = HomObject(len(f), f)
-        lhs, rhs = _legs((x, x), (2, 1)), _legs((x, x), (0, 3))
+        lhs, rhs = _blocks(((x,), (x,)), (2, 1)), _blocks(((x,), (x,)), (0, 3))
         assert _normal_form(lhs) != _normal_form(rhs)  # exponents differ ...
         assert lhs.to_matrix() == rhs.to_matrix()  # ... but f^2 == I
         assert not _same_matrix(lhs, rhs)  # only the full matrices see it
         assert _decide((x.dim, x.dim), [(lhs, rhs)]).passed
     # a 3-cycle has order 3, so f^2 != I and the sides differ
     x = HomObject(3, _finite_order(3)[1])
-    lhs, rhs = _legs((x,), (2,)), _legs((x,), (0,))
+    lhs, rhs = _blocks(((x,),), (2,)), _blocks(((x,),), (0,))
     assert not _same_matrix(lhs, rhs)
     assert not _decide((3,), [(lhs, rhs)]).passed
 
@@ -592,3 +601,106 @@ def test_sampled_maps_are_checked_before_an_instance_uses_them(monkeypatch):
     monkeypatch.setattr(homcat, "random_morphism", lambda rng, x: (x, frac_rows([[0, 1], [1, 0]])))
     with pytest.raises(ValueError, match="intertwine"):
         check_coherence(PARAM_SETS[2], [shear], trials=1, seed=0)
+
+
+# -- the block rule against the public constraint matrices -------------------
+
+
+def _sides_from_public_constraints(s, u, v, w, x, mors):
+    """Each axiom's two sides, composed from the public constraints at
+    tensor_obj objects with kron, mul and identity alone."""
+    t, eye, kron = tensor_obj, lambda o: mat.identity(o.dim), mat.kron
+
+    def mul(*ms):
+        return functools.reduce(mat.mul, ms)
+
+    def a(*objs):
+        return associator(s, *objs).matrix
+
+    def a_inv(*objs):
+        return mat.inverse(a(*objs))
+
+    def c(*objs):
+        return braiding(s, *objs).matrix
+
+    (y1, m1), (y2, m2), (y3, m3) = mors
+    one = mat.identity(1)
+    return {
+        "pentagon": (
+            mul(kron(eye(u), a(v, w, x)), a(u, t(v, w), x), kron(a(u, v, w), eye(x))),
+            mul(a(u, v, t(w, x)), a(t(u, v), w, x)),
+        ),
+        "triangle": (
+            mul(kron(eye(v), left_unitor(s, w).matrix), a(v, unit_object(), w)),
+            kron(right_unitor(s, v).matrix, eye(w)),
+        ),
+        "hexagon_forward": (
+            mul(a(v, w, u), c(u, t(v, w)), a(u, v, w)),
+            mul(kron(eye(v), c(u, w)), a(v, u, w), kron(c(u, v), eye(w))),
+        ),
+        "hexagon_backward": (
+            mul(a_inv(w, u, v), c(t(u, v), w), a_inv(u, v, w)),
+            mul(kron(c(u, w), eye(v)), a_inv(u, w, v), kron(eye(u), c(v, w))),
+        ),
+        "symmetry": (mul(c(v, u), c(u, v)), mat.identity(u.dim * v.dim)),
+        "naturality_associator": (
+            mul(a(y1, y2, y3), kron(kron(m1, m2), m3)),
+            mul(kron(kron(m1, m2), m3), a(u, v, w)),
+        ),
+        "naturality_left_unitor": (
+            mul(left_unitor(s, y1).matrix, kron(one, m1)),
+            mul(kron(one, m1), left_unitor(s, u).matrix),
+        ),
+        "naturality_right_unitor": (
+            mul(right_unitor(s, y1).matrix, kron(m1, one)),
+            mul(kron(m1, one), right_unitor(s, u).matrix),
+        ),
+        "naturality_braiding": (mul(c(y1, y2), kron(m1, m2)), mul(kron(m2, m1), c(u, v))),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures(), st.lists(hom_objects(), min_size=4, max_size=4), st.integers(0, 2**32))
+def test_block_rule_agrees_with_the_public_constraint_matrices(s, objs, seed):
+    # a second route to every side: f_(X(x)Y)^e is a power of one Kronecker
+    # matrix here, never a leg-by-leg product, and composites are matrix
+    # products of whole constraints
+    u, v, w, x = objs
+    rng = random.Random(seed)
+    mors = [random_morphism(rng, o) for o in (u, v, w)]
+    (y1, m1), (y2, m2), (y3, m3) = mors
+    sides = {
+        "pentagon": pentagon_sides(s, u, v, w, x),
+        "triangle": triangle_sides(s, v, w),
+        "hexagon_forward": hexagon_forward_sides(s, u, v, w),
+        "hexagon_backward": hexagon_backward_sides(s, u, v, w),
+        "symmetry": symmetry_sides(s, u, v),
+        "naturality_associator": naturality_associator_sides(
+            s, (u, v, w), (y1, y2, y3), (m1, m2, m3)
+        ),
+        "naturality_left_unitor": naturality_unitor_sides(s, u, y1, m1, "left"),
+        "naturality_right_unitor": naturality_unitor_sides(s, u, y1, m1, "right"),
+        "naturality_braiding": naturality_braiding_sides(s, (u, v), (y1, y2), (m1, m2)),
+    }
+    expect = _sides_from_public_constraints(s, u, v, w, x, mors)
+    unitors = {"naturality_left_unitor", "naturality_right_unitor"}
+    assert set(sides) == set(expect) == set(COHERENCE_AXIOMS) - {"naturality_unitors"} | unitors
+    for axiom, (lhs, rhs) in sides.items():
+        assert (lhs, rhs) == expect[axiom], axiom
+
+
+@st.composite
+def permuted_leg_maps(draw):
+    """A scalar, a leg permutation other than the identity and one power
+    of a drawn object per leg."""
+    n = draw(st.integers(2, 3))
+    objs = [draw(hom_objects(max_dim=2)) for _ in range(n)]
+    perm = tuple(draw(st.permutations(range(n)).filter(lambda p: p != list(range(n)))))
+    scalar = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2)]))
+    return _LegMap(scalar, perm, tuple(((o, draw(st.integers(-2, 2))),) for o in objs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_leg_maps(), permuted_leg_maps())
+def test_tensor_of_leg_maps_is_the_kronecker_product(a, b):
+    assert a.tensor(b).to_matrix() == mat.kron(a.to_matrix(), b.to_matrix())
