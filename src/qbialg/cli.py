@@ -175,7 +175,7 @@ def _cmd_normalize(args) -> int:
     _emit(
         {
             "normalizable": True,
-            "iso": [u.to_tensor().to_dict() for u in iso.generator_images],
+            "iso": [u.to_dict() for u in iso.generator_images],
             "presentation": result.to_dict(),
         }
     )

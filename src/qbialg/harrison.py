@@ -27,9 +27,9 @@ from typing import Mapping
 from .intlinalg import invariant_factors, kernel_basis
 from .laurent import (
     RankMismatch,
-    TensorElement,
     UnitElement,
     Vector,
+    _integer,
     _raw_unit,
     as_unit,
     parse_coefficient,
@@ -88,7 +88,10 @@ class HarrisonCochain:
     def from_dict(cls, data: Mapping, rank: int | None = None) -> "HarrisonCochain":
         """The cochain a ``to_dict`` document describes, over ``rank`` when
         given (every element must then have that length)."""
-        elements = [tuple(int(c) for c in v) for v in data["elements"]]
+        elements = []
+        for j, v in enumerate(data["elements"]):
+            where = f"elements[{j}]"
+            elements.append(tuple(_integer(c, where) for c in v))
         if rank is None:
             if not elements:
                 raise DegreeMismatch("a degree-0 cochain needs an explicit rank")
@@ -300,13 +303,14 @@ class ThreeCocycleClassification:
     def free_parameters(self) -> int:
         return len(self.kernel_vectors)
 
-    def cocycle(self, h: Vector, g: Vector) -> TensorElement:
-        """The cocycle h (x) 1 (x) g attached to a parameter pair."""
+    def cocycle(self, h: Vector, g: Vector) -> UnitElement:
+        """The cocycle h (x) 1 (x) g attached to a parameter pair, as a unit."""
         zero = (0,) * self.rank
-        return TensorElement.single(1, (tuple(h), zero, tuple(g)))
+        return UnitElement(self.rank, Fraction(1), (tuple(h), zero, tuple(g)))
 
-    def parameters_of(self, elem: TensorElement) -> tuple[Vector, Vector]:
-        """Recover (h, g) from a cocycle; rejects non-cocycles."""
+    def parameters_of(self, elem: UnitElement) -> tuple[Vector, Vector]:
+        """Recover (h, g) from a cocycle; rejects non-cocycles.  ``elem`` is
+        certified through ``as_unit``, so a one-term JSON record is read too."""
         u = as_unit(elem, self.rank, 3, "cocycle")
         if u.scalar != 1 or any(u.monomial[1]):
             raise ValueError("element is not in the kernel of the degree-3 boundary")

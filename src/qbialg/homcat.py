@@ -508,7 +508,9 @@ def _natural(constraint, s, sources, targets, maps) -> tuple[_LegMap, _LegMap]:
 def _natural_unitor(s, sources, targets, maps, side: str) -> tuple[_LegMap, _LegMap]:
     if side == "left":
         return _natural(_lunit, s, sources, targets, (_I_LEG,) + maps)
-    return _natural(_runit, s, sources, targets, maps + (_I_LEG,))
+    if side == "right":
+        return _natural(_runit, s, sources, targets, maps + (_I_LEG,))
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def _matrices(build, p, *args) -> tuple[Matrix, Matrix]:

@@ -14,8 +14,11 @@ the caller's field in every error.
 Such a unit is a ``UnitElement``, and the leg operations (concatenation,
 permutation, identity-leg insertion, and an algebra map or the counit
 on one leg) act on units: each is a splice of exponent tuples and a
-product of scalars.  ``TensorElement`` is the general ring, the JSON
-format and the form in which failed checks report their witnesses.
+product of scalars.  Every computed element, witnesses included, is a
+``UnitElement``.  ``TensorElement`` is the JSON record: ``from_dict``
+reads it, ``as_unit`` certifies it where it comes in, and
+``UnitElement.to_dict`` writes a unit through it.  Its ring operations
+are reached only from the tests, as the reference for the unit arithmetic.
 """
 
 from __future__ import annotations
@@ -53,6 +56,18 @@ def _as_vector(v: Iterable[int], rank: int) -> Vector:
     if len(vec) != rank:
         raise RankMismatch(f"exponent vector {vec} has length {len(vec)}, expected {rank}")
     return vec
+
+
+def _integer(value, field: str) -> int:
+    """``value`` read from a file as an exact int.  A float such as 1.7, a
+    string or a JSON ``true`` is refused, not truncated, split into digits
+    or read as 1; the TypeError names ``field``."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise TypeError(f"{field}: expected an integer, got {value!r}")
 
 
 def _vadd(a: Vector, b: Vector) -> Vector:
@@ -311,11 +326,12 @@ class TensorElement:
     @classmethod
     def from_dict(cls, data: Mapping, field: str = "") -> "TensorElement":
         """The element a ``to_dict`` document describes; ``field`` prefixes error messages."""
-        rank = int(data["rank"])
-        legs = int(data["legs"])
+        rank = _integer(data["rank"], f"{field}rank")
+        legs = _integer(data["legs"], f"{field}legs")
         terms: dict[TermKey, Fraction] = {}
         for i, entry in enumerate(data["terms"]):
-            key = tuple(tuple(int(c) for c in vec) for vec in entry["e"])
+            where = f"{field}terms[{i}].e"
+            key = tuple(tuple(_integer(c, where) for c in vec) for vec in entry["e"])
             c = parse_coefficient(entry["c"], f"{field}terms[{i}].c")
             terms[key] = terms.get(key, 0) + c
         return cls(rank, legs, terms)
@@ -388,6 +404,10 @@ class UnitElement:
             raise LegMismatch("a zero-leg unit has no tensor element form")
         return _raw(self.rank, self.legs, {self.monomial: self.scalar})
 
+    def to_dict(self) -> dict:
+        """The JSON record of the unit: ``TensorElement.to_dict`` of its one term."""
+        return self.to_tensor().to_dict()
+
     def __str__(self) -> str:
         if not self.monomial:
             return str(self.scalar)
@@ -428,9 +448,9 @@ def as_unit(x: TensorElement | UnitElement, rank: int, legs: int, field: str) ->
     return UnitElement(rank, c, key)
 
 
-def invert_unit(x: TensorElement) -> TensorElement:
-    """Inverse of an invertible element; raises NotAUnit otherwise."""
-    return as_unit(x, x.rank, x.legs, "x").inverse().to_tensor()
+def invert_unit(x: TensorElement | UnitElement) -> UnitElement:
+    """Inverse of an invertible element, as a unit; raises NotAUnit otherwise."""
+    return as_unit(x, x.rank, x.legs, "x").inverse()
 
 
 def tensor_concat(x: UnitElement, y: UnitElement) -> UnitElement:

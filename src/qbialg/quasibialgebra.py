@@ -26,6 +26,7 @@ from .laurent import (
     TensorElement,
     UnitElement,
     _coeff,
+    _integer,
     apply_algebra_map_on_leg,
     apply_counit_on_leg,
     as_unit,
@@ -75,16 +76,16 @@ class QuasiBialgebraPresentation:
     def to_dict(self) -> dict:
         return {
             "rank": self.rank,
-            "coproduct": [im.to_tensor().to_dict() for im in self.coproduct.images],
+            "coproduct": [im.to_dict() for im in self.coproduct.images],
             "counit": [str(v) for v in self.counit.values],
-            "phi": self.phi.to_tensor().to_dict(),
-            "lambda": self.lam.to_tensor().to_dict(),
-            "rho": self.rho.to_tensor().to_dict(),
+            "phi": self.phi.to_dict(),
+            "lambda": self.lam.to_dict(),
+            "rho": self.rho.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "QuasiBialgebraPresentation":
-        rank = int(data["rank"])
+        rank = _integer(data["rank"], "rank")
         images = tuple(
             TensorElement.from_dict(d, f"coproduct[{i}].") for i, d in enumerate(data["coproduct"])
         )
@@ -305,7 +306,7 @@ def normalize(p: QuasiBialgebraPresentation) -> tuple[BialgebraIso, QuasiBialgeb
     return iso, result
 
 
-def find_trivializing_twist(p: QuasiBialgebraPresentation) -> TensorElement:
+def find_trivializing_twist(p: QuasiBialgebraPresentation) -> UnitElement:
     """Solve for the monomial twist that turns p into the ordinary bialgebra.
 
     Writing the candidate as t * g^x (x) g^y, the twisted constraints are
@@ -314,7 +315,7 @@ def find_trivializing_twist(p: QuasiBialgebraPresentation) -> TensorElement:
     first leg of phi, y from minus its third leg, t from the scalar of
     lambda.  Because every invertible element of the two-fold tensor
     power is such a monomial, failure of the candidate proves there is
-    no twist at all.
+    no twist at all.  The twist is returned as the unit it is.
     """
     if not is_ordinary_coalgebra(p):
         raise NotForcedForm("coalgebra part must be ordinary; run normalize first")
@@ -324,4 +325,4 @@ def find_trivializing_twist(p: QuasiBialgebraPresentation) -> TensorElement:
         raise NoMonomialTwist(
             "no invertible monomial twist carries this presentation to the ordinary one"
         )
-    return candidate.to_tensor()
+    return candidate

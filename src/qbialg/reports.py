@@ -1,8 +1,8 @@
 """Machine-readable results for axiom checking.
 
 Every verification entry point returns a flat list of named checks.  A
-check that fails carries both sides of the identity it tested, already
-serialized, so a caller (or the command line tool) can print the
+check that fails carries both sides of the identity it tested, as the
+units it computed, so a caller (or the command line tool) can print the
 witness without recomputing anything.
 """
 
@@ -10,15 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import TensorElement, UnitElement
+from .laurent import UnitElement
 
 
 @dataclass(frozen=True)
 class AxiomCheck:
     axiom: str
     passed: bool
-    lhs: TensorElement | None = None
-    rhs: TensorElement | None = None
+    lhs: UnitElement | None = None
+    rhs: UnitElement | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -45,7 +45,7 @@ class VerificationReport:
 
 
 def compare(axiom: str, lhs: UnitElement, rhs: UnitElement) -> AxiomCheck:
-    """Build a check entry; witnesses are attached, as tensors, only on failure."""
+    """Build a check entry; the two units are attached as witnesses only on failure."""
     if lhs == rhs:
         return AxiomCheck(axiom, True)
-    return AxiomCheck(axiom, False, lhs.to_tensor(), rhs.to_tensor())
+    return AxiomCheck(axiom, False, lhs, rhs)

@@ -82,14 +82,14 @@ def verify_R(
 
 def twist_R(
     r_elem: TensorElement | UnitElement, alpha: TensorElement | UnitElement
-) -> TensorElement:
-    """Carry an R-matrix along a twist: flip(alpha) * R * alpha^-1."""
+) -> UnitElement:
+    """Carry an R-matrix along a twist: flip(alpha) * R * alpha^-1, as a unit."""
     r_elem = as_unit(r_elem, r_elem.rank, 2, "R")
     alpha = as_unit(alpha, r_elem.rank, 2, "alpha")
-    return (permute_legs(alpha, (2, 1)) * r_elem * alpha.inverse()).to_tensor()
+    return permute_legs(alpha, (2, 1)) * r_elem * alpha.inverse()
 
 
-def solve_R(p: QuasiBialgebraPresentation) -> list[TensorElement]:
+def solve_R(p: QuasiBialgebraPresentation) -> list[UnitElement]:
     """All R-matrices of a presentation in the classified family.
 
     Every invertible element of the two-leg power is a monomial
@@ -100,7 +100,7 @@ def solve_R(p: QuasiBialgebraPresentation) -> list[TensorElement]:
     to the ordinary one by its trivializing twist, and solutions are
     carried back; twisting is a bijection on R-matrices, so the list is
     complete.  ``find_trivializing_twist`` refuses a coalgebra part that
-    is not ordinary.
+    is not ordinary.  The solutions are returned as units.
     """
-    back = as_unit(find_trivializing_twist(p), p.rank, 2, "trivializing twist").inverse()
+    back = find_trivializing_twist(p).inverse()
     return [twist_R(UnitElement.identity(p.rank, 2), back)]

@@ -40,7 +40,7 @@ from qbialg.homcat import (
     tensor_obj,
     triangle_sides,
 )
-from qbialg.laurent import TensorElement, invert_unit
+from qbialg.laurent import TensorElement, UnitElement, invert_unit
 from qbialg.quasibialgebra import (
     CanonicalTriple,
     canonical,
@@ -98,7 +98,7 @@ def test_criterion_3_classification_round_trip():
         p = canonical(t)
         assert verify(p).ok
         alpha = find_trivializing_twist(p)
-        assert alpha == TensorElement.single(t.q, [t.h, tuple(-x for x in t.g)])
+        assert alpha == UnitElement(t.rank, t.q, (t.h, tuple(-x for x in t.g)))
         assert twist(p, alpha) == ordinary(t.rank)
         assert twist(ordinary(t.rank), invert_unit(alpha)) == p
     print("PASS criterion 3: classification round trip on 100 random triples")
@@ -110,14 +110,14 @@ def test_criterion_4_r_matrix_uniqueness():
         t = _random_triple(rng)
         p = canonical(t)
         s = tuple(a + b for a, b in zip(t.h, t.g))
-        expected = TensorElement.single(1, [s, tuple(-x for x in s)])
+        expected = UnitElement(t.rank, 1, (s, tuple(-x for x in s)))
         solutions = solve_R(p)
         assert solutions == [expected]
         report = verify_R(p, solutions[0])
         assert report.ok
         assert any(c.axiom == "triangularity" and c.passed for c in report.checks)
     for rank in (1, 2, 3):
-        assert solve_R(ordinary(rank)) == [TensorElement.one(rank, 2)]
+        assert solve_R(ordinary(rank)) == [UnitElement.identity(rank, 2)]
 
     # exhaustive rank-1 search over the scalar/exponent window agrees
     scalars = [Fraction(v) for v in (1, -1, 2, -2, 3)] + [Fraction(1, 2), Fraction(1, 3)]
@@ -136,7 +136,7 @@ def test_criterion_4_r_matrix_uniqueness():
             if verify_R(p, TensorElement.single(t, [(x,), (y,)])).ok
         ]
         assert sorted(hits, key=lambda e: e.terms()) == sorted(
-            solve_R(p), key=lambda e: e.terms()
+            (s.to_tensor() for s in solve_R(p)), key=lambda e: e.terms()
         )
     print("PASS criterion 4: unique R-matrix on 50 triples, ordinary ranks, and grid search")
 

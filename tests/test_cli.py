@@ -368,6 +368,30 @@ def test_exponent_notation_is_malformed_input(tmp_path, ordinary_file):
     assert res.returncode == 2 and res.stdout == "" and "--q" in res.stderr
 
 
+def test_non_integer_exponents_are_malformed_input(tmp_path, canonical_file, capsys):
+    # int() would read 1.7 as 1 (leaving the canonical presentation valid),
+    # 1.9 as 1, and the string "10" as the digits (1, 0)
+    from qbialg.cli import main
+
+    data = json.loads(canonical_file.read_text())
+    data["phi"]["terms"][0]["e"][0][0] = 1.7
+    float_phi = tmp_path / "float_phi.json"
+    float_phi.write_text(json.dumps(data))
+    float_cochain = tmp_path / "float_cochain.json"
+    float_cochain.write_text(json.dumps({"scalar": "2", "elements": [[1.9], [2]]}))
+    string_cochain = tmp_path / "string_cochain.json"
+    string_cochain.write_text(json.dumps({"scalar": "2", "elements": [[1, 0], "10"]}))
+    for argv, field, value in (
+        (["verify", "--input", str(float_phi)], "phi.terms[0].e", "1.7"),
+        (["boundary", "--degree", "2", "--input", str(float_cochain)], "elements[0]", "1.9"),
+        (["boundary", "--degree", "2", "--input", str(string_cochain)], "elements[1]", "'1'"),
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {argv[-1]}: {field}: expected an integer, got {value}\n"
+
+
 def test_degree_limit_is_checked_at_the_parse_boundary(tmp_path, capsys):
     from qbialg.cli import MAX_DEGREE, main
 

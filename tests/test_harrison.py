@@ -190,7 +190,7 @@ def test_cocycle_classification():
         h = tuple(range(1, rank + 1))
         g = tuple(-v for v in h)
         elem = cls.cocycle(h, g)
-        assert elem == TensorElement.single(1, [h, (0,) * rank, g])
+        assert elem == UnitElement(rank, 1, (h, (0,) * rank, g))
         # membership: its boundary as a degree-3 cochain is trivial
         c = HarrisonCochain.from_data(rank, Fraction(1), [list(h), [0] * rank, list(g)])
         assert boundary(c) == HarrisonCochain.identity(rank, 4)

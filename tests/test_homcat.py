@@ -293,6 +293,9 @@ def test_naturality_detects_corruption():
     lhs_bad, _ = naturality_unitor_sides(bad, u, targets[0], maps[0], "left")
     _, rhs = naturality_unitor_sides(s, u, targets[0], maps[0], "left")
     assert lhs_bad != rhs
+    # a unitor is "left" or "right"; any other side is refused, not read as "right"
+    with pytest.raises(ValueError, match="^side must be 'left' or 'right', got 'up'$"):
+        naturality_unitor_sides(s, u, targets[0], maps[0], "up")
 
     bad = _corrupt(s, "braid_exp")
     lhs_bad, _ = naturality_braiding_sides(bad, (u, v), targets[:2], maps[:2])

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -30,8 +31,18 @@ from qbialg.laurent import (
     permute_legs,
     tensor_concat,
 )
-from qbialg.quasibialgebra import QuasiBialgebraPresentation, ordinary, twist
-from qbialg.rmatrix import check_rmatrix_shape, twist_R
+from qbialg.quasibialgebra import (
+    CanonicalTriple,
+    QuasiBialgebraPresentation,
+    canonical,
+    find_trivializing_twist,
+    ordinary,
+    twist,
+    verify,
+)
+from qbialg.rmatrix import check_rmatrix_shape, solve_R, twist_R, verify_R
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def random_element(rng, rank, legs, max_terms=4, span=3):
@@ -124,7 +135,7 @@ def test_units():
     u = as_unit(x, 1, 2, "x")
     assert u.scalar == Fraction(2, 3) and u.monomial == ((1,), (-2,))
     assert u.to_tensor() == x
-    assert x * invert_unit(x) == TensorElement.one(1, 2)
+    assert x * invert_unit(x).to_tensor() == TensorElement.one(1, 2)
     assert u.power(3).scalar == Fraction(8, 27)
     assert u.power(-1).monomial == ((-1,), (2,))
     assert (u * u.inverse()) == UnitElement.identity(1, 2)
@@ -222,6 +233,43 @@ def test_every_entry_point_certifies_units_through_as_unit(entry, case):
     with pytest.raises(refusal) as err:
         call(elem)
     assert str(err.value).startswith(field), str(err.value)
+
+
+# -- units out: computed elements come back as the units they are -------------
+
+
+def test_algebra_layer_returns_units():
+    p = canonical(CanonicalTriple(Fraction(2), (1,), (1,)))
+    alpha = find_trivializing_twist(p)
+    solutions = solve_R(p)
+    results = [
+        alpha,
+        *solutions,
+        twist_R(solutions[0], alpha),
+        invert_unit(alpha),
+        cocycle_classify(1).cocycle((1,), (1,)),
+    ]
+    assert len(solutions) == 1
+    assert all(type(u) is UnitElement for u in results)
+    # each writes the document of its one-term record
+    assert all(u.to_dict() == u.to_tensor().to_dict() for u in results)
+    assert alpha.to_dict() == {"rank": 1, "legs": 2, "terms": [{"c": "2", "e": [[1], [-1]]}]}
+
+    # witnesses of failed checks are units whose records are the CLI goldens
+    bad_phi = p.to_dict()
+    bad_phi["phi"]["terms"][0]["e"][0][0] += 1
+    bad_counit = ordinary(2).to_dict()
+    bad_counit["counit"] = ["2", "1/3"]
+    reports = {
+        "verify_phi_exponent": verify(QuasiBialgebraPresentation.from_dict(bad_phi)),
+        "verify_counit": verify(QuasiBialgebraPresentation.from_dict(bad_counit)),
+        "verify_r_scalar": verify_R(p, TensorElement.single(3, [(2,), (-2,)])),
+    }
+    for name, report in reports.items():
+        failed = report.failed()
+        assert failed, name
+        assert all(type(c.lhs) is type(c.rhs) is UnitElement for c in failed), name
+        assert report.to_list() == json.loads((GOLDEN / f"{name}.json").read_text()), name
 
 
 def test_tensor_concat():
@@ -361,6 +409,25 @@ def test_format_coefficient_bounds_what_str_cannot_write(digit_limit):
 def test_from_dict_names_the_bad_coefficient():
     doc = {"rank": 1, "legs": 1, "terms": [{"c": "1", "e": [[0]]}, {"c": "1e9", "e": [[1]]}]}
     with pytest.raises(ValueError, match=r"^phi\.terms\[1\]\.c: .*'1e9'"):
+        TensorElement.from_dict(doc, "phi.")
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        (lambda d: d["terms"][0]["e"][0].__setitem__(0, 1.7), "phi.terms[0].e"),
+        (lambda d: d["terms"][0]["e"].__setitem__(1, "10"), "phi.terms[0].e"),
+        (lambda d: d.__setitem__("rank", 2.0), "phi.rank"),
+        (lambda d: d.__setitem__("legs", "3"), "phi.legs"),
+        (lambda d: d["terms"][0]["e"][2].__setitem__(1, True), "phi.terms[0].e"),
+    ],
+)
+def test_from_dict_refuses_non_integer_exponents(change, field):
+    # int() would read 1.7 as 1, 2.0 as 2, true as 1 and "10" as the digits (1, 0)
+    doc = {"rank": 2, "legs": 3, "terms": [{"c": "1", "e": [[1, 0], [0, 0], [0, 1]]}]}
+    TensorElement.from_dict(doc, "phi.")
+    change(doc)
+    with pytest.raises(TypeError, match=rf"^{re.escape(field)}: expected an integer, got "):
         TensorElement.from_dict(doc, "phi.")
 
 

@@ -134,7 +134,7 @@ def test_twist_requires_unit():
 def test_trivializing_twist_golden():
     p = canonical(CanonicalTriple(Fraction(2), (1,), (1,)))
     alpha = find_trivializing_twist(p)
-    assert alpha == TensorElement.single(2, [(1,), (-1,)])
+    assert alpha == UnitElement(1, 2, ((1,), (-1,)))
     assert twist(p, alpha) == ordinary(1)
 
 
@@ -144,7 +144,7 @@ def test_trivializing_twist_random():
         t = random_triple(rng)
         p = canonical(t)
         alpha = find_trivializing_twist(p)
-        expected = TensorElement.single(t.q, [t.h, tuple(-x for x in t.g)])
+        expected = UnitElement(t.rank, t.q, (t.h, tuple(-x for x in t.g)))
         assert alpha == expected
         assert twist(p, alpha) == ordinary(t.rank)
         # the inverse twist carries the ordinary structure back

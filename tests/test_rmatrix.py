@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from qbialg.laurent import LegMismatch, TensorElement, invert_unit
+from qbialg.laurent import LegMismatch, TensorElement, UnitElement, invert_unit
 from qbialg.quasibialgebra import (
     CanonicalTriple,
     NotForcedForm,
@@ -25,12 +25,12 @@ def random_triple(rng, max_rank=3):
 
 def expected_r(triple):
     s = tuple(a + b for a, b in zip(triple.h, triple.g))
-    return TensorElement.single(1, [s, tuple(-x for x in s)])
+    return UnitElement(triple.rank, 1, (s, tuple(-x for x in s)))
 
 
 def test_ordinary_has_identity_r_only():
     for rank in (1, 2, 3):
-        assert solve_R(ordinary(rank)) == [TensorElement.one(rank, 2)]
+        assert solve_R(ordinary(rank)) == [UnitElement.identity(rank, 2)]
 
 
 def test_identity_r_verifies_on_ordinary():
@@ -40,7 +40,7 @@ def test_identity_r_verifies_on_ordinary():
 
 def test_solve_r_canonical_golden():
     p = canonical(CanonicalTriple(Fraction(2), (1,), (1,)))
-    assert solve_R(p) == [TensorElement.single(1, [(2,), (-2,)])]
+    assert solve_R(p) == [UnitElement(1, 1, ((2,), (-2,)))]
 
 
 def test_solve_r_random_triples():
@@ -109,7 +109,8 @@ def test_grid_oracle_matches_solver_rank_one():
     ]
     for triple in cases:
         p = canonical(triple)
-        assert grid_solutions(p) == sorted(solve_R(p), key=lambda e: e.terms())
+        solved = sorted((s.to_tensor() for s in solve_R(p)), key=lambda e: e.terms())
+        assert grid_solutions(p) == solved
     assert grid_solutions(ordinary(1)) == [TensorElement.one(1, 2)]
 
 
@@ -134,7 +135,8 @@ def test_twist_r_round_trip():
     rng = random.Random(33)
     for _ in range(20):
         rank = rng.randint(1, 3)
-        r_elem = TensorElement.single(
+        r_elem = UnitElement(
+            rank,
             Fraction(rng.choice([1, 2, -3])),
             [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(2)],
         )
