@@ -268,7 +268,7 @@ def _object_pool(dims: str | None, seed: int) -> list[homcat.HomObject]:
             f"--dims: every dimension must be between 1 and {MAX_DIM}, got {dims!r}"
         )
     rng = random.Random(seed)
-    return [homcat.HomObject(d, homcat.random_unimodular(rng, d)) for d in sizes]
+    return [homcat.HomObject(d, *homcat.random_unimodular(rng, d)) for d in sizes]
 
 
 def _trials(trials: int) -> int:

@@ -20,6 +20,7 @@ forms are taken of Dₙ and Dₙ₋₁ alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -63,7 +64,7 @@ class HarrisonCochain:
 
     @classmethod
     def from_data(cls, rank: int, scalar, elements) -> "HarrisonCochain":
-        vecs = tuple(tuple(int(c) for c in v) for v in elements)
+        vecs = tuple([tuple(map(operator.index, v)) for v in elements])
         return cls(len(vecs), UnitElement(rank, scalar, vecs))
 
     @classmethod

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from typing import Sequence
@@ -75,18 +75,34 @@ class MonoidalParams:
 
 @dataclass(frozen=True)
 class HomObject:
-    """A vector space dimension together with an invertible automorphism."""
+    """A vector space dimension together with an invertible automorphism.
+
+    The automorphism is certified invertible on construction.  A caller
+    that already holds its inverse passes it as ``known_inverse``, which
+    is checked by the one product f . f^-1 == I (for square matrices
+    that makes it a two-sided inverse) and raises ``ValueError`` when it
+    fails; without it, ``mat.inverse`` eliminates and a singular matrix
+    raises ``NotInvertible``.  Either way the inverse becomes the cached
+    f^-1; it is not part of the object's value.
+    """
 
     dim: int
     matrix: Matrix
+    known_inverse: InitVar[Matrix | None] = None
     # f^e by exponent, filled on demand; not part of the object's value
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
-    def __post_init__(self):
+    def __post_init__(self, known_inverse):
         m = mat.from_rows(self.matrix)
         if mat.shape(m) != (self.dim, self.dim):
             raise ValueError(f"automorphism must be {self.dim}x{self.dim}")
-        self._powers[-1] = mat.inverse(m)  # NotInvertible propagates
+        if known_inverse is None:
+            inv = mat.inverse(m)  # NotInvertible propagates
+        else:
+            inv = mat.from_rows(known_inverse)
+            if mat.mul(m, inv) != mat.identity(self.dim):  # a wrong shape raises here too
+                raise ValueError("known_inverse is not the inverse of the automorphism")
+        self._powers[-1] = inv
         object.__setattr__(self, "matrix", m)
 
     def power(self, e: int) -> Matrix:
@@ -557,9 +573,16 @@ def naturality_braiding_sides(p, sources, targets, maps) -> tuple[Matrix, Matrix
 # -- random sampling, all through one seeded generator ----------------------
 
 
-def random_unimodular(rng: random.Random, n: int, ops: int = 6) -> Matrix:
-    """A product of elementary integer matrices, so every power is exact."""
+def random_unimodular(rng: random.Random, n: int, ops: int = 6) -> tuple[Matrix, Matrix]:
+    """(u, u^-1) for u a product of elementary integer matrices.
+
+    Every power of u is exact and integral.  Each draw applies a row
+    operation E to u (u <- E u) and its inverse as a column operation to
+    u^-1 (u^-1 <- u^-1 E^-1), so u^-1 comes without an elimination.
+    ``cols`` holds the columns of u^-1.
+    """
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    cols = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(ops):
         kind = rng.randrange(3)
         i = rng.randrange(n)
@@ -567,16 +590,19 @@ def random_unimodular(rng: random.Random, n: int, ops: int = 6) -> Matrix:
         if kind == 0 and i != j:
             c = rng.choice((-1, 1))
             rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            cols[j] = [x - c * y for x, y in zip(cols[j], cols[i])]
         elif kind == 1 and i != j:
             rows[i], rows[j] = rows[j], rows[i]
+            cols[i], cols[j] = cols[j], cols[i]
         elif kind == 2:
             rows[i] = [-x for x in rows[i]]
-    return tuple(tuple(r) for r in rows)
+            cols[i] = [-x for x in cols[i]]
+    return tuple(map(tuple, rows)), tuple(zip(*cols))
 
 
 def random_object(rng: random.Random, max_dim: int = 4) -> HomObject:
     n = rng.randint(1, max_dim)
-    return HomObject(n, random_unimodular(rng, n))
+    return HomObject(n, *random_unimodular(rng, n))
 
 
 def random_morphism(rng: random.Random, x: HomObject) -> tuple[HomObject, Matrix]:
@@ -586,11 +612,13 @@ def random_morphism(rng: random.Random, x: HomObject) -> tuple[HomObject, Matrix
     and the map is that conjugation times a small polynomial in f, which
     commutes with f; intertwining therefore holds by construction, and
     ``check_coherence`` still has ``HomMorphism`` check it on every use
-    before any power is moved across the map.  f^2 comes from the
-    object's cache of powers.
+    before any power is moved across the map.  f^2 and f^-1 come from
+    the object's cache of powers, and u^-1 from the sampler, so the
+    target u f u^-1 is built with its known inverse u f^-1 u^-1, which
+    ``HomObject`` certifies by one product instead of an elimination.
     """
     n = x.dim
-    u = random_unimodular(rng, n)
+    u, u_inv = random_unimodular(rng, n)
     f = x.matrix
     coeffs = [rng.randint(-1, 1) for _ in range(3)]
     if not any(coeffs):
@@ -599,7 +627,9 @@ def random_morphism(rng: random.Random, x: HomObject) -> tuple[HomObject, Matrix
     for c, fp in zip(coeffs[1:], (f, x.power(2))):
         if c:
             poly = tuple(tuple(a + c * b for a, b in zip(ra, rb)) for ra, rb in zip(poly, fp))
-    target = HomObject(n, mat.mul(mat.mul(u, f), mat.inverse(u)))
+    target = HomObject(
+        n, mat.mul(mat.mul(u, f), u_inv), mat.mul(mat.mul(u, x.power(-1)), u_inv)
+    )
     return target, mat.mul(u, poly)
 
 

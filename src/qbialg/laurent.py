@@ -52,7 +52,7 @@ class NotAUnit(ValueError):
 
 
 def _as_vector(v: Iterable[int], rank: int) -> Vector:
-    vec = tuple(int(c) for c in v)
+    vec = tuple(map(operator.index, v))
     if len(vec) != rank:
         raise RankMismatch(f"exponent vector {vec} has length {len(vec)}, expected {rank}")
     return vec
@@ -207,7 +207,7 @@ class TensorElement:
     @classmethod
     def single(cls, coeff, exps: Iterable[Iterable[int]]) -> "TensorElement":
         """One monomial term coeff * g^(e_1) (x) ... (x) g^(e_m)."""
-        key = tuple(tuple(int(c) for c in e) for e in exps)
+        key = tuple([tuple(map(operator.index, e)) for e in exps])
         if not key:
             raise LegMismatch("a tensor element needs at least one leg")
         rank = len(key[0])

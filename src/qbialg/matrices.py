@@ -1,25 +1,30 @@
 """Small dense matrices over the rationals, exact throughout.
 
 Matrices are immutable tuples of tuples of exact rationals: an integral
-entry is a plain ``int`` and any other entry a ``Fraction``.
+entry is a plain ``int`` and any other entry a ``Fraction``.  Only
 ``from_rows``, ``scale`` and ``inverse`` normalise their output to that
-form, and ``identity`` and ``flip`` build ints.  ``mul``, ``kron``,
-``sub`` and ``power`` need no normalising step: int and Fraction
-arithmetic is exact, so integer inputs give integer outputs and rational
-inputs rational ones.  The one operation that leaves the integers is
-division, so every division goes through ``Fraction`` (never ``/`` on
-two ints, which would give a float).  There is deliberately no float
-path anywhere.
+form (an integral ``Fraction`` becomes an ``int``), and ``identity`` and
+``flip`` build ints.  ``mul``, ``kron``, ``sub`` and ``power`` do no
+normalising step: int and Fraction arithmetic is exact, so integer
+inputs give integer outputs, but a product of Fractions that happens to
+be integral stays a ``Fraction`` -- ``mul(((Fraction(1, 2),),), ((2,),))``
+is ``((Fraction(1, 1),),)``, equal to ``((1,),)`` but not of its type.
+The one operation that leaves the integers is division, so every
+division goes through ``Fraction`` (never ``/`` on two ints, which would
+give a float).  There is deliberately no float path anywhere.
 
 Sizes stay tiny (single digits per factor), so plain row-times-column
-products are the right tool.  ``inverse`` is fraction-free: it clears
-denominators and eliminates with exact integer divisions (Bareiss), so
-the unimodular matrices the hom-category checker samples never touch a
-``Fraction``.
+products are the right tool.  The kernels run their inner loops in C:
+``mul`` sums ``map(operator.mul, row, col)``, ``sub`` maps
+``operator.sub`` over paired rows, and ``kron`` writes each output row
+as one comprehension over a row of each factor.  ``inverse`` is
+fraction-free: it clears denominators and eliminates with exact integer
+divisions (Bareiss), so the unimodular matrices the hom-category checker
+samples never touch a ``Fraction``.
 """
-
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -48,7 +53,7 @@ def _quotient(n: int, d: int) -> Rational:
 
 
 def from_rows(rows: Iterable[Iterable]) -> Matrix:
-    out = tuple(tuple(_exact(x) for x in row) for row in rows)
+    out = tuple([tuple([x if type(x) is int else _exact(x) for x in row]) for row in rows])
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged rows")
     return out
@@ -70,29 +75,23 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
     if inner != inner2:
         raise ValueError(f"cannot multiply {shape(a)} by {shape(b)}")
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple([tuple([sum(map(operator.mul, row, col)) for col in bt]) for row in a])
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
     if shape(a) != shape(b):
         raise ValueError(f"shape {shape(a)} vs {shape(b)}")
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple([tuple(map(operator.sub, ra, rb)) for ra, rb in zip(a, b)])
 
 
 def scale(c, a: Matrix) -> Matrix:
     c = _exact(c)
-    return tuple(tuple(_exact(c * x) for x in row) for row in a)
+    return tuple([tuple([y if type(y := c * x) is int else _exact(y) for x in row]) for row in a])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    return tuple(
-        tuple(a[i // rb][j // cb] * b[i % rb][j % cb] for j in range(ca * cb))
-        for i in range(ra * rb)
-    )
+    """Row-major, the left factor slowest: row (i, k) is a[i] (x) b[k]."""
+    return tuple([tuple([x * y for x in row_a for y in row_b]) for row_a in a for row_b in b])
 
 
 def inverse(a: Matrix) -> Matrix:

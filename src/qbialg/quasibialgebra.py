@@ -13,6 +13,7 @@ maps that holds on each g_i holds everywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -115,8 +116,8 @@ class CanonicalTriple:
         object.__setattr__(self, "q", _coeff(self.q))
         if not self.q:
             raise NotAUnit("the scalar q of a canonical triple must be nonzero")
-        object.__setattr__(self, "h", tuple(int(c) for c in self.h))
-        object.__setattr__(self, "g", tuple(int(c) for c in self.g))
+        object.__setattr__(self, "h", tuple(map(operator.index, self.h)))
+        object.__setattr__(self, "g", tuple(map(operator.index, self.g)))
         if len(self.h) != len(self.g) or not self.h:
             raise RankMismatch("h and g must be exponent vectors of the same rank >= 1")
 

@@ -245,8 +245,8 @@ def test_criterion_8_module_functor_tensor_compatibility():
     rng = random.Random(1729)
     for _ in range(100):
         da, db = rng.randint(1, 4), rng.randint(1, 4)
-        a = random_unimodular(rng, da)
-        b = random_unimodular(rng, db)
+        a = random_unimodular(rng, da)[0]
+        b = random_unimodular(rng, db)[0]
         assert tensor_obj(from_module_action(a), from_module_action(b)) == from_module_action(
             mat.kron(a, b)
         )

@@ -628,3 +628,20 @@ def test_presentation_commands_fuzz(inputs):
                 assert out.getvalue() == "", extra
             else:
                 json.loads(out.getvalue())
+
+
+def test_sampled_hom_runs_are_byte_identical_to_golden():
+    # a --dims pool feeds every sampled object and morphism of these runs,
+    # so the goldens pin the sampler's draws and every report byte
+    res = run_cli(
+        "homcheck", "--q", "1/2", "--a", "-2", "--b", "3",
+        "--dims", "2,3,4", "--trials", "25", "--seed", "0",
+    )
+    assert res.returncode == 0
+    assert res.stdout == (GOLDEN / "homcheck_readme.json").read_text()
+    res = run_cli(
+        "compare-hom", "--q1", "2", "--a1", "1", "--b1", "1",
+        "--q2", "1/2", "--a2", "-2", "--b2", "3", "--dims", "1,2", "--trials", "2", "--seed", "4",
+    )
+    assert res.returncode == 1
+    assert res.stdout == (GOLDEN / "compare_hom_unequal.json").read_text()

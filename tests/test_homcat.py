@@ -140,8 +140,8 @@ def test_module_tensor_compatibility():
     rng = random.Random(50)
     for _ in range(30):
         da, db = rng.randint(1, 3), rng.randint(1, 3)
-        a = random_unimodular(rng, da)
-        b = random_unimodular(rng, db)
+        a = random_unimodular(rng, da)[0]
+        b = random_unimodular(rng, db)[0]
         assert tensor_obj(from_module_action(a), from_module_action(b)) == from_module_action(
             mat.kron(a, b)
         )
@@ -182,14 +182,35 @@ def test_structure_maps_coercion():
         structure_maps(42)
 
 
+def _elementary_draws(rng, n, ops=6):
+    """u alone, drawn by the sampler's loop of elementary row operations;
+    the sampler must make these very calls on the generator."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(ops):
+        kind = rng.randrange(3)
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if kind == 0 and i != j:
+            c = rng.choice((-1, 1))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        elif kind == 1 and i != j:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == 2:
+            rows[i] = [-x for x in rows[i]]
+    return tuple(tuple(r) for r in rows)
+
+
 def test_random_unimodular_has_unimodular_inverse():
-    rng = random.Random(51)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        u = random_unimodular(rng, n)
-        inv = mat.inverse(u)
-        assert all(type(x) is int for row in u for x in row)
-        assert all(type(x) is int for row in inv for x in row)
+    # u^-1 comes with u, and u from the very draws of the elementary loop
+    for n in range(1, 5):
+        for seed in range(60):
+            rng, copy = random.Random(seed), random.Random(seed)
+            u, inv = random_unimodular(rng, n)
+            assert u == _elementary_draws(copy, n)
+            assert rng.getstate() == copy.getstate()
+            assert inv == mat.inverse(u)
+            assert mat.mul(u, inv) == mat.identity(n) == mat.mul(inv, u)
+            assert all(type(x) is int for m in (u, inv) for row in m for x in row)
 
 
 def test_random_morphism_intertwines():
@@ -198,6 +219,24 @@ def test_random_morphism_intertwines():
         x = random_object(rng, 3)
         y, m = random_morphism(rng, x)
         HomMorphism(x, y, m)  # raises if the intertwining fails
+        assert y.power(-1) == mat.inverse(y.matrix)  # the known inverse it was built with
+
+
+def test_known_inverse_is_certified_by_one_product():
+    u, inv = random_unimodular(random.Random(7), 3)
+    x = HomObject(3, u, inv)
+    assert x == HomObject(3, u) and x.power(-1) == inv == mat.inverse(u)
+    with pytest.raises(ValueError, match="known_inverse"):
+        HomObject(3, u, mat.scale(-1, inv))
+    with pytest.raises(ValueError, match="known_inverse"):
+        HomObject(3, u, tuple(row[:2] for row in inv))  # 3x2
+    with pytest.raises(ValueError, match="cannot multiply"):
+        HomObject(3, u, inv[:2])  # 2x3
+    singular = frac_rows([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="known_inverse"):
+        HomObject(2, singular, mat.identity(2))
+    with pytest.raises(NotInvertible):
+        HomObject(2, singular)
 
 
 def test_coherence_all_params():
@@ -382,7 +421,7 @@ def hom_objects(draw, max_dim=3):
     n = draw(st.integers(1, max_dim))
     kind = draw(st.sampled_from(("random", "minus", "shift")))
     if kind == "random":
-        return HomObject(n, random_unimodular(random.Random(draw(st.integers(0, 2**32))), n))
+        return HomObject(n, *random_unimodular(random.Random(draw(st.integers(0, 2**32))), n))
     return HomObject(n, _finite_order(n)[kind == "shift"])
 
 
@@ -428,7 +467,7 @@ def word_pairs(draw):
             rhs_objs, rhs_maps = [objs[0], y], [HomMorphism(objs[0], y, m)]
         foreign = None
         if draw(st.booleans()):
-            m = random_unimodular(rng, objs[0].dim)
+            m = random_unimodular(rng, objs[0].dim)[0]
             if mat.mul(objs[0].matrix, m) != mat.mul(m, objs[0].matrix):
                 with pytest.raises(ValueError):
                     HomMorphism(objs[0], objs[0], m)

@@ -49,8 +49,8 @@ def _pool():
         HomObject(2, ((1, 1), (0, 1))),
         HomObject(2, ((0, 1), (1, 0))),
         HomObject(2, ((-1, 0), (0, -1))),
-        HomObject(2, random_unimodular(rng, 2)),
-        HomObject(3, random_unimodular(rng, 3)),
+        HomObject(2, *random_unimodular(rng, 2)),
+        HomObject(3, *random_unimodular(rng, 3)),
     ]
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbialg import cli
-from qbialg.harrison import cocycle_classify
+from qbialg.harrison import HarrisonCochain, cocycle_classify
 from qbialg.laurent import (
     AlgebraMapSpec,
     CounitSpec,
@@ -630,3 +630,19 @@ def test_leg_operations_match_the_multi_term_reference(rank, legs, other_legs, d
     if legs >= 2:
         eps = CounitSpec(rank, tuple(data.draw(scalars) for _ in range(rank)))
         assert apply_counit_on_leg(eps, x, leg).to_tensor() == ref_apply_counit_on_leg(eps, tx, leg)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CanonicalTriple(2, (1.7,), (1,)),
+        lambda: UnitElement(1, 1, [(1.9,)]),
+        lambda: HarrisonCochain.from_data(1, 1, [[2.5]]),
+        lambda: TensorElement.single(1, ["12"]),
+    ],
+    ids=["CanonicalTriple", "UnitElement", "HarrisonCochain.from_data", "TensorElement.single"],
+)
+def test_constructors_refuse_non_integer_exponents(build):
+    # a float is not truncated and a string is not split into digits
+    with pytest.raises(TypeError):
+        build()

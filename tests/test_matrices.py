@@ -160,6 +160,16 @@ def square_matrices(draw, max_n=5, entries=rationals):
     return tuple(tuple(row) for row in rows)
 
 
+mixed = st.one_of(st.integers(-4, 4), rationals)
+
+
+def matrices_of(rows, cols, entries=mixed):
+    """rows x cols matrices, by default with int and Fraction entries mixed."""
+    return st.lists(
+        st.lists(entries, min_size=cols, max_size=cols).map(tuple), min_size=rows, max_size=rows
+    ).map(tuple)
+
+
 def _to_sympy(a):
     sympy = pytest.importorskip("sympy")
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a])
@@ -226,11 +236,17 @@ def test_no_operation_yields_a_float(a, b, c, e):
 
 
 @settings(max_examples=100, deadline=None)
-@given(square_matrices(max_n=3, entries=st.integers(-3, 3)), st.integers(0, 4))
-def test_integer_matrices_stay_integer(a, e):
+@given(square_matrices(max_n=3, entries=st.integers(-3, 3)), st.integers(0, 4), st.data())
+def test_integer_matrices_stay_integer(a, e, data):
     assert all(type(x) is int for row in a for x in row)
     for m in (mat.mul(a, a), mat.kron(a, a), mat.sub(a, a), mat.scale(-2, a), mat.power(a, e)):
         assert all(type(x) is int for row in m for x in row)
+    # and rectangular ones, n x k by k x m
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    b, c = (data.draw(matrices_of(n, k, st.integers(-9, 9))) for _ in range(2))
+    d = data.draw(matrices_of(k, m, st.integers(-9, 9)))
+    for out in (mat.mul(b, d), mat.sub(b, c), mat.kron(b, d), mat.from_rows(b)):
+        assert all(type(x) is int for row in out for x in row)
 
 
 def test_integral_entries_come_back_as_int():
@@ -246,3 +262,41 @@ def test_integral_entries_come_back_as_int():
     assert mat.inverse(half) == ((2, 0), (0, 3))
     assert _normalised(mat.inverse(half))
     assert mat.inverse(((Fraction(2),),)) == ((Fraction(1, 2),),)
+    # only from_rows, scale and inverse normalise: mul and kron keep the
+    # type their arithmetic gives
+    product = mat.mul(((Fraction(1, 2),),), ((2,),))
+    assert product == ((1,),) and type(product[0][0]) is Fraction
+    assert type(mat.kron(((Fraction(1, 2),),), ((2,),))[0][0]) is Fraction
+    assert type(mat.from_rows(product)[0][0]) is int
+    assert type(mat.scale(2, ((Fraction(1, 2),),))[0][0]) is int
+
+
+# -- the dense kernels against sympy -----------------------------------------
+
+
+def _from_sympy(m):
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in row) for row in m.tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernels_match_sympy_on_rectangular_matrices(data):
+    sympy = pytest.importorskip("sympy")
+    n, k, m, p = (data.draw(st.integers(1, 4)) for _ in range(4))
+    a = data.draw(matrices_of(n, k))
+    b = data.draw(matrices_of(k, m))
+    c = data.draw(matrices_of(n, k))
+    d = data.draw(matrices_of(p, m))
+    assert mat.mul(a, b) == _from_sympy(_to_sympy(a) * _to_sympy(b))
+    assert mat.sub(a, c) == _from_sympy(_to_sympy(a) - _to_sympy(c))
+    assert mat.kron(a, d) == _from_sympy(sympy.kronecker_product(_to_sympy(a), _to_sympy(d)))
+    for out in (mat.mul(a, b), mat.sub(a, c), mat.kron(a, d)):
+        assert all(type(x) in (int, Fraction) for row in out for x in row)
+
+
+def test_kernel_shape_mismatch_messages():
+    a = ((1, 2, 3), (4, 5, 6))
+    with pytest.raises(ValueError, match=r"^cannot multiply \(2, 3\) by \(2, 3\)$"):
+        mat.mul(a, a)
+    with pytest.raises(ValueError, match=r"^shape \(2, 3\) vs \(3, 2\)$"):
+        mat.sub(a, tuple(zip(*a)))
