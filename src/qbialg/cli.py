@@ -4,15 +4,15 @@ Every subcommand reads JSON documents (files or stdin via ``-``) and
 group elements as comma-separated exponent lists, and writes exactly one
 JSON report to stdout; diagnostics go to stderr.  Exit codes: 0 when all
 requested checks pass, 1 when a check fails (the report is still
-emitted), 2 on malformed input, which includes a ``--degree`` above
-``MAX_DEGREE`` for boundary and cohomology, a ``--rank`` above
-``MAX_RANK`` for boundary, and for homcheck and compare-hom an exponent
-(``--a``, ``--b``, ``--a1``, ``--b1``, ``--a2``, ``--b2``) beyond
-``MAX_EXPONENT`` in absolute value, a ``--trials`` above ``MAX_TRIALS``
-or a ``--dims`` entry above ``MAX_DIM``, and for compare-hom any of
-``--q2``, ``--a2``, ``--b2`` given with ``--tilde``.  Output is
-deterministic: identical argv, input files, and seeds give
-byte-identical stdout.
+emitted), 2 on malformed input.  Each flag's bounds live on the flag
+itself, as its argparse ``type`` in ``build_parser`` (``MAX_DEGREE``,
+``MAX_RANK``, ``MAX_EXPONENT``, ``MAX_TRIALS``, ``MAX_DIM`` below), so a
+value out of range is refused while the command line is parsed, before
+any file is read or any object is drawn.  The parser's refusals and the
+handlers' (such as compare-hom's ``--tilde`` given with ``--q2``) both
+raise ``InputParseError``, which ``main`` turns into one ``error: ...``
+line on stderr and exit 2.  Output is deterministic: identical argv,
+input files, and seeds give byte-identical stdout.
 
 ``main(argv)`` may be called any number of times in one process: it
 builds its parser with ``build_parser`` on the first call and reuses it,
@@ -75,11 +75,6 @@ MAX_TRIALS = 1000
 MAX_DIM = 6
 
 
-def _check_degree(degree: int) -> None:
-    if degree > MAX_DEGREE:
-        raise InputParseError(f"--degree must be <= {MAX_DEGREE}, got {degree}")
-
-
 def _read_json(path: str):
     try:
         if path == "-":
@@ -101,35 +96,76 @@ def _read_json(path: str):
         raise InputParseError(f"{where}: {exc}") from exc
 
 
-def _presentation(path: str) -> QuasiBialgebraPresentation:
+def _load(path: str, read):
+    """``read`` applied to the JSON document at ``path``; a document it
+    refuses is malformed input."""
     data = _read_json(path)
     try:
-        return QuasiBialgebraPresentation.from_dict(data)
+        return read(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"{path}: {exc}") from exc
+
+
+def _presentation(path: str) -> QuasiBialgebraPresentation:
+    return _load(path, QuasiBialgebraPresentation.from_dict)
 
 
 def _element(path: str, rank: int, flag: str) -> UnitElement:
     """The two-leg unit over ``rank`` that the file given to ``flag`` holds."""
-    data = _read_json(path)
-    try:
-        return as_unit(TensorElement.from_dict(data), rank, 2, flag)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputParseError(f"{path}: {exc}") from exc
+    return _load(path, lambda data: as_unit(TensorElement.from_dict(data), rank, 2, flag))
 
 
-def _fraction(text: str, flag: str) -> Fraction:
+# -- flag types --------------------------------------------------------------
+# Each refuses a bad value with an ArgumentTypeError, which argparse words
+# as "argument --<flag>: <message>".
+
+
+def _bounded(lo: int, hi: int | None = None):
+    """The type of an integer flag in lo..hi, or >= lo when ``hi`` is None."""
+
+    def integer(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if n < lo or (hi is not None and n > hi):
+            bounds = f">= {lo}" if hi is None else f"between {lo} and {hi}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {text!r}")
+        return n
+
+    return integer
+
+
+def _fraction(text: str) -> Fraction:
+    """The type of a --q flag: a nonzero rational."""
     try:
-        return parse_coefficient(text, flag)
+        q = parse_coefficient(text, "scalar")
     except ValueError as exc:
-        raise InputParseError(str(exc)) from exc
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not q:
+        raise argparse.ArgumentTypeError(f"scalar: must be nonzero, got {text!r}")
+    return q
 
 
-def _int_csv(text: str, what: str) -> tuple[int, ...]:
+def _int_csv(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.split(","))
-    except ValueError as exc:
-        raise InputParseError(f"{what}: expected comma-separated integers, got {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _dims(text: str) -> tuple[int, ...]:
+    """The type of --dims: dimensions in 1..MAX_DIM; empty text asks for none."""
+    if not text:
+        return ()
+    sizes = _int_csv(text)
+    if min(sizes) < 1 or max(sizes) > MAX_DIM:
+        raise argparse.ArgumentTypeError(
+            f"every dimension must be between 1 and {MAX_DIM}, got {text!r}"
+        )
+    return sizes
 
 
 def _emit(obj) -> None:
@@ -203,14 +239,7 @@ def _cmd_verify_r(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    _check_degree(args.degree)
-    if args.rank is not None and args.rank > MAX_RANK:
-        raise InputParseError(f"--rank must be <= {MAX_RANK}, got {args.rank}")
-    data = _read_json(args.input)
-    try:
-        cochain = HarrisonCochain.from_dict(data, rank=args.rank)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputParseError(f"{args.input}: {exc}") from exc
+    cochain = _load(args.input, functools.partial(HarrisonCochain.from_dict, rank=args.rank))
     if cochain.degree != args.degree:
         raise InputParseError(
             f"--degree {args.degree} but the cochain has {cochain.degree} elements"
@@ -220,28 +249,16 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
-    if args.rank < 1:
-        raise InputParseError(f"--rank must be >= 1, got {args.rank}")
-    if args.degree < 0:
-        raise InputParseError(f"--degree must be >= 0, got {args.degree}")
-    _check_degree(args.degree)
     _emit(cohomology(args.rank, args.degree).to_dict())
     return 0
 
 
 def _cmd_classify(args) -> int:
-    q = _fraction(args.q, "--q")
-    h = _int_csv(args.h, "--h")
-    g = _int_csv(args.g, "--g")
-    if len(h) != args.rank or len(g) != args.rank:
+    if len(args.h) != args.rank or len(args.g) != args.rank:
         raise InputParseError(
             f"--h and --g must each have {args.rank} exponents for --rank {args.rank}"
         )
-    try:
-        triple = CanonicalTriple(q, h, g)
-    except ValueError as exc:
-        raise InputParseError(str(exc)) from exc
-    p = canonical(triple)
+    p = canonical(CanonicalTriple(args.q, args.h, args.g))
     alpha = find_trivializing_twist(p)
     (r_matrix,) = solve_R(p)
     _emit(
@@ -254,7 +271,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _object_pool(dims: str | None, seed: int) -> list[homcat.HomObject]:
+def _object_pool(dims: tuple[int, ...] | None, seed: int) -> list[homcat.HomObject]:
     """Deterministic objects of the requested dimensions.
 
     Seeded separately from the checker so that changing --trials does
@@ -262,67 +279,31 @@ def _object_pool(dims: str | None, seed: int) -> list[homcat.HomObject]:
     """
     if not dims:
         return []
-    sizes = _int_csv(dims, "--dims")
-    if min(sizes) < 1 or max(sizes) > MAX_DIM:
-        raise InputParseError(
-            f"--dims: every dimension must be between 1 and {MAX_DIM}, got {dims!r}"
-        )
     rng = random.Random(seed)
-    return [homcat.HomObject(d, *homcat.random_unimodular(rng, d)) for d in sizes]
-
-
-def _trials(trials: int) -> int:
-    """Refuse a run that would check nothing, or ask for too much."""
-    if trials < 1:
-        raise InputParseError(f"--trials must be >= 1, got {trials}")
-    if trials > MAX_TRIALS:
-        raise InputParseError(f"--trials must be <= {MAX_TRIALS}, got {trials}")
-    return trials
-
-
-def _exponent(e: int, flag: str) -> int:
-    if abs(e) > MAX_EXPONENT:
-        raise InputParseError(
-            f"{flag} must be between -{MAX_EXPONENT} and {MAX_EXPONENT}, got {e}"
-        )
-    return e
-
-
-def _params(args, q: str, a: str, b: str) -> homcat.MonoidalParams:
-    """The structure named by the flags ``--<q> --<a> --<b>``."""
-    try:
-        return homcat.MonoidalParams(
-            _fraction(getattr(args, q), f"--{q}"),
-            _exponent(getattr(args, a), f"--{a}"),
-            _exponent(getattr(args, b), f"--{b}"),
-        )
-    except ValueError as exc:
-        raise InputParseError(str(exc)) from exc
+    return [homcat.HomObject(d, *homcat.random_unimodular(rng, d)) for d in dims]
 
 
 def _cmd_homcheck(args) -> int:
-    params = _params(args, "q", "a", "b")
-    trials = _trials(args.trials)
+    params = homcat.MonoidalParams(args.q, args.a, args.b)
     pool = _object_pool(args.dims, args.seed)
-    report = homcat.check_coherence(params, pool, trials=trials, seed=args.seed)
+    report = homcat.check_coherence(params, pool, trials=args.trials, seed=args.seed)
     _emit(report.to_dict())
     return 0 if report.ok else 1
 
 
 def _cmd_compare_hom(args) -> int:
-    first = _params(args, "q1", "a1", "b1")
+    first = homcat.MonoidalParams(args.q1, args.a1, args.b1)
     if args.tilde:
         given = [f"--{f}" for f in ("q2", "a2", "b2") if getattr(args, f) is not None]
         if given:
             raise InputParseError(f"--tilde names the second structure; drop {'/'.join(given)}")
         second = homcat.HTILDE_STRUCTURE
     elif args.q2 is not None and args.a2 is not None and args.b2 is not None:
-        second = _params(args, "q2", "a2", "b2")
+        second = homcat.MonoidalParams(args.q2, args.a2, args.b2)
     else:
         raise InputParseError("provide either --tilde or all of --q2/--a2/--b2")
-    trials = _trials(args.trials)
     pool = _object_pool(args.dims, args.seed)
-    report = homcat.compare_structures(first, second, pool, trials=trials, seed=args.seed)
+    report = homcat.compare_structures(first, second, pool, trials=args.trials, seed=args.seed)
     _emit(report.to_dict())
     return 0 if report.identical else 1
 
@@ -333,18 +314,38 @@ def _cmd_compare_hom(args) -> int:
 _Q_HELP = "nonzero scalar, e.g. 2 or 1/2; write --%(dest)s=-1/3 for a negative one"
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals take main's one route to exit 2.
+
+    argparse's own ``error`` prints the usage block and raises
+    SystemExit; this one raises ``InputParseError`` with argparse's
+    message, such as "argument --trials: must be between 1 and 1000,
+    got '0'".  Subparsers are built with the class of their parent.
+    """
+
+    def error(self, message):
+        raise InputParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbialg",
         description="Exact checks, solves, and cohomology for quasi-bialgebra "
         "structures on Laurent polynomial group algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    degree = _bounded(0, MAX_DEGREE)
+    exponent = _bounded(-MAX_EXPONENT, MAX_EXPONENT)
 
     def presentation_cmd(name: str, help_text: str):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--input", required=True, help="presentation JSON file, or - for stdin")
         return cmd
+
+    def sampling_flags(cmd):
+        cmd.add_argument("--dims", type=_dims, help="comma-separated object dimensions to sample from")
+        cmd.add_argument("--trials", type=_bounded(1, MAX_TRIALS), default=25)
+        cmd.add_argument("--seed", type=int, default=0)
 
     cmd = presentation_cmd("verify", "check every quasi-bialgebra axiom")
     cmd.set_defaults(func=_cmd_verify)
@@ -367,14 +368,16 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(func=_cmd_verify_r)
 
     cmd = sub.add_parser("boundary", help="apply the Harrison boundary map to a cochain")
-    cmd.add_argument("--degree", type=int, required=True)
+    cmd.add_argument("--degree", type=degree, required=True)
     cmd.add_argument("--input", required=True, help="cochain JSON file, or - for stdin")
-    cmd.add_argument("--rank", type=int, help="required for degree 0; must match the cochain")
+    cmd.add_argument(
+        "--rank", type=_bounded(1, MAX_RANK), help="required for degree 0; must match the cochain"
+    )
     cmd.set_defaults(func=_cmd_boundary)
 
     cmd = sub.add_parser("cohomology", help="Harrison cohomology group of k[Z^rank]")
-    cmd.add_argument("--rank", type=int, required=True)
-    cmd.add_argument("--degree", type=int, required=True)
+    cmd.add_argument("--rank", type=_bounded(1), required=True)
+    cmd.add_argument("--degree", type=degree, required=True)
     cmd.set_defaults(func=_cmd_cohomology)
 
     cmd = sub.add_parser(
@@ -382,35 +385,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="canonical presentation for (q, h, g) plus its trivializing twist and R-matrix",
     )
     cmd.add_argument("--rank", type=int, required=True)
-    cmd.add_argument("--q", required=True, help=_Q_HELP)
-    cmd.add_argument(
-        "--h", required=True, help="comma-separated exponents; write --h=-1,2 for a leading minus"
-    )
-    cmd.add_argument(
-        "--g", required=True, help="comma-separated exponents; write --g=-1,2 for a leading minus"
-    )
+    cmd.add_argument("--q", type=_fraction, required=True, help=_Q_HELP)
+    for flag in ("--h", "--g"):
+        cmd.add_argument(
+            flag, type=_int_csv, required=True,
+            help=f"comma-separated exponents; write {flag}=-1,2 for a leading minus",
+        )
     cmd.set_defaults(func=_cmd_classify)
 
     cmd = sub.add_parser("homcheck", help="coherence report for one monoidal structure")
-    cmd.add_argument("--q", required=True, help=_Q_HELP)
-    cmd.add_argument("--a", type=int, required=True)
-    cmd.add_argument("--b", type=int, required=True)
-    cmd.add_argument("--dims", help="comma-separated object dimensions to sample from")
-    cmd.add_argument("--trials", type=int, default=25)
-    cmd.add_argument("--seed", type=int, default=0)
+    cmd.add_argument("--q", type=_fraction, required=True, help=_Q_HELP)
+    cmd.add_argument("--a", type=exponent, required=True)
+    cmd.add_argument("--b", type=exponent, required=True)
+    sampling_flags(cmd)
     cmd.set_defaults(func=_cmd_homcheck)
 
     cmd = sub.add_parser("compare-hom", help="compare two monoidal structures constraint by constraint")
-    cmd.add_argument("--q1", required=True, help=_Q_HELP)
-    cmd.add_argument("--a1", type=int, required=True)
-    cmd.add_argument("--b1", type=int, required=True)
-    cmd.add_argument("--q2", help=_Q_HELP)
-    cmd.add_argument("--a2", type=int)
-    cmd.add_argument("--b2", type=int)
+    cmd.add_argument("--q1", type=_fraction, required=True, help=_Q_HELP)
+    cmd.add_argument("--a1", type=exponent, required=True)
+    cmd.add_argument("--b1", type=exponent, required=True)
+    cmd.add_argument("--q2", type=_fraction, help=_Q_HELP)
+    cmd.add_argument("--a2", type=exponent)
+    cmd.add_argument("--b2", type=exponent)
     cmd.add_argument("--tilde", action="store_true", help="compare against the modified structure")
-    cmd.add_argument("--dims", help="comma-separated object dimensions to sample from")
-    cmd.add_argument("--trials", type=int, default=25)
-    cmd.add_argument("--seed", type=int, default=0)
+    sampling_flags(cmd)
     cmd.set_defaults(func=_cmd_compare_hom)
 
     return parser
@@ -429,14 +427,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(args)
+    except SystemExit as exc:  # --help, once argparse has printed it
+        return int(exc.code or 0)
     except (InputParseError, NotForcedForm) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

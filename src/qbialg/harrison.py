@@ -33,6 +33,7 @@ from .laurent import (
     _integer,
     _raw_unit,
     as_unit,
+    format_coefficient,
     parse_coefficient,
 )
 
@@ -81,7 +82,7 @@ class HarrisonCochain:
 
     def to_dict(self) -> dict:
         return {
-            "scalar": str(self.unit.scalar),
+            "scalar": format_coefficient(self.unit.scalar),
             "elements": [list(v) for v in self.unit.monomial],
         }
 
@@ -213,7 +214,7 @@ class AbelianGroupDescriptor:
     has_scalar_factor: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(t) for t in self.torsion))
+        object.__setattr__(self, "torsion", tuple(map(operator.index, self.torsion)))
         if any(t < 2 for t in self.torsion):
             raise ValueError("torsion invariants must be >= 2")
         for a, b in zip(self.torsion, self.torsion[1:]):

@@ -70,7 +70,7 @@ class MonoidalParams:
         object.__setattr__(self, "b", operator.index(self.b))
 
     def to_dict(self) -> dict:
-        return {"q": str(self.q), "a": self.a, "b": self.b}
+        return {"q": format_coefficient(self.q), "a": self.a, "b": self.b}
 
 
 @dataclass(frozen=True)
@@ -248,17 +248,15 @@ class _LegMap:
     matrix-product order (the last factor acts first).  A factor is a
     pair (X, e) standing for f_X^e or an intertwiner ``HomMorphism``,
     whose constructor checked it.  Composing concatenates words; the
-    leg matrices ``mats`` are multiplied out only when something asks
-    for them.
+    leg matrices are multiplied out only by ``to_matrix``.
     """
 
-    __slots__ = ("scalar", "perm", "words", "_mats")
+    __slots__ = ("scalar", "perm", "words")
 
     def __init__(self, scalar: Fraction, perm: tuple[int, ...], words: tuple[tuple, ...]):
         self.scalar = scalar
         self.perm = perm
         self.words = words
-        self._mats = None
 
     def after(self, other: "_LegMap") -> "_LegMap":
         """Composite self . other (other runs first)."""
@@ -272,42 +270,28 @@ class _LegMap:
         perm = self.perm + tuple([n + p for p in other.perm])
         return _LegMap(_product(self.scalar, other.scalar), perm, self.words + other.words)
 
-    @property
-    def mats(self) -> tuple[Matrix, ...]:
-        if self._mats is None:
-            mats = []
-            for word in self.words:
-                m = _factor_matrix(word[0])
-                for factor in word[1:]:
-                    m = _compose(m, _factor_matrix(factor))
-                mats.append(m)
-            self._mats = tuple(mats)
-        return self._mats
-
     def to_matrix(self) -> Matrix:
-        mats = list(self.mats)
+        mats = []
+        for word in self.words:
+            m = _factor_matrix(word[0])
+            for factor in word[1:]:
+                m = _compose(m, _factor_matrix(factor))
+            mats.append(m)
         mats[0] = mat.scale(self.scalar, mats[0])
         k = reduce(mat.kron, mats)
         n = len(self.perm)
         if self.perm == tuple(range(n)):
             return k
         dims = [len(m) for m in mats]
-        out_dims = _permuted(self.perm, dims)
-        rows = []
-        total = 1
-        for d in out_dims:
-            total *= d
-        for flat in range(total):
-            rem = flat
-            idx = [0] * n
-            for j in range(n - 1, -1, -1):
-                idx[j] = rem % out_dims[j]
-                rem //= out_dims[j]
-            src = 0
-            for i in range(n):
-                src = src * dims[i] + idx[self.perm[i]]
-            rows.append(k[src])
-        return tuple(rows)
+        strides = [1] * n
+        for i in range(n - 1, 0, -1):
+            strides[i - 1] = strides[i] * dims[i]
+        # output slot perm[i] holds input leg i: walk the output slots,
+        # slowest first, each stepping through k's rows by its leg's stride
+        rows = [0]
+        for i in _permuted(self.perm, range(n)):
+            rows = [r + x * strides[i] for r in rows for x in range(dims[i])]
+        return tuple([k[r] for r in rows])
 
 
 def _compose(a: Matrix, b: Matrix) -> Matrix:
@@ -751,8 +735,8 @@ def check_coherence(
         groups.append((axiom, tuple(results)))
     params_desc = p.to_dict() if isinstance(p, MonoidalParams) else {
         "assoc_exp": list(s.assoc_exp),
-        "left": [str(s.left_scalar), s.left_exp],
-        "right": [str(s.right_scalar), s.right_exp],
+        "left": [format_coefficient(s.left_scalar), s.left_exp],
+        "right": [format_coefficient(s.right_scalar), s.right_exp],
         "braid_exp": list(s.braid_exp),
     }
     return CoherenceReport(params_desc, seed, trials, tuple(groups))

@@ -8,6 +8,7 @@ lattice bases for kernels instead of rational nullspaces.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 IntMatrix = list[list[int]]
@@ -54,7 +55,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     d, s and t are those of the full scans.
     """
     m, n = matrix_shape(a)
-    d = [list(map(int, row)) for row in a]
+    d = [list(map(operator.index, row)) for row in a]
     s = identity_matrix(m)
     t = identity_matrix(n)
 

@@ -31,6 +31,7 @@ from .laurent import (
     apply_algebra_map_on_leg,
     apply_counit_on_leg,
     as_unit,
+    format_coefficient,
     insert_unit_leg,
     parse_coefficient,
     tensor_concat,
@@ -78,7 +79,7 @@ class QuasiBialgebraPresentation:
         return {
             "rank": self.rank,
             "coproduct": [im.to_dict() for im in self.coproduct.images],
-            "counit": [str(v) for v in self.counit.values],
+            "counit": [format_coefficient(v) for v in self.counit.values],
             "phi": self.phi.to_dict(),
             "lambda": self.lam.to_dict(),
             "rho": self.rho.to_dict(),

@@ -645,3 +645,85 @@ def test_sampled_hom_runs_are_byte_identical_to_golden():
     )
     assert res.returncode == 1
     assert res.stdout == (GOLDEN / "compare_hom_unequal.json").read_text()
+
+
+def _bounded_flag_cases():
+    """(argv, flag) for every value a bounded flag refuses."""
+    from qbialg.cli import MAX_DEGREE, MAX_DIM, MAX_EXPONENT, MAX_RANK, MAX_TRIALS
+
+    homcheck = ["homcheck", "--q", "2", "--a", "1", "--b", "-1", "--dims", "1", "--trials", "1"]
+    compare = [
+        "compare-hom", "--q1", "2", "--a1", "1", "--b1", "-1", "--q2", "1", "--a2", "0", "--b2", "0",
+        "--dims", "1", "--trials", "1",
+    ]
+    boundary = ["boundary", "--input", "never-read.json", "--degree", "0", "--rank", "1"]
+    cohomology = ["cohomology", "--rank", "1", "--degree", "1"]
+    degree = (-1, MAX_DEGREE + 1)
+    scalar = ("0", "0/5")
+    exponent = (MAX_EXPONENT + 1, -MAX_EXPONENT - 1)
+    sampling = {"--dims": ("0", "2,-1", f"1,{MAX_DIM + 1}"), "--trials": (0, -3, MAX_TRIALS + 1)}
+    cases = []
+    for base, refused in (
+        (boundary, {"--degree": degree, "--rank": (0, -1, MAX_RANK + 1)}),
+        (cohomology, {"--degree": degree, "--rank": (0, -1)}),
+        (homcheck, {"--q": scalar, "--a": exponent, "--b": exponent, **sampling}),
+        (compare, {
+            "--q1": scalar, "--a1": exponent, "--b1": exponent,
+            "--q2": scalar, "--a2": exponent, "--b2": exponent, **sampling,
+        }),
+    ):
+        # appended after the base's own value of the flag, which it would override
+        cases += [(base + [flag, str(v)], flag) for flag, values in refused.items() for v in values]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "argv, flag", _bounded_flag_cases(), ids=lambda x: " ".join(x) if isinstance(x, list) else x
+)
+def test_bounded_flag_is_refused_by_the_parser(argv, flag, capsys, monkeypatch):
+    from qbialg import cli, homcat
+
+    def untouched(*args):
+        raise AssertionError("the refusal came after an input was read or drawn")
+
+    monkeypatch.setattr(cli, "_read_json", untouched)
+    monkeypatch.setattr(homcat, "random_unimodular", untouched)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+    assert err.startswith(f"error: argument {flag}: "), err
+
+
+@pytest.mark.parametrize("flag, value", [("--a", "1.5"), ("--trials", "x"), ("--q", "1e3")])
+def test_unreadable_flag_value_is_named_with_the_flag(flag, value, capsys):
+    from qbialg.cli import main
+
+    argv = ["homcheck", "--q", "2", "--a", "1", "--b", "-1", "--dims", "1", "--trials", "1"]
+    assert main([*argv, flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"error: argument {flag}: ") and repr(value) in err, err
+    assert "invalid" not in err, err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], *([c, "--help"] for c in ("boundary", "cohomology", "classify", "homcheck", "compare-hom"))]
+)
+def test_help_exits_zero(argv, capsys):
+    from qbialg.cli import main
+
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: qbialg") and err == ""
+
+
+def test_empty_dims_asks_for_no_pool(capsys):
+    from qbialg.cli import main
+
+    argv = ["homcheck", "--q", "1/2", "--a", "-2", "--b", "3", "--trials", "1", "--seed", "2"]
+    assert main([*argv, "--dims", ""]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "homcheck_no_pool.json").read_text()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out

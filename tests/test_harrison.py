@@ -18,7 +18,7 @@ from qbialg.harrison import (
     cohomology,
 )
 from qbialg.intlinalg import invariant_factors, kernel_basis, quotient_invariants, solve_columns
-from qbialg.laurent import RankMismatch, TensorElement, UnitElement
+from qbialg.laurent import RankMismatch, TensorElement, UnitElement, format_coefficient
 
 
 def random_cochain(rng, rank, degree, span=3):
@@ -313,3 +313,19 @@ def test_cofaces_and_boundary_are_valid_units(c):
     results = [coface(i, c).unit for i in range(c.degree + 2)]
     results += [boundary(c).unit, c.inverse().unit, (c * c).unit]
     assert all(is_valid_unit(u) for u in results)
+
+
+def test_descriptor_refuses_non_integer_torsion():
+    # int() would read (2.9, 4.0) as Z/2 x Z/4 and the string "2" as 2
+    for torsion in ((2.9, 4.0), ("2",), (Fraction(5, 2),)):
+        with pytest.raises(TypeError):
+            AbelianGroupDescriptor(1, torsion, False)
+
+
+def test_cochain_writes_a_long_scalar_as_units_do():
+    # 5,001 digits: more than str() writes under the default limit of 4,300
+    long = 10**5000
+    assert HarrisonCochain.from_data(1, long, [(1,), (-2,)]).to_dict() == {
+        "scalar": format_coefficient(long), "elements": [[1], [-2]]
+    }
+    assert HarrisonCochain.from_data(1, Fraction(-3, 7), [(1,)]).to_dict()["scalar"] == "-3/7"

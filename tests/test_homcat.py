@@ -507,7 +507,7 @@ def test_normal_form_never_disagrees_with_full_matrices(case):
     assert decided == agree  # the normal form sees every pair built to agree
     if _same_matrix(lhs, rhs):
         assert equal
-    dims = tuple(len(m) for m in lhs.mats)
+    dims = tuple(word[0][0].dim for word in lhs.words)  # each word opens with f_X^e
     assert _decide(dims, [(lhs, rhs)]).passed == equal
 
 
@@ -746,3 +746,22 @@ def permuted_leg_maps(draw):
 @given(permuted_leg_maps(), permuted_leg_maps())
 def test_tensor_of_leg_maps_is_the_kronecker_product(a, b):
     assert a.tensor(b).to_matrix() == mat.kron(a.to_matrix(), b.to_matrix())
+
+
+# 5,001 digits: more than str() writes under the default limit of 4,300
+_LONG = 10**5000
+
+
+def test_params_write_a_long_scalar_as_units_do():
+    assert MonoidalParams(_LONG, 0, 0).to_dict() == {"q": format_coefficient(_LONG), "a": 0, "b": 0}
+    assert MonoidalParams("-1/3", 1, 2).to_dict() == {"q": "-1/3", "a": 1, "b": 2}
+
+
+def test_coherence_report_writes_long_structure_scalars():
+    s = dataclasses.replace(HTILDE_STRUCTURE, left_scalar=_LONG, right_scalar=Fraction(1, _LONG))
+    params = check_coherence(s, [HomObject(1, ((2,),))], trials=1, max_dim=1).to_dict()["params"]
+    assert params["left"] == [format_coefficient(_LONG), s.left_exp]
+    assert params["right"] == [format_coefficient(Fraction(1, _LONG)), s.right_exp]
+    assert check_coherence(HTILDE_STRUCTURE, trials=1).to_dict()["params"]["left"] == [
+        str(HTILDE_STRUCTURE.left_scalar), HTILDE_STRUCTURE.left_exp
+    ]

@@ -207,3 +207,15 @@ def test_smith_form_of_tensor_with_identity(a, rank):
     # Smith(a (x) I_r) = Smith(a) (x) I_r: each invariant factor r times
     expected = tuple(f for f in invariant_factors(a) for _ in range(rank))
     assert invariant_factors(kron_identity(a, rank)) == expected
+
+
+def test_integer_routines_refuse_non_integer_entries():
+    # int() would truncate: invariant factors (1, 2) for a matrix with no
+    # integer entries, and a "kernel" vector [1, 0] that [[0.5, 1]] sends to 0.5
+    for call in (
+        lambda: invariant_factors([[1.5, 0], [0, Fraction(5, 2)]]),
+        lambda: kernel_basis([[0.5, 1]]),
+        lambda: smith_normal_form([["3"]]),
+    ):
+        with pytest.raises(TypeError):
+            call()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from qbialg.laurent import (
     CounitSpec,
     TensorElement,
     UnitElement,
+    format_coefficient,
     invert_unit,
 )
 from qbialg.quasibialgebra import (
@@ -299,3 +301,11 @@ def test_twist_properties(case):
     assert twist(twisted, alpha.inverse()) == p
     assert through_json(p) == p
     assert through_json(twisted) == twisted
+
+
+def test_presentation_writes_a_long_counit_value_as_units_do():
+    # 5,001 digits: more than str() writes under the default limit of 4,300
+    long = 10**5000
+    for value, text in ((long, format_coefficient(long)), (Fraction(-1, 2), "-1/2")):
+        p = dataclasses.replace(ordinary(1), counit=CounitSpec(1, (value,)))
+        assert p.to_dict()["counit"] == [text]
