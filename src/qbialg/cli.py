@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         "classify",
         help="canonical presentation for (q, h, g) plus its trivializing twist and R-matrix",
     )
-    cmd.add_argument("--rank", type=int, required=True)
+    cmd.add_argument("--rank", type=_bounded(1), required=True)
     cmd.add_argument("--q", type=_fraction, required=True, help=_Q_HELP)
     for flag in ("--h", "--g"):
         cmd.add_argument(

@@ -184,22 +184,12 @@ def coboundary_matrix(rank: int, degree: int) -> list[list[int]]:
     mat = [[0] * cols for _ in range(rows)]
     for i in range(degree + 2):
         sign = 1 if i % 2 == 0 else -1
-        # coface i sends source slot s to target slot(s): every slot below
-        # i keeps its place, slot i (when 1 <= i <= n) is duplicated, and
-        # slots above shift up by one.
+        # coface i sends source slot s (0-based) to target slot s when
+        # s < i and to target slot s + 1 when s >= i - 1: slots below i - 1
+        # keep their place, slot i - 1 is duplicated, and slots above shift
+        # up by one (coface 0 shifts every slot, coface n + 1 none).
         for s in range(degree):
-            targets = []
-            if i == 0:
-                targets = [s + 1]
-            elif i == degree + 1:
-                targets = [s]
-            elif s + 1 < i:
-                targets = [s]
-            elif s + 1 == i:
-                targets = [s, s + 1]
-            else:
-                targets = [s + 1]
-            for tgt in targets:
+            for tgt in (s,) * (s < i) + (s + 1,) * (s >= i - 1):
                 for k in range(rank):
                     mat[tgt * rank + k][s * rank + k] += sign
     return mat
@@ -214,6 +204,11 @@ class AbelianGroupDescriptor:
     has_scalar_factor: bool
 
     def __post_init__(self):
+        object.__setattr__(self, "free_rank", operator.index(self.free_rank))
+        if self.free_rank < 0:
+            raise ValueError(f"free rank must be >= 0, got {self.free_rank}")
+        if not isinstance(self.has_scalar_factor, bool):
+            raise TypeError(f"has_scalar_factor must be a bool, got {self.has_scalar_factor!r}")
         object.__setattr__(self, "torsion", tuple(map(operator.index, self.torsion)))
         if any(t < 2 for t in self.torsion):
             raise ValueError("torsion invariants must be >= 2")

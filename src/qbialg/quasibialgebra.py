@@ -13,6 +13,7 @@ maps that holds on each g_i holds everywhere.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,26 +170,26 @@ def canonical(triple: CanonicalTriple) -> QuasiBialgebraPresentation:
     quasi-bialgebra structures available on k[Z^r].
     """
     r = triple.rank
-    base = ordinary(r)
-    zero = (0,) * r
-    phi = UnitElement(r, Fraction(1), (triple.h, zero, triple.g))
-    lam = UnitElement(r, triple.q, (tuple(-c for c in triple.g),))
-    rho = UnitElement(r, triple.q, (triple.h,))
-    return QuasiBialgebraPresentation(r, base.coproduct, base.counit, phi, lam, rho)
+    return dataclasses.replace(
+        ordinary(r),
+        phi=UnitElement(r, Fraction(1), (triple.h, (0,) * r, triple.g)),
+        lam=UnitElement(r, triple.q, (tuple(-c for c in triple.g),)),
+        rho=UnitElement(r, triple.q, (triple.h,)),
+    )
 
 
 def is_ordinary_coalgebra(p: QuasiBialgebraPresentation) -> bool:
     """True when the coproduct is diagonal and the counit is constant 1."""
-    r = p.rank
-    for i, im in enumerate(p.coproduct.images):
-        e = _basis_vector(r, i)
-        if im.scalar != 1 or im.monomial != (e, e):
-            return False
-    return all(v == 1 for v in p.counit.values)
+    base = ordinary(p.rank)
+    return p.coproduct == base.coproduct and p.counit == base.counit
 
 
 def verify(p: QuasiBialgebraPresentation) -> VerificationReport:
-    """Check every quasi-bialgebra axiom exactly; witnesses on failure."""
+    """Check every quasi-bialgebra axiom exactly; witnesses on failure.
+
+    k[Z^r] is commutative, so each conjugation by a unit in the textbook
+    axioms is the identity and the conjugated side is compared as it is.
+    """
     r = p.rank
     delta = p.coproduct
     eps = p.counit
@@ -213,33 +214,20 @@ def verify(p: QuasiBialgebraPresentation) -> VerificationReport:
         )
     )
 
-    phi_inv = phi.inverse()
-    lam_inv = lam.inverse()
-    rho_inv = rho.inverse()
     for i in range(r):
         gen = UnitElement(r, Fraction(1), (_basis_vector(r, i),))
         d = delta.images[i]
 
-        # (iii) coassociativity up to conjugation by phi
+        # (iii) coassociativity up to conjugation by phi, which is the
+        # identity in the commutative tensor power
         lhs = apply_algebra_map_on_leg(delta, d, 2)
-        rhs = phi * apply_algebra_map_on_leg(delta, d, 1) * phi_inv
+        rhs = apply_algebra_map_on_leg(delta, d, 1)
         checks.append(compare(f"quasi_coassociativity[g{i + 1}]", lhs, rhs))
 
-        # (iv) counit laws, one per side
-        checks.append(
-            compare(
-                f"counit_left[g{i + 1}]",
-                apply_counit_on_leg(eps, d, 1),
-                lam_inv * gen * lam,
-            )
-        )
-        checks.append(
-            compare(
-                f"counit_right[g{i + 1}]",
-                apply_counit_on_leg(eps, d, 2),
-                rho_inv * gen * rho,
-            )
-        )
+        # (iv) counit laws, one per side; conjugating g_i by lambda or rho
+        # leaves it unchanged
+        checks.append(compare(f"counit_left[g{i + 1}]", apply_counit_on_leg(eps, d, 1), gen))
+        checks.append(compare(f"counit_right[g{i + 1}]", apply_counit_on_leg(eps, d, 2), gen))
 
     # (v) the constraints are invertible; construction already enforces
     # this, so the entry documents the fact rather than re-deriving it.
@@ -250,18 +238,17 @@ def verify(p: QuasiBialgebraPresentation) -> VerificationReport:
 def twist(
     p: QuasiBialgebraPresentation, alpha: TensorElement | UnitElement
 ) -> QuasiBialgebraPresentation:
-    """Conjugate the presentation by an invertible alpha in two legs.
+    """Twist the presentation by an invertible alpha in two legs.
 
-    The coproduct is conjugated, the constraint phi picks up the usual
-    boundary-like correction, and lambda, rho absorb the counit of the
-    inverse.  Twisting by alpha and then by its inverse is the identity.
+    The coproduct would be conjugated by alpha, which is the identity in
+    the commutative k[Z^r]^(x2), so it is kept as it is.  The constraint
+    phi picks up the usual boundary-like correction, and lambda, rho
+    absorb the counit of the inverse.  Twisting by alpha and then by its
+    inverse is the identity.
     """
     alpha = as_unit(alpha, p.rank, 2, "alpha")
     alpha_inv = alpha.inverse()
-    r = p.rank
     delta = p.coproduct
-
-    new_images = tuple(alpha * im * alpha_inv for im in delta.images)
     new_phi = (
         insert_unit_leg(alpha, 1)
         * apply_algebra_map_on_leg(delta, alpha, 2)
@@ -271,9 +258,7 @@ def twist(
     )
     new_lam = p.lam * apply_counit_on_leg(p.counit, alpha_inv, 1)
     new_rho = p.rho * apply_counit_on_leg(p.counit, alpha_inv, 2)
-    return QuasiBialgebraPresentation(
-        r, AlgebraMapSpec(r, 2, new_images), p.counit, new_phi, new_lam, new_rho
-    )
+    return dataclasses.replace(p, phi=new_phi, lam=new_lam, rho=new_rho)
 
 
 def normalize(p: QuasiBialgebraPresentation) -> tuple[BialgebraIso, QuasiBialgebraPresentation]:
@@ -296,14 +281,8 @@ def normalize(p: QuasiBialgebraPresentation) -> tuple[BialgebraIso, QuasiBialgeb
             )
         images.append(UnitElement(r, v, (e,)))
     iso = BialgebraIso(r, tuple(images))
-    base = ordinary(r)
-    result = QuasiBialgebraPresentation(
-        r,
-        base.coproduct,
-        base.counit,
-        iso.apply(p.phi),
-        iso.apply(p.lam),
-        iso.apply(p.rho),
+    result = dataclasses.replace(
+        ordinary(r), phi=iso.apply(p.phi), lam=iso.apply(p.lam), rho=iso.apply(p.rho)
     )
     return iso, result
 

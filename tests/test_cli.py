@@ -658,6 +658,7 @@ def _bounded_flag_cases():
     ]
     boundary = ["boundary", "--input", "never-read.json", "--degree", "0", "--rank", "1"]
     cohomology = ["cohomology", "--rank", "1", "--degree", "1"]
+    classify = ["classify", "--rank", "1", "--q", "2", "--h", "1", "--g", "1"]
     degree = (-1, MAX_DEGREE + 1)
     scalar = ("0", "0/5")
     exponent = (MAX_EXPONENT + 1, -MAX_EXPONENT - 1)
@@ -666,6 +667,7 @@ def _bounded_flag_cases():
     for base, refused in (
         (boundary, {"--degree": degree, "--rank": (0, -1, MAX_RANK + 1)}),
         (cohomology, {"--degree": degree, "--rank": (0, -1)}),
+        (classify, {"--rank": (0, -1)}),
         (homcheck, {"--q": scalar, "--a": exponent, "--b": exponent, **sampling}),
         (compare, {
             "--q1": scalar, "--a1": exponent, "--b1": exponent,

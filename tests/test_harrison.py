@@ -322,6 +322,26 @@ def test_descriptor_refuses_non_integer_torsion():
             AbelianGroupDescriptor(1, torsion, False)
 
 
+@pytest.mark.parametrize("free_rank", [1.5, "1", Fraction(2)])
+def test_descriptor_refuses_non_integer_free_rank(free_rank):
+    # unchecked, 1.5 would print as "Z^1.5"
+    with pytest.raises(TypeError):
+        AbelianGroupDescriptor(free_rank, (), False)
+
+
+def test_descriptor_refuses_negative_free_rank():
+    # unchecked, -2 would print as "Z"
+    with pytest.raises(ValueError):
+        AbelianGroupDescriptor(-2, (), False)
+
+
+@pytest.mark.parametrize("flag", ["yes", 1, None])
+def test_descriptor_refuses_a_non_bool_scalar_factor(flag):
+    # unchecked, "yes" would print as "k*"
+    with pytest.raises(TypeError):
+        AbelianGroupDescriptor(1, (), flag)
+
+
 def test_cochain_writes_a_long_scalar_as_units_do():
     # 5,001 digits: more than str() writes under the default limit of 4,300
     long = 10**5000

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -12,8 +14,13 @@ from qbialg.laurent import (
     CounitSpec,
     TensorElement,
     UnitElement,
+    apply_algebra_map_on_leg,
+    apply_counit_on_leg,
     format_coefficient,
+    insert_unit_leg,
     invert_unit,
+    permute_legs,
+    tensor_concat,
 )
 from qbialg.quasibialgebra import (
     BialgebraIso,
@@ -29,6 +36,7 @@ from qbialg.quasibialgebra import (
     twist,
     verify,
 )
+from qbialg.rmatrix import solve_R, verify_R
 
 
 def random_triple(rng, max_rank=3):
@@ -309,3 +317,150 @@ def test_presentation_writes_a_long_counit_value_as_units_do():
     for value, text in ((long, format_coefficient(long)), (Fraction(-1, 2), "-1/2")):
         p = dataclasses.replace(ordinary(1), counit=CounitSpec(1, (value,)))
         assert p.to_dict()["counit"] == [text]
+
+
+# -- the textbook axioms, conjugations included, in the TensorElement ring -----
+# verify, twist and verify_R leave out every conjugation by a unit, since
+# k[Z^r]^(x m) is commutative.  This reference multiplies each textbook side
+# out term by term in the general ring instead, conjugations and all.
+
+
+def _product(*factors: UnitElement) -> TensorElement:
+    return functools.reduce(operator.mul, (u.to_tensor() for u in factors))
+
+
+def _conjugate(u: UnitElement, x: UnitElement) -> TensorElement:
+    """u * x * u^-1, multiplied out in the tensor ring."""
+    return _product(u, x, u.inverse())
+
+
+def _entry(axiom: str, lhs: TensorElement, rhs: TensorElement) -> dict:
+    ok = lhs == rhs
+    return {
+        "axiom": axiom,
+        "pass": ok,
+        "lhs": None if ok else lhs.to_dict(),
+        "rhs": None if ok else rhs.to_dict(),
+    }
+
+
+def textbook_verify(p: QuasiBialgebraPresentation) -> list[dict]:
+    on = functools.partial(apply_algebra_map_on_leg, p.coproduct)
+    phi, lam, rho = p.phi, p.lam, p.rho
+    entries = [
+        _entry(
+            "cocycle",
+            _product(on(phi, 3), on(phi, 1)),
+            _product(insert_unit_leg(phi, 1), on(phi, 2), insert_unit_leg(phi, 4)),
+        ),
+        _entry(
+            "counital",
+            apply_counit_on_leg(p.counit, phi, 2).to_tensor(),
+            tensor_concat(rho, lam.inverse()).to_tensor(),
+        ),
+    ]
+    for i, d in enumerate(p.coproduct.images):
+        gen = UnitElement(p.rank, 1, (tuple(int(j == i) for j in range(p.rank)),))
+        entries += [
+            _entry(
+                f"quasi_coassociativity[g{i + 1}]", on(d, 2).to_tensor(), _conjugate(phi, on(d, 1))
+            ),
+            _entry(
+                f"counit_left[g{i + 1}]",
+                apply_counit_on_leg(p.counit, d, 1).to_tensor(),
+                _conjugate(lam.inverse(), gen),
+            ),
+            _entry(
+                f"counit_right[g{i + 1}]",
+                apply_counit_on_leg(p.counit, d, 2).to_tensor(),
+                _conjugate(rho.inverse(), gen),
+            ),
+        ]
+    return entries + [{"axiom": "invertibility", "pass": True, "lhs": None, "rhs": None}]
+
+
+def textbook_verify_R(p: QuasiBialgebraPresentation, r_elem: UnitElement) -> list[dict]:
+    on = functools.partial(apply_algebra_map_on_leg, p.coproduct)
+    phi = p.phi
+    entries = [
+        _entry(
+            "coproduct_first_leg",
+            on(r_elem, 1).to_tensor(),
+            _product(
+                permute_legs(phi, (2, 3, 1)),
+                insert_unit_leg(r_elem, 2),
+                permute_legs(phi, (1, 3, 2)).inverse(),
+                insert_unit_leg(r_elem, 1),
+                phi,
+            ),
+        ),
+        _entry(
+            "coproduct_second_leg",
+            on(r_elem, 2).to_tensor(),
+            _product(
+                permute_legs(phi, (3, 1, 2)).inverse(),
+                insert_unit_leg(r_elem, 2),
+                permute_legs(phi, (2, 1, 3)),
+                insert_unit_leg(r_elem, 3),
+                phi.inverse(),
+            ),
+        ),
+    ]
+    for i, d in enumerate(p.coproduct.images):
+        flipped = permute_legs(d, (2, 1)).to_tensor()
+        entries.append(_entry(f"opposite_coproduct[g{i + 1}]", flipped, _conjugate(r_elem, d)))
+    flipped = permute_legs(r_elem, (2, 1)).to_tensor()
+    return entries + [_entry("triangularity", flipped, r_elem.inverse().to_tensor())]
+
+
+@st.composite
+def presentations_with_units(draw):
+    """A canonical presentation of rank <= 3, corrupted in at most one place,
+    with a unit twist and an R-matrix candidate over it.
+
+    The candidate is the R-matrix of the uncorrupted presentation or an
+    arbitrary two-leg unit, so both passing and failing checks are drawn.
+    A corruption always changes the value it touches.
+    """
+    rank = draw(st.integers(1, 3))
+    vector = st.tuples(*[exponents] * rank)
+    shift = vector.filter(any)
+    new_scalar = nonzero_scalars.filter(lambda c: c != 1)
+    p = canonical(CanonicalTriple(draw(nonzero_scalars), draw(vector), draw(vector)))
+    (r_matrix,) = solve_R(p)
+    i = draw(st.integers(0, rank - 1))
+    images = list(p.coproduct.images)
+    values = list(p.counit.values)
+    corruption = draw(
+        st.sampled_from(
+            ["none", "phi exponent", "counit value", "coproduct scalar", "coproduct leg"]
+        )
+    )
+    if corruption == "phi exponent":
+        legs = [draw(shift), draw(vector), draw(vector)]
+        p = dataclasses.replace(p, phi=p.phi * UnitElement(rank, 1, legs))
+    elif corruption == "counit value":
+        values[i] = draw(new_scalar)
+    elif corruption == "coproduct scalar":
+        images[i] = images[i] * UnitElement(rank, draw(new_scalar), ((0,) * rank,) * 2)
+    elif corruption == "coproduct leg":
+        images[i] = images[i] * UnitElement(rank, 1, (draw(shift), (0,) * rank))
+    p = dataclasses.replace(
+        p, coproduct=AlgebraMapSpec(rank, 2, tuple(images)), counit=CounitSpec(rank, tuple(values))
+    )
+    alpha, candidate = (
+        UnitElement(rank, draw(nonzero_scalars), (draw(vector), draw(vector))) for _ in range(2)
+    )
+    return p, alpha, r_matrix if draw(st.booleans()) else candidate
+
+
+@settings(max_examples=80, deadline=None)
+@given(presentations_with_units())
+def test_checks_match_the_textbook_conjugations(case):
+    p, alpha, r_elem = case
+    twisted = twist(p, alpha)
+    for q in (p, twisted):
+        assert verify(q).to_list() == textbook_verify(q)
+        assert verify_R(q, r_elem).to_list() == textbook_verify_R(q, r_elem)
+    conjugated = tuple(_conjugate(alpha, d) for d in p.coproduct.images)
+    assert twisted.coproduct == AlgebraMapSpec(p.rank, 2, conjugated)
