@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import homcat
 from .harrison import HarrisonCochain, boundary, cohomology
-from .laurent import TensorElement, UnitElement, as_unit, parse_coefficient
+from .laurent import TensorElement, UnitElement, as_unit, read_rational
 from .quasibialgebra import (
     CanonicalTriple,
     NoMonomialTwist,
@@ -139,7 +139,7 @@ def _bounded(lo: int, hi: int | None = None):
 def _fraction(text: str) -> Fraction:
     """The type of a --q flag: a nonzero rational."""
     try:
-        q = parse_coefficient(text, "scalar")
+        q = read_rational(text, "scalar")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if not q:

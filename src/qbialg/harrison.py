@@ -20,7 +20,6 @@ forms are taken of Dₙ and Dₙ₋₁ alone.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -30,11 +29,11 @@ from .laurent import (
     RankMismatch,
     UnitElement,
     Vector,
-    _integer,
     _raw_unit,
+    _read_unit,
     as_unit,
     format_coefficient,
-    parse_coefficient,
+    read_integer,
 )
 
 CofaceIndex = int
@@ -65,8 +64,8 @@ class HarrisonCochain:
 
     @classmethod
     def from_data(cls, rank: int, scalar, elements) -> "HarrisonCochain":
-        vecs = tuple([tuple(map(operator.index, v)) for v in elements])
-        return cls(len(vecs), UnitElement(rank, scalar, vecs))
+        unit = _raw_unit(*_read_unit(rank, scalar, elements, "elements"))
+        return cls(unit.legs, unit)
 
     @classmethod
     def identity(cls, rank: int, degree: int) -> "HarrisonCochain":
@@ -90,15 +89,12 @@ class HarrisonCochain:
     def from_dict(cls, data: Mapping, rank: int | None = None) -> "HarrisonCochain":
         """The cochain a ``to_dict`` document describes, over ``rank`` when
         given (every element must then have that length)."""
-        elements = []
-        for j, v in enumerate(data["elements"]):
-            where = f"elements[{j}]"
-            elements.append(tuple(_integer(c, where) for c in v))
+        elements = data["elements"]
         if rank is None:
             if not elements:
                 raise DegreeMismatch("a degree-0 cochain needs an explicit rank")
             rank = len(elements[0])
-        return cls.from_data(rank, parse_coefficient(data["scalar"], "scalar"), elements)
+        return cls.from_data(rank, data["scalar"], elements)
 
 
 def coface(i: CofaceIndex, c: HarrisonCochain) -> HarrisonCochain:
@@ -204,12 +200,12 @@ class AbelianGroupDescriptor:
     has_scalar_factor: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "free_rank", operator.index(self.free_rank))
+        object.__setattr__(self, "free_rank", read_integer(self.free_rank, "free_rank"))
         if self.free_rank < 0:
             raise ValueError(f"free rank must be >= 0, got {self.free_rank}")
         if not isinstance(self.has_scalar_factor, bool):
             raise TypeError(f"has_scalar_factor must be a bool, got {self.has_scalar_factor!r}")
-        object.__setattr__(self, "torsion", tuple(map(operator.index, self.torsion)))
+        object.__setattr__(self, "torsion", tuple([read_integer(t, "torsion") for t in self.torsion]))
         if any(t < 2 for t in self.torsion):
             raise ValueError("torsion invariants must be >= 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
@@ -302,8 +298,7 @@ class ThreeCocycleClassification:
 
     def cocycle(self, h: Vector, g: Vector) -> UnitElement:
         """The cocycle h (x) 1 (x) g attached to a parameter pair, as a unit."""
-        zero = (0,) * self.rank
-        return UnitElement(self.rank, Fraction(1), (tuple(h), zero, tuple(g)))
+        return UnitElement(self.rank, 1, (h, (0,) * self.rank, g))
 
     def parameters_of(self, elem: UnitElement) -> tuple[Vector, Vector]:
         """Recover (h, g) from a cocycle; rejects non-cocycles.  ``elem`` is

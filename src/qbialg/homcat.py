@@ -40,7 +40,6 @@ slowest.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
@@ -48,7 +47,7 @@ from functools import partial, reduce
 from typing import Sequence
 
 from . import matrices as mat
-from .laurent import _coeff, format_coefficient
+from .laurent import format_coefficient, read_integer, read_rational
 from .matrices import Matrix, NotInvertible
 
 
@@ -61,13 +60,11 @@ class MonoidalParams:
     b: int
 
     def __post_init__(self):
-        # the one coefficient path: a float raises TypeError, exponent
-        # notation ValueError; a and b must be integers, not truncated
-        object.__setattr__(self, "q", _coeff(self.q))
+        object.__setattr__(self, "q", read_rational(self.q, "q"))
         if not self.q:
             raise ValueError("the unit constraint scalar q must be nonzero")
-        object.__setattr__(self, "a", operator.index(self.a))
-        object.__setattr__(self, "b", operator.index(self.b))
+        object.__setattr__(self, "a", read_integer(self.a, "a"))
+        object.__setattr__(self, "b", read_integer(self.b, "b"))
 
     def to_dict(self) -> dict:
         return {"q": format_coefficient(self.q), "a": self.a, "b": self.b}
@@ -93,6 +90,7 @@ class HomObject:
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self, known_inverse):
+        object.__setattr__(self, "dim", read_integer(self.dim, "dim"))
         m = mat.from_rows(self.matrix)
         if mat.shape(m) != (self.dim, self.dim):
             raise ValueError(f"automorphism must be {self.dim}x{self.dim}")
@@ -177,14 +175,13 @@ class StructureMaps:
     braid_exp: tuple[int, int]
 
     def __post_init__(self):
-        # the one coefficient path, as in MonoidalParams; a zero scalar
-        # is allowed, and makes its constraint singular
+        # a zero scalar is allowed, and makes its constraint singular
         for name in ("left_scalar", "right_scalar"):
-            object.__setattr__(self, name, _coeff(getattr(self, name)))
+            object.__setattr__(self, name, read_rational(getattr(self, name), name))
         for name in ("left_exp", "right_exp"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, read_integer(getattr(self, name), name))
         for name, length in (("assoc_exp", 3), ("braid_exp", 2)):
-            exps = tuple(map(operator.index, getattr(self, name)))
+            exps = tuple([read_integer(e, name) for e in getattr(self, name)])
             if len(exps) != length:
                 raise ValueError(f"{name} needs {length} exponents, got {len(exps)}")
             object.__setattr__(self, name, exps)

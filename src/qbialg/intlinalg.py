@@ -8,8 +8,9 @@ lattice bases for kernels instead of rational nullspaces.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
+
+from .laurent import read_integer
 
 IntMatrix = list[list[int]]
 
@@ -55,7 +56,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     d, s and t are those of the full scans.
     """
     m, n = matrix_shape(a)
-    d = [list(map(operator.index, row)) for row in a]
+    d = [[read_integer(x, "matrix entry") for x in row] for row in a]
     s = identity_matrix(m)
     t = identity_matrix(n)
 

@@ -6,6 +6,11 @@ element of the m-fold tensor power k[Z^r]^(x m) is stored sparsely as a
 map from m-tuples of integer exponent vectors to nonzero rational
 coefficients.  All arithmetic is exact; nothing here ever rounds.
 
+Every exact number coming in from a file or a Python caller is read by
+one of two readers here, which name the field they refuse:
+``read_integer`` takes an int that is not a bool, ``read_rational`` such
+an int, a ``Fraction`` or text such as "-3/2", and neither a float.
+
 Group-like monomials q * g^(v_1) (x) ... (x) g^(v_m) with q != 0 are
 exactly the invertible elements of the tensor power.  ``as_unit`` is the
 one place that certifies a unit: it checks the rank and the leg count the
@@ -51,23 +56,48 @@ class NotAUnit(ValueError):
     """Element is not invertible (it is not a single nonzero monomial)."""
 
 
-def _as_vector(v: Iterable[int], rank: int) -> Vector:
-    vec = tuple(map(operator.index, v))
+def read_integer(value, field: str) -> int:
+    """``value`` as an exact integer: an int that is not a bool.  1.7, 2.0,
+    a ``Fraction``, "12" or ``True`` raises TypeError naming ``field``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return operator.index(value)  # an int subclass, as a plain int
+    raise TypeError(f"{field}: expected an integer, got {value!r}")
+
+
+# an integer, p/q with q != 0 or a decimal; no exponent, so the digits
+# of the text bound the size of the number
+_RATIONAL = re.compile(r"\s*[-+]?(\d+(/0*[1-9]\d*)?|\d+\.\d*|\.\d+)\s*")
+
+
+def read_rational(value, field: str) -> Fraction:
+    """``value`` as an exact rational: an int that is not a bool, a ``Fraction``
+    (returned as it is), or text such as "3", "-1/2" or "0.25".  A float or a
+    bool raises TypeError, and exponent notation ValueError: "1e400000" is eight
+    bytes that would expand into a 400,001-digit integer.  Both name ``field``."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise TypeError(f"{field}: expected an integer, a Fraction or rational text, got {value!r}")
+    if not _RATIONAL.fullmatch(value):
+        raise ValueError(
+            f"{field}: expected an integer, p/q or a decimal"
+            f" (no exponent, no zero denominator), got {value!r}"
+        )
+    try:
+        return Fraction(value)
+    except ValueError as exc:  # more digits than int() converts
+        raise ValueError(f"{field}: {exc}") from None
+
+
+def _as_vector(v: Iterable, rank: int, field: str) -> Vector:
+    vec = tuple([read_integer(c, field) for c in v])
     if len(vec) != rank:
         raise RankMismatch(f"exponent vector {vec} has length {len(vec)}, expected {rank}")
     return vec
-
-
-def _integer(value, field: str) -> int:
-    """``value`` read from a file as an exact int.  A float such as 1.7, a
-    string or a JSON ``true`` is refused, not truncated, split into digits
-    or read as 1; the TypeError names ``field``."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise TypeError(f"{field}: expected an integer, got {value!r}")
 
 
 def _vadd(a: Vector, b: Vector) -> Vector:
@@ -84,30 +114,6 @@ def _vscale(c: int, a: Vector) -> Vector:
 
 def _zero_vector(rank: int) -> Vector:
     return (0,) * rank
-
-
-# an integer, p/q with q != 0 or a decimal; no exponent, so the digits
-# of the text bound the size of the number
-_RATIONAL = re.compile(r"\s*[-+]?(\d+(/0*[1-9]\d*)?|\d+\.\d*|\.\d+)\s*")
-
-
-def parse_coefficient(value, field: str) -> Fraction:
-    """The exact rational written as ``value`` (JSON or command-line text).
-
-    Exponent notation is refused: "1e400000" is eight bytes that would
-    expand into a 400,001-digit integer.  Errors are ValueErrors naming
-    ``field``.
-    """
-    text = str(value)
-    if not _RATIONAL.fullmatch(text):
-        raise ValueError(
-            f"{field}: expected an integer, p/q or a decimal"
-            f" (no exponent, no zero denominator), got {text!r}"
-        )
-    try:
-        return Fraction(text)
-    except ValueError as exc:  # more digits than int() converts
-        raise ValueError(f"{field}: {exc}") from None
 
 
 # sys.get_int_max_str_digits is missing before Python 3.10.7, which has no limit
@@ -135,7 +141,7 @@ def format_coefficient(c: Fraction | int) -> str:
     Computed coefficients can outgrow the input: counit 2 and an exponent
     of 3,000,000 give 2^3000000, which has 903,090 digits.  Whether a part
     is too long is decided from its bit length, never by trying ``str()``.
-    Such a text is a report, not an input: ``parse_coefficient`` refuses it.
+    Such a text is a report, not an input: ``read_rational`` refuses it.
     """
     num, den = c.numerator, c.denominator
     if num.bit_length() <= _ALWAYS_FITS_BITS and den.bit_length() <= _ALWAYS_FITS_BITS:
@@ -143,16 +149,6 @@ def format_coefficient(c: Fraction | int) -> str:
     limit = _int_max_str_digits()
     text = _integer_text(num, limit)
     return text if den == 1 else f"{text}/{_integer_text(den, limit)}"
-
-
-def _coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_coefficient(value, "coefficient")
-    raise TypeError(f"cannot use {value!r} as an exact rational coefficient")
 
 
 class TensorElement:
@@ -168,22 +164,12 @@ class TensorElement:
     __slots__ = ("rank", "legs", "_terms")
 
     def __init__(self, rank: int, legs: int, terms: Mapping[TermKey, Fraction] | None = None):
-        if rank < 1:
-            raise RankMismatch(f"rank must be >= 1, got {rank}")
-        if legs < 1:
-            raise LegMismatch(f"legs must be >= 1, got {legs}")
+        rank, legs = _shape(rank, legs, "")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "legs", legs)
         clean: dict[TermKey, Fraction] = {}
         for key, value in (terms or {}).items():
-            if len(key) != legs:
-                raise LegMismatch(f"term {key} has {len(key)} legs, expected {legs}")
-            vecs = tuple(_as_vector(v, rank) for v in key)
-            c = _coeff(value)
-            if c:
-                clean[vecs] = clean.get(vecs, 0) + c
-                if not clean[vecs]:
-                    del clean[vecs]
+            _add_term(clean, rank, legs, key, value, "exponent", "coefficient")
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):
@@ -198,20 +184,15 @@ class TensorElement:
     @classmethod
     def one(cls, rank: int, legs: int) -> "TensorElement":
         """The multiplicative identity 1 (x) ... (x) 1."""
-        if rank < 1:
-            raise RankMismatch(f"rank must be >= 1, got {rank}")
-        if legs < 1:
-            raise LegMismatch(f"legs must be >= 1, got {legs}")
-        return _raw(rank, legs, {(_zero_vector(rank),) * legs: Fraction(1)})
+        return cls(rank, legs, {((0,) * rank,) * legs: 1})
 
     @classmethod
     def single(cls, coeff, exps: Iterable[Iterable[int]]) -> "TensorElement":
         """One monomial term coeff * g^(e_1) (x) ... (x) g^(e_m)."""
-        key = tuple([tuple(map(operator.index, e)) for e in exps])
+        key = tuple([tuple(e) for e in exps])
         if not key:
             raise LegMismatch("a tensor element needs at least one leg")
-        rank = len(key[0])
-        return cls(rank, len(key), {key: _coeff(coeff)})
+        return cls(len(key[0]), len(key), {key: coeff})
 
     @classmethod
     def generator(cls, rank: int, index: int) -> "TensorElement":
@@ -273,7 +254,7 @@ class TensorElement:
 
     def __mul__(self, other) -> "TensorElement":
         if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
+            c = read_rational(other, "scalar")
             if not c:
                 return TensorElement.zero(self.rank, self.legs)
             return _raw(self.rank, self.legs, {k: c * v for k, v in self._terms.items()})
@@ -326,15 +307,34 @@ class TensorElement:
     @classmethod
     def from_dict(cls, data: Mapping, field: str = "") -> "TensorElement":
         """The element a ``to_dict`` document describes; ``field`` prefixes error messages."""
-        rank = _integer(data["rank"], f"{field}rank")
-        legs = _integer(data["legs"], f"{field}legs")
+        rank, legs = _shape(data["rank"], data["legs"], field)
         terms: dict[TermKey, Fraction] = {}
         for i, entry in enumerate(data["terms"]):
-            where = f"{field}terms[{i}].e"
-            key = tuple(tuple(_integer(c, where) for c in vec) for vec in entry["e"])
-            c = parse_coefficient(entry["c"], f"{field}terms[{i}].c")
-            terms[key] = terms.get(key, 0) + c
-        return cls(rank, legs, terms)
+            where = f"{field}terms[{i}]"
+            _add_term(terms, rank, legs, entry["e"], entry["c"], f"{where}.e", f"{where}.c")
+        return _raw(rank, legs, terms)
+
+
+def _shape(rank, legs, field: str) -> tuple[int, int]:
+    """``rank`` and ``legs`` read as ``{field}rank`` and ``{field}legs``, both >= 1."""
+    rank = read_integer(rank, f"{field}rank")
+    legs = read_integer(legs, f"{field}legs")
+    if rank < 1:
+        raise RankMismatch(f"rank must be >= 1, got {rank}")
+    if legs < 1:
+        raise LegMismatch(f"legs must be >= 1, got {legs}")
+    return rank, legs
+
+
+def _add_term(terms: dict, rank: int, legs: int, key, value, e_field: str, c_field: str) -> None:
+    """Add value * g^(key[0]) (x) ... into ``terms``, dropping a zero sum;
+    the exponents are read as ``e_field``, the coefficient as ``c_field``."""
+    key = tuple([_as_vector(v, rank, e_field) for v in key])
+    if len(key) != legs:
+        raise LegMismatch(f"term {key} has {len(key)} legs, expected {legs}")
+    s = terms.pop(key, 0) + read_rational(value, c_field)
+    if s:
+        terms[key] = s
 
 
 def _raw(rank: int, legs: int, terms: dict[TermKey, Fraction]) -> TensorElement:
@@ -360,14 +360,9 @@ class UnitElement:
 
     def __post_init__(self):
         # results built from valid units go through _raw_unit instead
-        if self.rank < 1:
-            raise RankMismatch(f"rank must be >= 1, got {self.rank}")
-        object.__setattr__(self, "scalar", _coeff(self.scalar))
-        if not self.scalar:
-            raise NotAUnit("scalar part of a unit must be nonzero")
-        object.__setattr__(
-            self, "monomial", tuple(_as_vector(v, self.rank) for v in self.monomial)
-        )
+        parts = _read_unit(self.rank, self.scalar, self.monomial, "monomial")
+        for name, value in zip(("rank", "scalar", "monomial"), parts):
+            object.__setattr__(self, name, value)
 
     @property
     def legs(self) -> int:
@@ -375,17 +370,15 @@ class UnitElement:
 
     @classmethod
     def identity(cls, rank: int, legs: int) -> "UnitElement":
-        if rank < 1:
-            raise RankMismatch(f"rank must be >= 1, got {rank}")
         if legs < 0:
             raise LegMismatch(f"legs must be >= 0, got {legs}")
-        return _raw_unit(rank, Fraction(1), (_zero_vector(rank),) * legs)
+        return cls(rank, 1, ((0,) * rank,) * legs)
 
     def inverse(self) -> "UnitElement":
         return _raw_unit(self.rank, 1 / self.scalar, tuple(_vneg(v) for v in self.monomial))
 
     def power(self, n: int) -> "UnitElement":
-        n = operator.index(n)
+        n = read_integer(n, "n")
         return _raw_unit(self.rank, self.scalar ** n, tuple(_vscale(n, v) for v in self.monomial))
 
     def __mul__(self, other: "UnitElement") -> "UnitElement":
@@ -412,6 +405,17 @@ class UnitElement:
         if not self.monomial:
             return str(self.scalar)
         return str(self.to_tensor())
+
+
+def _read_unit(rank, scalar, vectors, field: str) -> tuple[int, Fraction, tuple[Vector, ...]]:
+    """(rank, scalar, monomial) of a unit, read once; vector j as ``field[j]``."""
+    rank = read_integer(rank, "rank")
+    if rank < 1:
+        raise RankMismatch(f"rank must be >= 1, got {rank}")
+    scalar = read_rational(scalar, "scalar")
+    if not scalar:
+        raise NotAUnit("scalar part of a unit must be nonzero")
+    return rank, scalar, tuple([_as_vector(v, rank, f"{field}[{j}]") for j, v in enumerate(vectors)])
 
 
 def _raw_unit(rank: int, scalar: Fraction, monomial: tuple[Vector, ...]) -> UnitElement:
@@ -445,7 +449,7 @@ def as_unit(x: TensorElement | UnitElement, rank: int, legs: int, field: str) ->
     if len(x._terms) != 1:
         raise NotAUnit(f"{field}: element has {len(x._terms)} terms, units have exactly 1")
     ((key, c),) = x._terms.items()
-    return UnitElement(rank, c, key)
+    return _raw_unit(rank, c, key)
 
 
 def invert_unit(x: TensorElement | UnitElement) -> UnitElement:
@@ -523,7 +527,7 @@ class CounitSpec:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        vals = tuple(_coeff(v) for v in self.values)
+        vals = tuple([read_rational(v, f"counit[{i}]") for i, v in enumerate(self.values)])
         if len(vals) != self.rank:
             raise RankMismatch(f"need {self.rank} generator values, got {len(vals)}")
         if not all(vals):

@@ -11,7 +11,8 @@ be integral stays a ``Fraction`` -- ``mul(((Fraction(1, 2),),), ((2,),))``
 is ``((Fraction(1, 1),),)``, equal to ``((1,),)`` but not of its type.
 The one operation that leaves the integers is division, so every
 division goes through ``Fraction`` (never ``/`` on two ints, which would
-give a float).  There is deliberately no float path anywhere.
+give a float).  There is deliberately no float path anywhere, input
+included: ``laurent.read_rational`` reads every other entry.
 
 Sizes stay tiny (single digits per factor), so plain row-times-column
 products are the right tool.  The kernels run their inner loops in C:
@@ -30,6 +31,8 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable
 
+from .laurent import read_rational
+
 Rational = int | Fraction
 Matrix = tuple[tuple[Rational, ...], ...]
 
@@ -38,11 +41,10 @@ class NotInvertible(ValueError):
     """Matrix has no inverse over the rationals."""
 
 
-def _exact(x) -> Rational:
-    """x as an exact rational: an int when integral, else a Fraction."""
-    if type(x) is int:
-        return x
-    x = Fraction(x)
+def _entry(x) -> Rational:
+    """x as an int when integral, else a Fraction; a non-Fraction goes through ``read_rational``."""
+    if type(x) is not Fraction:
+        x = read_rational(x, "matrix entry")
     return x.numerator if x.denominator == 1 else x
 
 
@@ -53,7 +55,7 @@ def _quotient(n: int, d: int) -> Rational:
 
 
 def from_rows(rows: Iterable[Iterable]) -> Matrix:
-    out = tuple([tuple([x if type(x) is int else _exact(x) for x in row]) for row in rows])
+    out = tuple([tuple([x if type(x) is int else _entry(x) for x in row]) for row in rows])
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged rows")
     return out
@@ -85,8 +87,8 @@ def sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def scale(c, a: Matrix) -> Matrix:
-    c = _exact(c)
-    return tuple([tuple([y if type(y := c * x) is int else _exact(y) for x in row]) for row in a])
+    c = c if type(c) is int else _entry(c)
+    return tuple([tuple([y if type(y := c * x) is int else _entry(y) for x in row]) for row in a])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

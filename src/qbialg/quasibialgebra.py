@@ -14,7 +14,7 @@ maps that holds on each g_i holds everywhere.
 from __future__ import annotations
 
 import dataclasses
-import operator
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -27,14 +27,13 @@ from .laurent import (
     RankMismatch,
     TensorElement,
     UnitElement,
-    _coeff,
-    _integer,
     apply_algebra_map_on_leg,
     apply_counit_on_leg,
     as_unit,
     format_coefficient,
     insert_unit_leg,
-    parse_coefficient,
+    read_integer,
+    read_rational,
     tensor_concat,
 )
 from .reports import AxiomCheck, VerificationReport, compare
@@ -88,14 +87,11 @@ class QuasiBialgebraPresentation:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "QuasiBialgebraPresentation":
-        rank = _integer(data["rank"], "rank")
+        rank = read_integer(data["rank"], "rank")
         images = tuple(
             TensorElement.from_dict(d, f"coproduct[{i}].") for i, d in enumerate(data["coproduct"])
         )
-        counit = CounitSpec(
-            rank,
-            tuple(parse_coefficient(v, f"counit[{i}]") for i, v in enumerate(data["counit"])),
-        )
+        counit = CounitSpec(rank, tuple(data["counit"]))
         return cls(
             rank,
             AlgebraMapSpec(rank, 2, images),
@@ -115,11 +111,11 @@ class CanonicalTriple:
     g: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _coeff(self.q))
+        object.__setattr__(self, "q", read_rational(self.q, "q"))
         if not self.q:
             raise NotAUnit("the scalar q of a canonical triple must be nonzero")
-        object.__setattr__(self, "h", tuple(map(operator.index, self.h)))
-        object.__setattr__(self, "g", tuple(map(operator.index, self.g)))
+        for name in ("h", "g"):
+            object.__setattr__(self, name, tuple([read_integer(c, name) for c in getattr(self, name)]))
         if len(self.h) != len(self.g) or not self.h:
             raise RankMismatch("h and g must be exponent vectors of the same rank >= 1")
 
@@ -146,8 +142,11 @@ class BialgebraIso:
         return x
 
 
+@functools.lru_cache(maxsize=16, typed=True)
 def ordinary(rank: int) -> QuasiBialgebraPresentation:
-    """The standard bialgebra: diagonal coproduct, trivial constraints."""
+    """The standard bialgebra: diagonal coproduct, trivial constraints.
+    Built once per rank and shared, since it is frozen; ``typed`` keeps a
+    bool rank out of rank 1's entry, so it is still refused."""
     images = tuple(
         UnitElement(rank, Fraction(1), (_basis_vector(rank, i), _basis_vector(rank, i)))
         for i in range(rank)

@@ -392,6 +392,33 @@ def test_non_integer_exponents_are_malformed_input(tmp_path, canonical_file, cap
         assert err == f"error: {argv[-1]}: {field}: expected an integer, got {value}\n"
 
 
+@pytest.mark.parametrize("number", ["9007199254740993.0", "0.12345678901234567890"])
+def test_json_float_coefficients_are_malformed_input(tmp_path, canonical_file, capsys, number):
+    # json reads a number with a fraction part as a binary float, so the
+    # first would be checked as 9007199254740992 and the second as
+    # 1543209862654321/12500000000000000; decimals are written as strings
+    from qbialg.cli import main
+
+    data = json.loads(canonical_file.read_text())
+    phi = json.loads(json.dumps(data))
+    phi["phi"]["terms"][0]["c"] = "NUMBER"
+    counit = json.loads(json.dumps(data))
+    counit["counit"][0] = "NUMBER"
+    cochain = {"scalar": "NUMBER", "elements": [[1], [2]]}
+    for name, doc, command, field in (
+        ("phi", phi, ["verify"], "phi.terms[0].c"),
+        ("counit", counit, ["verify"], "counit[0]"),
+        ("cochain", cochain, ["boundary", "--degree", "2"], "scalar"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc).replace('"NUMBER"', number))
+        assert main([*command, "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        expected = f"{field}: expected an integer, a Fraction or rational text, got {float(number)!r}"
+        assert err == f"error: {path}: {expected}\n"
+
+
 def test_degree_limit_is_checked_at_the_parse_boundary(tmp_path, capsys):
     from qbialg.cli import MAX_DEGREE, main
 

@@ -11,7 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbialg import cli
-from qbialg.harrison import HarrisonCochain, cocycle_classify
+from qbialg import matrices as mat
+from qbialg.harrison import (
+    AbelianGroupDescriptor,
+    DegreeMismatch,
+    HarrisonCochain,
+    coboundary_matrix,
+    cocycle_classify,
+    cohomology,
+)
+from qbialg.homcat import HomObject, MonoidalParams, StructureMaps
+from qbialg.intlinalg import smith_normal_form
+from qbialg.matrices import NotInvertible
 from qbialg.laurent import (
     AlgebraMapSpec,
     CounitSpec,
@@ -27,8 +38,8 @@ from qbialg.laurent import (
     format_coefficient,
     insert_unit_leg,
     invert_unit,
-    parse_coefficient,
     permute_legs,
+    read_rational,
     tensor_concat,
 )
 from qbialg.quasibialgebra import (
@@ -355,20 +366,24 @@ def test_immutability_and_hash():
     assert len({x, TensorElement.single(1, [(1,)])}) == 1
 
 
-def test_parse_coefficient():
+def test_read_rational():
     accepted = (
         ("3", 3), ("-1/2", Fraction(-1, 2)), ("0.25", Fraction(1, 4)),
-        (7, 7), (-2, -2), (0.5, Fraction(1, 2)), (" +5/10 ", Fraction(1, 2)),
+        (7, 7), (-2, -2), (" +5/10 ", Fraction(1, 2)),
     )
     for text, value in accepted:
-        assert parse_coefficient(text, "c") == value
+        assert read_rational(text, "c") == value
     rejected = (
-        "1e400000", "1E5", "2.5e-3", "1/0", "3/00", "abc", "", "1/2/3", None, True, "inf",
+        "1e400000", "1E5", "2.5e-3", "1/0", "3/00", "abc", "", "1/2/3", "True", "inf",
         "nan", "9" * 5000,
     )
     for text in rejected:
         with pytest.raises(ValueError, match="^where: "):
-            parse_coefficient(text, "where")
+            read_rational(text, "where")
+    # not text and not exact: a float is binary, even 0.5
+    for value in (0.5, None, True):
+        with pytest.raises(TypeError, match="^where: "):
+            read_rational(value, "where")
 
 
 @pytest.fixture()
@@ -399,7 +414,7 @@ def test_format_coefficient_bounds_what_str_cannot_write(digit_limit):
             else:
                 assert text == str(n)
     with pytest.raises(ValueError):
-        parse_coefficient(format_coefficient(10**640), "c")
+        read_rational(format_coefficient(10**640), "c")
     # with no limit, or a higher one, the same numbers are written in full
     for limit in (0, 4300):
         sys.set_int_max_str_digits(limit)
@@ -646,3 +661,213 @@ def test_constructors_refuse_non_integer_exponents(build):
     # a float is not truncated and a string is not split into digits
     with pytest.raises(TypeError):
         build()
+
+
+# -- the two readers, at every site where an exact number comes in ------------
+
+
+def _edited(doc, path, value):
+    """A deep copy of the JSON document ``doc`` with ``value`` at ``path``."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+_RANK2 = canonical(CanonicalTriple(2, (1, 0), (0, 1))).to_dict()
+
+
+def _presentation(path, value):
+    return QuasiBialgebraPresentation.from_dict(_edited(_RANK2, path, value))
+
+
+def _tensor_doc(rank=1, legs=1, c="1", e=((0,),)):
+    doc = {"rank": rank, "legs": legs, "terms": [{"c": c, "e": [list(v) for v in e]}]}
+    return TensorElement.from_dict(doc)
+
+
+def _first_exponent(x):
+    return x.terms()[0][0][0][0]
+
+
+# (site, field, build): build(value) constructs with value at the site
+# and returns what the site stores
+INTEGER_SITES = [
+    ("TensorElement.from_dict rank", "rank", lambda v: _tensor_doc(rank=v, e=((0, 0),)).rank),
+    ("TensorElement.from_dict legs", "legs", lambda v: _tensor_doc(legs=v, e=((0,), (0,))).legs),
+    ("TensorElement.from_dict exponent", "terms[0].e", lambda v: _first_exponent(_tensor_doc(e=((v,),)))),
+    ("TensorElement rank", "rank", lambda v: TensorElement(v, 1, {((0, 0),): 1}).rank),
+    ("TensorElement legs", "legs", lambda v: TensorElement(1, v, {((0,), (0,)): 1}).legs),
+    ("TensorElement exponent", "exponent", lambda v: _first_exponent(TensorElement(1, 1, {((v,),): 1}))),
+    ("TensorElement.single", "exponent", lambda v: _first_exponent(TensorElement.single(1, [(v,)]))),
+    ("UnitElement rank", "rank", lambda v: UnitElement(v, 1, ((0, 0),)).rank),
+    ("UnitElement monomial", "monomial[0]", lambda v: UnitElement(1, 1, ((v,),)).monomial[0][0]),
+    ("UnitElement.power", "n", lambda v: UnitElement(1, 1, ((1,),)).power(v).monomial[0][0]),
+    ("QuasiBialgebraPresentation.from_dict rank", "rank", lambda v: _presentation(("rank",), v).rank),
+    (
+        "QuasiBialgebraPresentation.from_dict phi",
+        "phi.terms[0].e",
+        lambda v: _presentation(("phi", "terms", 0, "e", 0, 0), v).phi.monomial[0][0],
+    ),
+    ("CanonicalTriple h", "h", lambda v: CanonicalTriple(2, (v,), (1,)).h[0]),
+    ("CanonicalTriple g", "g", lambda v: CanonicalTriple(2, (1,), (v,)).g[0]),
+    ("HarrisonCochain.from_data rank", "rank", lambda v: HarrisonCochain.from_data(v, 1, [[0, 0]]).rank),
+    (
+        "HarrisonCochain.from_data elements",
+        "elements[0]",
+        lambda v: HarrisonCochain.from_data(1, 1, [[v]]).unit.monomial[0][0],
+    ),
+    (
+        "HarrisonCochain.from_dict elements",
+        "elements[0]",
+        lambda v: HarrisonCochain.from_dict({"scalar": "1", "elements": [[v]]}).unit.monomial[0][0],
+    ),
+    ("AbelianGroupDescriptor free_rank", "free_rank", lambda v: AbelianGroupDescriptor(v, (), False).free_rank),
+    ("AbelianGroupDescriptor torsion", "torsion", lambda v: AbelianGroupDescriptor(0, (v,), False).torsion[0]),
+    ("MonoidalParams a", "a", lambda v: MonoidalParams(1, v, 0).a),
+    ("MonoidalParams b", "b", lambda v: MonoidalParams(1, 0, v).b),
+    ("StructureMaps left_exp", "left_exp", lambda v: StructureMaps((0, 0, 0), 1, v, 1, 0, (0, 0)).left_exp),
+    ("StructureMaps right_exp", "right_exp", lambda v: StructureMaps((0, 0, 0), 1, 0, 1, v, (0, 0)).right_exp),
+    ("StructureMaps assoc_exp", "assoc_exp", lambda v: StructureMaps((0, v, 0), 1, 0, 1, 0, (0, 0)).assoc_exp[1]),
+    ("StructureMaps braid_exp", "braid_exp", lambda v: StructureMaps((0, 0, 0), 1, 0, 1, 0, (v, 0)).braid_exp[0]),
+    ("HomObject dim", "dim", lambda v: HomObject(v, ((1, 0), (0, 1))).dim),
+    ("smith_normal_form", "matrix entry", lambda v: smith_normal_form([[v]])[0][0][0]),
+]
+
+RATIONAL_SITES = [
+    ("TensorElement.from_dict coefficient", "terms[0].c", lambda v: _tensor_doc(c=v).terms()[0][1]),
+    ("TensorElement coefficient", "coefficient", lambda v: TensorElement(1, 1, {((0,),): v}).terms()[0][1]),
+    ("TensorElement.single", "coefficient", lambda v: TensorElement.single(v, [(0,)]).terms()[0][1]),
+    ("UnitElement scalar", "scalar", lambda v: UnitElement(1, v, ((0,),)).scalar),
+    ("CounitSpec", "counit[0]", lambda v: CounitSpec(1, (v,)).values[0]),
+    (
+        "QuasiBialgebraPresentation.from_dict counit",
+        "counit[0]",
+        lambda v: _presentation(("counit", 0), v).counit.values[0],
+    ),
+    (
+        "QuasiBialgebraPresentation.from_dict coproduct",
+        "coproduct[0].terms[0].c",
+        lambda v: _presentation(("coproduct", 0, "terms", 0, "c"), v).coproduct.images[0].scalar,
+    ),
+    ("CanonicalTriple q", "q", lambda v: CanonicalTriple(v, (1,), (1,)).q),
+    ("HarrisonCochain.from_data scalar", "scalar", lambda v: HarrisonCochain.from_data(1, v, [[1]]).unit.scalar),
+    (
+        "HarrisonCochain.from_dict scalar",
+        "scalar",
+        lambda v: HarrisonCochain.from_dict({"scalar": v, "elements": [[1]]}).unit.scalar,
+    ),
+    ("MonoidalParams q", "q", lambda v: MonoidalParams(v, 0, 0).q),
+    ("StructureMaps left_scalar", "left_scalar", lambda v: StructureMaps((0, 0, 0), v, 0, 1, 0, (0, 0)).left_scalar),
+    ("StructureMaps right_scalar", "right_scalar", lambda v: StructureMaps((0, 0, 0), 1, 0, v, 0, (0, 0)).right_scalar),
+    ("from_rows", "matrix entry", lambda v: mat.from_rows([[v]])[0][0]),
+    ("HomObject matrix", "matrix entry", lambda v: HomObject(1, ((v,),)).matrix[0][0]),
+]
+
+
+@pytest.mark.parametrize("field, build", [s[1:] for s in INTEGER_SITES], ids=[s[0] for s in INTEGER_SITES])
+def test_integer_sites_read_exact_integers(field, build):
+    # 2.0 and Fraction(2) are integral but not integers, "2" is text and
+    # True is a bool: each would be read as a number by int() or index()
+    for bad in (True, 2.0, 1.5, "2", Fraction(2)):
+        with pytest.raises(TypeError, match=rf"^{re.escape(field)}: expected an integer, got "):
+            build(bad)
+    stored = build(2)
+    assert stored == 2 and type(stored) is int
+
+
+@pytest.mark.parametrize("field, build", [s[1:] for s in RATIONAL_SITES], ids=[s[0] for s in RATIONAL_SITES])
+def test_rational_sites_read_exact_rationals(field, build):
+    # 0.5 is a binary float, True a bool, "1e3" exponent notation
+    for bad, error in ((0.5, TypeError), (True, TypeError), ("1e3", ValueError)):
+        with pytest.raises(error, match=rf"^{re.escape(field)}: "):
+            build(bad)
+    # a matrix entry is normalised, an integral one to an int; every
+    # other site stores a Fraction
+    integral = int if field == "matrix entry" else Fraction
+    for value, expected, kind in (
+        (2, 2, integral),
+        (Fraction(4, 2), 2, integral),
+        (Fraction(3, 2), Fraction(3, 2), Fraction),
+        ("-3/2", Fraction(-3, 2), Fraction),
+    ):
+        stored = build(value)
+        assert stored == expected and type(stored) is kind
+
+
+# -- library refusals, each with its exception and message ---------------------
+
+_U1 = UnitElement(1, 1, ((0,),))
+_U2 = UnitElement(2, 1, ((0, 0),))
+_U11 = UnitElement(1, 1, ((0,), (0,)))
+_DIAGONAL = AlgebraMapSpec(1, 2, (UnitElement(1, 1, ((1,), (1,))),))
+_ORD = ordinary(1)
+
+REFUSALS = [
+    ("TensorElement rank 0", lambda: TensorElement(0, 1), RankMismatch, "rank must be >= 1"),
+    ("TensorElement legs 0", lambda: TensorElement(1, 0), LegMismatch, "legs must be >= 1"),
+    ("TensorElement term legs", lambda: TensorElement(1, 2, {((0,),): 1}), LegMismatch, "term ((0,),) has 1 legs"),
+    ("TensorElement.single no legs", lambda: TensorElement.single(1, []), LegMismatch, "a tensor element needs"),
+    ("TensorElement.generator", lambda: TensorElement.generator(1, 2), RankMismatch, "generator index 2 outside"),
+    ("TensorElement + UnitElement", lambda: TensorElement.one(1, 1) + _U1, TypeError, "expected TensorElement"),
+    ("UnitElement * rank", lambda: _U1 * _U2, RankMismatch, "rank 1 vs 2"),
+    ("UnitElement * legs", lambda: _U1 * _U11, LegMismatch, "1 legs vs 2"),
+    ("zero-leg to_tensor", lambda: UnitElement(1, 1, ()).to_tensor(), LegMismatch, "a zero-leg unit"),
+    ("AlgebraMapSpec target_legs 0", lambda: AlgebraMapSpec(1, 0, ()), LegMismatch, "target_legs must be >= 1"),
+    ("AlgebraMapSpec images", lambda: AlgebraMapSpec(2, 1, (_U2,)), RankMismatch, "need 2 generator images"),
+    ("CounitSpec values", lambda: CounitSpec(2, (1,)), RankMismatch, "need 2 generator values"),
+    (
+        "apply_algebra_map_on_leg rank",
+        lambda: apply_algebra_map_on_leg(_DIAGONAL, _U2, 1),
+        RankMismatch,
+        "map rank 1 vs element rank 2",
+    ),
+    ("apply_algebra_map_on_leg leg", lambda: apply_algebra_map_on_leg(_DIAGONAL, _U11, 3), LegOutOfRange, "leg 3"),
+    (
+        "apply_counit_on_leg rank",
+        lambda: apply_counit_on_leg(CounitSpec(1, (1,)), UnitElement(2, 1, ((0, 0), (0, 0))), 1),
+        RankMismatch,
+        "counit rank 1 vs element rank 2",
+    ),
+    ("apply_counit_on_leg leg", lambda: apply_counit_on_leg(CounitSpec(1, (1,)), _U11, 3), LegOutOfRange, "leg 3"),
+    (
+        "presentation rank",
+        lambda: QuasiBialgebraPresentation(2, _ORD.coproduct, _ORD.counit, _ORD.phi, _ORD.lam, _ORD.rho),
+        RankMismatch,
+        "coproduct/counit rank does not match",
+    ),
+    (
+        "presentation three-leg coproduct",
+        lambda: QuasiBialgebraPresentation(
+            1,
+            AlgebraMapSpec(1, 3, (UnitElement(1, 1, ((1,), (1,), (1,))),)),
+            _ORD.counit,
+            _ORD.phi,
+            _ORD.lam,
+            _ORD.rho,
+        ),
+        LegMismatch,
+        "a coproduct must have two output legs",
+    ),
+    (
+        "HarrisonCochain degree -1",
+        lambda: HarrisonCochain(-1, UnitElement.identity(1, 0)),
+        DegreeMismatch,
+        "degree must be >= 0",
+    ),
+    ("HarrisonCochain legs", lambda: HarrisonCochain(2, _U1), DegreeMismatch, "unit has 1 legs"),
+    ("coboundary_matrix degree", lambda: coboundary_matrix(1, -1), DegreeMismatch, "degree must be >= 0"),
+    ("cohomology rank", lambda: cohomology(0, 1), RankMismatch, "rank must be >= 1"),
+    ("cohomology degree", lambda: cohomology(1, -1), DegreeMismatch, "degree must be >= 0"),
+    ("cocycle_classify rank", lambda: cocycle_classify(0), RankMismatch, "rank must be >= 1"),
+    ("from_rows ragged", lambda: mat.from_rows([[1, 2], [3]]), ValueError, "ragged rows"),
+    ("power non-square", lambda: mat.power(((1, 2),), 2), NotInvertible, "only square matrices"),
+]
+
+
+@pytest.mark.parametrize("call, error, prefix", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_library_refusals(call, error, prefix):
+    with pytest.raises(error, match=f"^{re.escape(prefix)}"):
+        call()

@@ -250,8 +250,12 @@ def test_integer_matrices_stay_integer(a, e, data):
 
 
 def test_integral_entries_come_back_as_int():
-    rows = mat.from_rows([[Fraction(4, 2), 0.5, 3.0]])
+    rows = mat.from_rows([[Fraction(4, 2), Fraction(1, 2), 3]])
     assert rows == ((2, Fraction(1, 2), 3),) and _normalised(rows)
+    # a float is not an exact entry, even when integral
+    for bad in (0.5, 3.0):
+        with pytest.raises(TypeError, match="^matrix entry: "):
+            mat.from_rows([[1, bad]])
     assert _normalised(mat.scale(Fraction(1, 2), ((2, 3),)))
     # a unimodular matrix never leaves the integers, and a rational
     # matrix with an integer inverse gets ints back
