@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import homcat
 from .harrison import HarrisonCochain, boundary, cohomology
-from .laurent import TensorElement, UnitElement, as_unit, read_rational
+from .laurent import INTEGER_TEXT, TensorElement, UnitElement, as_unit, read_rational
 from .quasibialgebra import (
     CanonicalTriple,
     NoMonomialTwist,
@@ -120,15 +120,22 @@ def _element(path: str, rank: int, flag: str) -> UnitElement:
 # as "argument --<flag>: <message>".
 
 
-def _bounded(lo: int, hi: int | None = None):
-    """The type of an integer flag in lo..hi, or >= lo when ``hi`` is None."""
+def _integer(text: str) -> int:
+    """``text`` as ``INTEGER_TEXT`` reads it; ValueError when it is not one."""
+    if not INTEGER_TEXT.fullmatch(text):
+        raise ValueError(text)
+    return int(text)  # ValueError for more digits than int() converts
+
+
+def _bounded(lo: int | None = None, hi: int | None = None):
+    """The type of an integer flag in lo..hi; a bound that is None is open."""
 
     def integer(text: str) -> int:
         try:
-            n = int(text)
+            n = _integer(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if n < lo or (hi is not None and n > hi):
+        if (lo is not None and n < lo) or (hi is not None and n > hi):
             bounds = f">= {lo}" if hi is None else f"between {lo} and {hi}"
             raise argparse.ArgumentTypeError(f"must be {bounds}, got {text!r}")
         return n
@@ -149,7 +156,7 @@ def _fraction(text: str) -> Fraction:
 
 def _int_csv(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(t) for t in text.split(","))
+        return tuple([_integer(t) for t in text.split(",")])
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
@@ -345,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     def sampling_flags(cmd):
         cmd.add_argument("--dims", type=_dims, help="comma-separated object dimensions to sample from")
         cmd.add_argument("--trials", type=_bounded(1, MAX_TRIALS), default=25)
-        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--seed", type=_bounded(), default=0)
 
     cmd = presentation_cmd("verify", "check every quasi-bialgebra axiom")
     cmd.set_defaults(func=_cmd_verify)

@@ -34,6 +34,7 @@ from .laurent import (
     as_unit,
     format_coefficient,
     read_integer,
+    read_shape,
 )
 
 CofaceIndex = int
@@ -51,6 +52,7 @@ class HarrisonCochain:
     unit: UnitElement
 
     def __post_init__(self):
+        object.__setattr__(self, "degree", read_integer(self.degree, "degree"))
         if self.degree < 0:
             raise DegreeMismatch(f"degree must be >= 0, got {self.degree}")
         if self.unit.legs != self.degree:
@@ -89,11 +91,12 @@ class HarrisonCochain:
     def from_dict(cls, data: Mapping, rank: int | None = None) -> "HarrisonCochain":
         """The cochain a ``to_dict`` document describes, over ``rank`` when
         given (every element must then have that length)."""
-        elements = data["elements"]
+        data = read_shape(data, "object", "cochain")
+        elements = read_shape(data["elements"], "array", "elements")
         if rank is None:
             if not elements:
                 raise DegreeMismatch("a degree-0 cochain needs an explicit rank")
-            rank = len(elements[0])
+            rank = len(read_shape(elements[0], "array", "elements[0]"))
         return cls.from_data(rank, data["scalar"], elements)
 
 

@@ -17,17 +17,16 @@ f_X^e (x) f_Y^e, so a constraint at X (x) Y puts its exponent on every
 leg of X and of Y, and the braiding moves whole blocks of legs.  A test
 cross-checks every side against products of the public constraint
 matrices.  Every constraint and every composite of constraints is a
-scalar times a permutation of tensor legs times, on each leg, a word in
-powers f^e of the objects' automorphisms and sampled intertwiners, each
-checked once by ``HomMorphism``.  Composing concatenates words, and two
+scalar times a permutation of tensor legs times, on each leg, a word
+kept in normal form: one power f^e of the leg's source, then sampled
+intertwiners, each checked once by ``HomMorphism``.  An intertwiner
+m: X -> Y satisfies f_Y^k m = m f_X^k, so composing moves the outer
+word's power across the inner word's maps and adds the exponents.  Two
 sides are compared by the first of two routes that decides:
 
-1. Normal forms, on exponents alone.  An intertwiner m: X -> Y
-   satisfies f_Y^k m = m f_X^k, so each leg's word rewrites to its
-   maps followed by one power of its source.  Equal permutations,
-   equal scalars and, per leg, the same maps with the same summed
-   exponent make the sides equal for every choice of the objects, and
-   no matrix is multiplied.
+1. Normal forms, on exponents alone.  Equal permutations, equal scalars
+   and, per leg, the same maps with the same exponent make the sides
+   equal for every choice of the objects, and no matrix is multiplied.
 2. Exact matrices on the sampled objects, built when the normal forms
    differ (an automorphism of finite order, such as -I or a swap, can
    still make the sides equal): coherence builds both full Kronecker
@@ -222,13 +221,6 @@ def _permuted(perm: Sequence[int], items: Sequence) -> tuple:
     return tuple(out)
 
 
-def _factor_matrix(factor) -> Matrix:
-    if type(factor) is tuple:
-        obj, exp = factor
-        return obj.power(exp)
-    return factor.matrix
-
-
 _ONE = Fraction(1)
 
 
@@ -238,14 +230,14 @@ def _product(a: Fraction, b: Fraction) -> Fraction:
 
 
 class _LegMap:
-    """scalar * (leg permutation) * (one word of factors per leg).
+    """scalar * (leg permutation) * (one word per leg).
 
     ``perm[i]`` is the output slot receiving input leg i; ``words[i]``
-    lists the factors applied to leg i before the permutation, in
-    matrix-product order (the last factor acts first).  A factor is a
-    pair (X, e) standing for f_X^e or an intertwiner ``HomMorphism``,
-    whose constructor checked it.  Composing concatenates words; the
-    leg matrices are multiplied out only by ``to_matrix``.
+    is applied to leg i before the permutation.  Each word is kept in
+    normal form (maps, X, e), standing for maps[0] ... maps[-1] . f_X^e:
+    intertwiners ``HomMorphism``, whose constructor checked them, after
+    one power of the leg's source X.  The leg matrices are multiplied
+    out only by ``to_matrix``.
     """
 
     __slots__ = ("scalar", "perm", "words")
@@ -256,10 +248,21 @@ class _LegMap:
         self.words = words
 
     def after(self, other: "_LegMap") -> "_LegMap":
-        """Composite self . other (other runs first)."""
+        """Composite self . other (other runs first), in normal form.
+
+        Where two words meet at an object Y, self's power f_Y^k moves
+        right across other's maps: f_Y^k . m == m . f_X^k for an
+        intertwiner m: X -> Y.  Words that do not meet at the same
+        object (by ``is``) raise ``ValueError``.
+        """
+        words = []
+        for p, (maps, x, e) in zip(other.perm, other.words):
+            outer, y, k = self.words[p]
+            if (maps[0].target if maps else x) is not y:
+                raise ValueError(f"the words on leg {p} do not meet at one object")
+            words.append((outer + maps, x, k + e))
         perm = tuple([self.perm[p] for p in other.perm])
-        words = tuple([self.words[p] + w for p, w in zip(other.perm, other.words)])
-        return _LegMap(_product(self.scalar, other.scalar), perm, words)
+        return _LegMap(_product(self.scalar, other.scalar), perm, tuple(words))
 
     def tensor(self, other: "_LegMap") -> "_LegMap":
         """self (x) other: other's legs follow self's."""
@@ -268,12 +271,9 @@ class _LegMap:
         return _LegMap(_product(self.scalar, other.scalar), perm, self.words + other.words)
 
     def to_matrix(self) -> Matrix:
-        mats = []
-        for word in self.words:
-            m = _factor_matrix(word[0])
-            for factor in word[1:]:
-                m = _compose(m, _factor_matrix(factor))
-            mats.append(m)
+        mats = [
+            reduce(_compose, [m.matrix for m in maps] + [x.power(e)]) for maps, x, e in self.words
+        ]
         mats[0] = mat.scale(self.scalar, mats[0])
         k = reduce(mat.kron, mats)
         n = len(self.perm)
@@ -304,54 +304,20 @@ def _compose(a: Matrix, b: Matrix) -> Matrix:
     return mat.mul(a, b)
 
 
-def _normal_word(word: tuple):
-    """(maps, source, e) with word == maps[0] ... maps[-1] . f_source^e, or None.
-
-    Read from the left, a power of the object a map lands in moves to
-    its right as the same power of the object the map leaves:
-    f_Y^k . m == m . f_X^k for an intertwiner m: X -> Y.  A power of any
-    other object, or a map out of any other object, leaves the word
-    without a normal form.
-    """
-    maps = []
-    obj = None  # the object between the factors read so far and the rest
-    exp = 0
-    for factor in word:
-        kind = type(factor)
-        if kind is tuple and (obj is None or factor[0] is obj):
-            obj = factor[0]
-            exp += factor[1]
-        elif kind is HomMorphism and (obj is None or factor.target is obj):
-            maps.append(factor)
-            obj = factor.source
-        else:
-            return None
-    return tuple(maps), obj, exp
-
-
-def _normal_form(legs: _LegMap):
-    """The normal form of every leg, or None when one has none."""
-    forms = tuple(map(_normal_word, legs.words))
-    return None if None in forms else forms
-
-
 def _same_matrix(lhs: _LegMap, rhs: _LegMap) -> bool:
     """A sound, sufficient test that two leg maps have the same full matrix.
 
-    True when the permutations, the scalars and the normal forms of the
-    words agree, which makes the sides equal whatever the objects.
-    False only means undecided: the full matrices may still be equal.
+    True when the permutations, the scalars and the words agree, which
+    makes the sides equal whatever the objects.  False only means
+    undecided: the full matrices may still be equal.
     """
-    if lhs.perm != rhs.perm or lhs.scalar != rhs.scalar:
-        return False
-    form = _normal_form(lhs)
-    return form is not None and form == _normal_form(rhs)
+    return lhs.perm == rhs.perm and lhs.scalar == rhs.scalar and lhs.words == rhs.words
 
 
 def _morphism(legs: _LegMap) -> HomMorphism:
     """The full morphism of a constraint, from the tensor of its legs' objects,
     checked in full."""
-    sources = tuple([word[0][0] for word in legs.words])
+    sources = tuple([x for _, x, _ in legs.words])
     targets = _permuted(legs.perm, sources)
     return HomMorphism(reduce(tensor_obj, sources), reduce(tensor_obj, targets), legs.to_matrix())
 
@@ -366,7 +332,7 @@ def _ratio(first: _LegMap, second: _LegMap) -> _LegMap:
     if not first.scalar:
         raise NotInvertible("matrix is singular")
     pairs = zip(first.words, second.words)
-    words = tuple([((x, e2 - e1),) for ((x, e1),), ((_, e2),) in pairs])
+    words = tuple([((), x, e2 - e1) for (_, x, e1), (_, _, e2) in pairs])
     return _LegMap(
         second.scalar / first.scalar, tuple(range(len(words))), _permuted(first.perm, words)
     )
@@ -391,12 +357,12 @@ def _blocks(blocks: Sequence[tuple], exps=None, scalar: Fraction = _ONE, perm=No
     """
     if exps is None:
         exps = (0,) * len(blocks)
-    words = tuple([((x, e),) for block, e in zip(blocks, exps) for x in block])
+    words = tuple([((), x, e) for block, e in zip(blocks, exps) for x in block])
     return _LegMap(scalar, tuple(range(len(words))) if perm is None else perm, words)
 
 
 _I = (_UNIT,)  # the unit as a block
-_I_LEG = (_UNIT, 0)  # f_I^0, the identity on the unit's leg, as a word factor
+_I_LEG = ((), _UNIT, 0)  # f_I^0, the identity on the unit's leg, as a word
 
 
 def _assoc(s: StructureMaps, x: tuple, y: tuple, z: tuple, sign: int = 1) -> _LegMap:
@@ -486,15 +452,16 @@ def _symmetry(s, u, v) -> tuple[_LegMap, _LegMap]:
 
 
 def _maps_legs(maps) -> _LegMap:
-    """The tensor product of the maps, leg by leg."""
-    return _LegMap(_ONE, tuple(range(len(maps))), tuple([(m,) for m in maps]))
+    """The tensor product of the maps, leg by leg; ``_I_LEG`` is already a word."""
+    words = tuple([m if m is _I_LEG else ((m,), m.source, 0) for m in maps])
+    return _LegMap(_ONE, tuple(range(len(maps))), words)
 
 
 def _natural(constraint, s, sources, targets, maps) -> tuple[_LegMap, _LegMap]:
     """The naturality square of a constraint on one-leg objects:
     C_targets . (maps) = (maps, moved as C moves legs) . C_sources.
 
-    ``maps`` holds one factor per leg of C's source: an intertwiner, or
+    ``maps`` holds one entry per leg of C's source: an intertwiner, or
     ``_I_LEG`` on a unitor's unit leg.
     """
     before = constraint(s, *[(x,) for x in sources])

@@ -10,6 +10,7 @@ Every exact number coming in from a file or a Python caller is read by
 one of two readers here, which name the field they refuse:
 ``read_integer`` takes an int that is not a bool, ``read_rational`` such
 an int, a ``Fraction`` or text such as "-3/2", and neither a float.
+``read_shape`` reads every array and record around them the same way.
 
 Group-like monomials q * g^(v_1) (x) ... (x) g^(v_m) with q != 0 are
 exactly the invertible elements of the tensor power.  ``as_unit`` is the
@@ -66,9 +67,12 @@ def read_integer(value, field: str) -> int:
     raise TypeError(f"{field}: expected an integer, got {value!r}")
 
 
-# an integer, p/q with q != 0 or a decimal; no exponent, so the digits
-# of the text bound the size of the number
-_RATIONAL = re.compile(r"\s*[-+]?(\d+(/0*[1-9]\d*)?|\d+\.\d*|\.\d+)\s*")
+# Number text is ASCII: a sign, the digits 0-9 and spaces around them
+# (\d, int() and Fraction() also read other scripts' digits, int() "1_0").
+# INTEGER_TEXT is an integer; _RATIONAL also p/q with q != 0 or a decimal,
+# neither with an exponent, so the digits of the text bound the number.
+INTEGER_TEXT = re.compile(r"\s*[-+]?[0-9]+\s*")
+_RATIONAL = re.compile(r"\s*[-+]?([0-9]+(/0*[1-9][0-9]*)?|[0-9]+\.[0-9]*|\.[0-9]+)\s*")
 
 
 def read_rational(value, field: str) -> Fraction:
@@ -93,8 +97,18 @@ def read_rational(value, field: str) -> Fraction:
         raise ValueError(f"{field}: {exc}") from None
 
 
+_SHAPES = {"array": (list, tuple), "object": dict}
+
+
+def read_shape(value, kind: str, field: str):
+    """``value`` if it is a JSON ``kind``, "array" (list or tuple) or "object" (dict)."""
+    if isinstance(value, _SHAPES[kind]):
+        return value
+    raise TypeError(f"{field}: expected an {kind}, got {type(value).__name__}")
+
+
 def _as_vector(v: Iterable, rank: int, field: str) -> Vector:
-    vec = tuple([read_integer(c, field) for c in v])
+    vec = tuple([read_integer(c, field) for c in read_shape(v, "array", field)])
     if len(vec) != rank:
         raise RankMismatch(f"exponent vector {vec} has length {len(vec)}, expected {rank}")
     return vec
@@ -306,11 +320,13 @@ class TensorElement:
 
     @classmethod
     def from_dict(cls, data: Mapping, field: str = "") -> "TensorElement":
-        """The element a ``to_dict`` document describes; ``field`` prefixes error messages."""
+        """The element a ``to_dict`` document describes; ``field`` ("phi.") prefixes errors."""
+        data = read_shape(data, "object", field[:-1] or "element")
         rank, legs = _shape(data["rank"], data["legs"], field)
         terms: dict[TermKey, Fraction] = {}
-        for i, entry in enumerate(data["terms"]):
+        for i, entry in enumerate(read_shape(data["terms"], "array", f"{field}terms")):
             where = f"{field}terms[{i}]"
+            entry = read_shape(entry, "object", where)
             _add_term(terms, rank, legs, entry["e"], entry["c"], f"{where}.e", f"{where}.c")
         return _raw(rank, legs, terms)
 
@@ -329,7 +345,7 @@ def _shape(rank, legs, field: str) -> tuple[int, int]:
 def _add_term(terms: dict, rank: int, legs: int, key, value, e_field: str, c_field: str) -> None:
     """Add value * g^(key[0]) (x) ... into ``terms``, dropping a zero sum;
     the exponents are read as ``e_field``, the coefficient as ``c_field``."""
-    key = tuple([_as_vector(v, rank, e_field) for v in key])
+    key = tuple([_as_vector(v, rank, e_field) for v in read_shape(key, "array", e_field)])
     if len(key) != legs:
         raise LegMismatch(f"term {key} has {len(key)} legs, expected {legs}")
     s = terms.pop(key, 0) + read_rational(value, c_field)
@@ -496,6 +512,8 @@ class AlgebraMapSpec:
     images: tuple[UnitElement, ...]
 
     def __post_init__(self):
+        for name in ("rank", "target_legs"):
+            object.__setattr__(self, name, read_integer(getattr(self, name), name))
         if self.target_legs < 1:
             raise LegMismatch(f"target_legs must be >= 1, got {self.target_legs}")
         imgs = tuple(
@@ -527,6 +545,7 @@ class CounitSpec:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", read_integer(self.rank, "rank"))
         vals = tuple([read_rational(v, f"counit[{i}]") for i, v in enumerate(self.values)])
         if len(vals) != self.rank:
             raise RankMismatch(f"need {self.rank} generator values, got {len(vals)}")

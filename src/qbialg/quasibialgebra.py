@@ -34,6 +34,7 @@ from .laurent import (
     insert_unit_leg,
     read_integer,
     read_rational,
+    read_shape,
     tensor_concat,
 )
 from .reports import AxiomCheck, VerificationReport, compare
@@ -87,11 +88,11 @@ class QuasiBialgebraPresentation:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "QuasiBialgebraPresentation":
+        data = read_shape(data, "object", "presentation")
         rank = read_integer(data["rank"], "rank")
-        images = tuple(
-            TensorElement.from_dict(d, f"coproduct[{i}].") for i, d in enumerate(data["coproduct"])
-        )
-        counit = CounitSpec(rank, tuple(data["counit"]))
+        coproduct = read_shape(data["coproduct"], "array", "coproduct")
+        images = tuple(TensorElement.from_dict(d, f"coproduct[{i}].") for i, d in enumerate(coproduct))
+        counit = CounitSpec(rank, tuple(read_shape(data["counit"], "array", "counit")))
         return cls(
             rank,
             AlgebraMapSpec(rank, 2, images),

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import subprocess
@@ -370,7 +371,7 @@ def test_exponent_notation_is_malformed_input(tmp_path, ordinary_file):
 
 def test_non_integer_exponents_are_malformed_input(tmp_path, canonical_file, capsys):
     # int() would read 1.7 as 1 (leaving the canonical presentation valid),
-    # 1.9 as 1, and the string "10" as the digits (1, 0)
+    # 1.9 as 1, and iterating the string "10" gives the digits (1, 0)
     from qbialg.cli import main
 
     data = json.loads(canonical_file.read_text())
@@ -381,15 +382,81 @@ def test_non_integer_exponents_are_malformed_input(tmp_path, canonical_file, cap
     float_cochain.write_text(json.dumps({"scalar": "2", "elements": [[1.9], [2]]}))
     string_cochain = tmp_path / "string_cochain.json"
     string_cochain.write_text(json.dumps({"scalar": "2", "elements": [[1, 0], "10"]}))
-    for argv, field, value in (
-        (["verify", "--input", str(float_phi)], "phi.terms[0].e", "1.7"),
-        (["boundary", "--degree", "2", "--input", str(float_cochain)], "elements[0]", "1.9"),
-        (["boundary", "--degree", "2", "--input", str(string_cochain)], "elements[1]", "'1'"),
+    for argv, refusal in (
+        (["verify", "--input", str(float_phi)], "phi.terms[0].e: expected an integer, got 1.7"),
+        (["boundary", "--degree", "2", "--input", str(float_cochain)], "elements[0]: expected an integer, got 1.9"),
+        (["boundary", "--degree", "2", "--input", str(string_cochain)], "elements[1]: expected an array, got str"),
     ):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: {argv[-1]}: {field}: expected an integer, got {value}\n"
+        assert err == f"error: {argv[-1]}: {refusal}\n"
+
+
+def _set(path, value):
+    """An edit of a document: the value at ``path`` (keys and indices) becomes ``value``."""
+    def edit(doc):
+        *parents, last = path
+        functools.reduce(lambda node, key: node[key], parents, doc)[last] = value
+    return edit
+
+
+_CANONICAL_DOC = canonical(CanonicalTriple(Fraction(2), (1,), (1,))).to_dict()
+_COCHAIN_DOC = {"scalar": "2", "elements": [[1], [2]]}
+
+# (name, command, document, edit, the refusal after the path)
+_SHAPE_ERRORS = [
+    (
+        "vector is a number", "verify", _CANONICAL_DOC, _set(("phi", "terms", 0, "e"), [1, 0, 1]),
+        "phi.terms[0].e: expected an array, got int",
+    ),
+    (
+        "vectors are a number", "verify", _CANONICAL_DOC, _set(("phi", "terms", 0, "e"), 5),
+        "phi.terms[0].e: expected an array, got int",
+    ),
+    (
+        "vector is a record", "verify", _CANONICAL_DOC, _set(("phi", "terms", 0, "e", 0), {"x": 1}),
+        "phi.terms[0].e: expected an array, got dict",
+    ),
+    ("terms", "verify", _CANONICAL_DOC, _set(("phi", "terms"), 5), "phi.terms: expected an array, got int"),
+    ("term", "verify", _CANONICAL_DOC, _set(("phi", "terms", 0), 5), "phi.terms[0]: expected an object, got int"),
+    ("element", "verify", _CANONICAL_DOC, _set(("phi",), [1]), "phi: expected an object, got list"),
+    ("counit", "verify", _CANONICAL_DOC, _set(("counit",), 5), "counit: expected an array, got int"),
+    ("coproduct", "verify", _CANONICAL_DOC, _set(("coproduct",), 5), "coproduct: expected an array, got int"),
+    (
+        "coproduct image", "verify", _CANONICAL_DOC, _set(("coproduct", 0), 5),
+        "coproduct[0]: expected an object, got int",
+    ),
+    ("presentation", "verify", [1], None, "presentation: expected an object, got list"),
+    (
+        "cochain element", "boundary", _COCHAIN_DOC, _set(("elements",), [5]),
+        "elements[0]: expected an array, got int",
+    ),
+    (
+        "cochain element, rank given", "boundary --rank 1", _COCHAIN_DOC, _set(("elements",), [[1], 5]),
+        "elements[1]: expected an array, got int",
+    ),
+    ("cochain elements", "boundary", _COCHAIN_DOC, _set(("elements",), 5), "elements: expected an array, got int"),
+    ("cochain", "boundary", [1], None, "cochain: expected an object, got list"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc, edit, refusal", [c[1:] for c in _SHAPE_ERRORS], ids=[c[0] for c in _SHAPE_ERRORS]
+)
+def test_shape_error_names_the_field(tmp_path, capsys, command, doc, edit, refusal):
+    from qbialg.cli import main
+
+    doc = copy.deepcopy(doc)
+    if edit is not None:
+        edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    name, *flags = command.split()
+    if name == "boundary":
+        flags += ["--degree", "2"]
+    assert main([name, *flags, "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {refusal}\n")
 
 
 @pytest.mark.parametrize("number", ["9007199254740993.0", "0.12345678901234567890"])
@@ -675,7 +742,7 @@ def test_sampled_hom_runs_are_byte_identical_to_golden():
 
 
 def _bounded_flag_cases():
-    """(argv, flag) for every value a bounded flag refuses."""
+    """(argv, flag) for every value a number flag refuses."""
     from qbialg.cli import MAX_DEGREE, MAX_DIM, MAX_EXPONENT, MAX_RANK, MAX_TRIALS
 
     homcheck = ["homcheck", "--q", "2", "--a", "1", "--b", "-1", "--dims", "1", "--trials", "1"]
@@ -686,15 +753,22 @@ def _bounded_flag_cases():
     boundary = ["boundary", "--input", "never-read.json", "--degree", "0", "--rank", "1"]
     cohomology = ["cohomology", "--rank", "1", "--degree", "1"]
     classify = ["classify", "--rank", "1", "--q", "2", "--h", "1", "--g", "1"]
-    degree = (-1, MAX_DEGREE + 1)
-    scalar = ("0", "0/5")
-    exponent = (MAX_EXPONENT + 1, -MAX_EXPONENT - 1)
-    sampling = {"--dims": ("0", "2,-1", f"1,{MAX_DIM + 1}"), "--trials": (0, -3, MAX_TRIALS + 1)}
+    # int() reads an Arabic-Indic digit and "1_0", Fraction() the digit too;
+    # number text is ASCII digits
+    foreign = ("\u0661", "1_0")
+    degree = (-1, MAX_DEGREE + 1, *foreign)
+    scalar = ("0", "0/5", "\u0662", "\u0661.\u0665")
+    exponent = (MAX_EXPONENT + 1, -MAX_EXPONENT - 1, *foreign)
+    sampling = {
+        "--dims": ("0", "2,-1", f"1,{MAX_DIM + 1}", *foreign, "1,\u0662"),
+        "--trials": (0, -3, MAX_TRIALS + 1, *foreign),
+        "--seed": foreign,
+    }
     cases = []
     for base, refused in (
-        (boundary, {"--degree": degree, "--rank": (0, -1, MAX_RANK + 1)}),
-        (cohomology, {"--degree": degree, "--rank": (0, -1)}),
-        (classify, {"--rank": (0, -1)}),
+        (boundary, {"--degree": degree, "--rank": (0, -1, MAX_RANK + 1, *foreign)}),
+        (cohomology, {"--degree": degree, "--rank": (0, -1, *foreign)}),
+        (classify, {"--rank": (0, -1, *foreign), "--h": foreign, "--g": (*foreign, "1,1_0")}),
         (homcheck, {"--q": scalar, "--a": exponent, "--b": exponent, **sampling}),
         (compare, {
             "--q1": scalar, "--a1": exponent, "--b1": exponent,

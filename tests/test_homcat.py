@@ -40,7 +40,7 @@ from qbialg.homcat import (
     _decide,
     _LegMap,
     _blocks,
-    _normal_form,
+    _maps_legs,
     _same_matrix,
 )
 from qbialg.laurent import format_coefficient
@@ -425,35 +425,52 @@ def hom_objects(draw, max_dim=3):
     return HomObject(n, _finite_order(n)[kind == "shift"])
 
 
-def _word(objs, maps, exps, foreign=None):
-    """f_{X_k}^{e_k} m_k ... m_1 f_{X_0}^{e_0}; with a foreign object Z of
+def _power(x, e):
+    """f_x^e as a one-leg leg map."""
+    return _blocks(((x,),), (e,))
+
+
+def _factors(objs, maps, exps, foreign=None):
+    """The factors of f_{X_k}^{e_k} m_k ... m_1 f_{X_0}^{e_0}, leftmost first,
+    each a pair (one-leg leg map, its matrix); with a foreign object Z of
     X_0's dimension the word goes on as f_{X_0}^{e_0} f_Z f_{X_0}^{e_{k+1}}."""
-    word = []
+    factors = []
     for j in range(len(objs) - 1, -1, -1):
-        word.append((objs[j], exps[j]))
+        factors.append((_power(objs[j], exps[j]), objs[j].power(exps[j])))
         if j:
-            word.append(maps[j - 1])
+            factors.append((_maps_legs((maps[j - 1],)), maps[j - 1].matrix))
     if foreign is not None:
-        word += [(foreign, 1), (objs[0], exps[-1])]
-    return tuple(word)
+        factors.append((_power(foreign, 1), foreign.matrix))
+        factors.append((_power(objs[0], exps[-1]), objs[0].power(exps[-1])))
+    return factors
+
+
+def _composed(factors):
+    """The factors' leg maps composed with ``after``, checked against the
+    product of their matrices."""
+    legs = functools.reduce(_LegMap.after, [leg for leg, _ in factors])
+    assert legs.to_matrix() == functools.reduce(mat.mul, [m for _, m in factors])
+    return legs
 
 
 @st.composite
 def word_pairs(draw):
-    """Two leg maps written in powers and checked intertwiners, and a flag
-    saying whether their normal forms agree by construction.
+    """Two sides, each (scalar, perm, one factor list per leg) in powers
+    and checked intertwiners; the factor lists of some legs continued
+    through a foreign object; and a flag saying whether the composed
+    sides agree by construction.
 
     Per leg, a chain X_0 -> X_1 -> ... of random_morphism maps with a
     power of the right object before and after each map.  The rhs may
     take another map out of X_0, and spreads the same total exponent
     differently or changes it.  A matrix that does not intertwine is
-    refused by HomMorphism and only ever enters a word as the automorphism
-    of a foreign object, on both sides, which nothing moves across.
+    refused by HomMorphism and only ever enters a factor list as the
+    automorphism of a foreign object, which nothing moves across.
     """
     n = draw(st.integers(1, 3))
     exponent = st.integers(-3, 3)
     rng = random.Random(draw(st.integers(0, 2**32)))
-    lhs_words, rhs_words, agree = [], [], True
+    lhs_words, rhs_words, foreign_words, agree = [], [], [], True
     for _ in range(n):
         objs = [draw(hom_objects())]
         maps = []
@@ -465,49 +482,47 @@ def word_pairs(draw):
         if maps and draw(st.booleans()):
             y, m = random_morphism(rng, objs[0])
             rhs_objs, rhs_maps = [objs[0], y], [HomMorphism(objs[0], y, m)]
-        foreign = None
+        exps = [draw(exponent) for _ in range(len(objs))]
+        rhs_exps = [draw(exponent) for _ in range(len(rhs_objs))]
+        if draw(st.booleans()):  # the same total, spread differently
+            rhs_exps[-1] = sum(exps) - sum(rhs_exps[:-1])
+        agree &= rhs_maps == maps and sum(rhs_exps) == sum(exps)
+        lhs_words.append(_factors(objs, maps, exps))
+        rhs_words.append(_factors(rhs_objs, rhs_maps, rhs_exps))
         if draw(st.booleans()):
             m = random_unimodular(rng, objs[0].dim)[0]
             if mat.mul(objs[0].matrix, m) != mat.mul(m, objs[0].matrix):
                 with pytest.raises(ValueError):
                     HomMorphism(objs[0], objs[0], m)
                 foreign = HomObject(objs[0].dim, m)
-        extra = foreign is not None
-        exps = [draw(exponent) for _ in range(len(objs) + extra)]
-        rhs_exps = [draw(exponent) for _ in range(len(rhs_objs) + extra)]
-        if draw(st.booleans()):  # the same total, spread differently
-            rhs_exps[-1] = sum(exps) - sum(rhs_exps[:-1])
-        agree &= foreign is None and rhs_maps == maps and sum(rhs_exps) == sum(exps)
-        lhs_words.append(_word(objs, maps, exps, foreign))
-        rhs_words.append(_word(rhs_objs, rhs_maps, rhs_exps, foreign))
+                foreign_words.append(_factors(objs, maps, exps + [draw(exponent)], foreign))
     perm = tuple(draw(st.permutations(range(n))))
     rhs_perm = tuple(draw(st.permutations(range(n)))) if draw(st.booleans()) else perm
     scalar = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2)])
     lhs_scalar = draw(scalar)
     rhs_scalar = draw(scalar) if draw(st.booleans()) else lhs_scalar
     agree &= rhs_perm == perm and rhs_scalar == lhs_scalar
-    lhs = _LegMap(lhs_scalar, perm, tuple(lhs_words))
-    return lhs, _LegMap(rhs_scalar, rhs_perm, tuple(rhs_words)), agree
+    return (lhs_scalar, perm, lhs_words), (rhs_scalar, rhs_perm, rhs_words), foreign_words, agree
 
 
 @settings(max_examples=300, deadline=None)
 @given(word_pairs())
 def test_normal_form_never_disagrees_with_full_matrices(case):
-    lhs, rhs, agree = case
-    form = _normal_form(lhs)
-    decided = (
-        lhs.perm == rhs.perm
-        and lhs.scalar == rhs.scalar
-        and form is not None
-        and form == _normal_form(rhs)
+    *sides, foreign_words, agree = case
+    lhs, rhs = (
+        _LegMap(scalar, perm, tuple([_composed(factors).words[0] for factors in words]))
+        for scalar, perm, words in sides
     )
+    # a power of a foreign object meets no word, so nothing composes with it
+    for factors in foreign_words:
+        with pytest.raises(ValueError, match="do not meet"):
+            _composed(factors)
     equal = lhs.to_matrix() == rhs.to_matrix()
-    if decided:
+    same = _same_matrix(lhs, rhs)
+    if same:
         assert equal
-    assert decided == agree  # the normal form sees every pair built to agree
-    if _same_matrix(lhs, rhs):
-        assert equal
-    dims = tuple(word[0][0].dim for word in lhs.words)  # each word opens with f_X^e
+    assert same == agree  # the normal form sees every pair built to agree
+    dims = tuple(x.dim for _, x, _ in lhs.words)
     assert _decide(dims, [(lhs, rhs)]).passed == equal
 
 
@@ -515,7 +530,7 @@ def test_finite_order_coincidence_passes_through_the_fallback():
     for f in (*_finite_order(2), ((-1,),)):
         x = HomObject(len(f), f)
         lhs, rhs = _blocks(((x,), (x,)), (2, 1)), _blocks(((x,), (x,)), (0, 3))
-        assert _normal_form(lhs) != _normal_form(rhs)  # exponents differ ...
+        assert lhs.words != rhs.words  # exponents differ ...
         assert lhs.to_matrix() == rhs.to_matrix()  # ... but f^2 == I
         assert not _same_matrix(lhs, rhs)  # only the full matrices see it
         assert _decide((x.dim, x.dim), [(lhs, rhs)]).passed
@@ -539,28 +554,28 @@ def test_nothing_moves_across_a_map_that_does_not_intertwine():
         naturality_associator_sides(s, (x, x, x), (x, x, x), (m, m, m))
     with pytest.raises(ValueError, match="intertwine"):
         naturality_braiding_sides(s, (x, x), (x, x), (m, m))
-    # so m enters a word only as the automorphism of another object
+    # so m enters a word only as the automorphism of another object, and
+    # no word composes with it: f_x f_z and f_z f_x differ
     z = HomObject(2, m)
-    lhs = _LegMap(Fraction(1), (0,), (((x, 1), (z, 1)),))
-    rhs = _LegMap(Fraction(1), (0,), (((z, 1), (x, 1)),))
-    assert _normal_form(lhs) is None and _normal_form(rhs) is None
-    assert lhs.to_matrix() != rhs.to_matrix()
-    assert not _decide((2,), [(lhs, rhs)]).passed
+    fx, fz = _power(x, 1), _power(z, 1)
+    for outer, inner in ((fx, fz), (fz, fx)):
+        with pytest.raises(ValueError, match="do not meet"):
+            outer.after(inner)
+    assert mat.mul(x.matrix, z.matrix) != mat.mul(z.matrix, x.matrix)
 
 
 def test_a_power_moves_only_across_a_map_into_its_object():
     x = HomObject(2, ((1, 1), (0, 1)))
     y, m = random_morphism(random.Random(4), x)
-    m = HomMorphism(x, y, m)
+    m = _maps_legs((HomMorphism(x, y, m),))
     z = HomObject(2, ((2, 1), (1, 1)))  # same dimension as y, another automorphism
-    moved = _LegMap(Fraction(1), (0,), ((m, (x, 1)),))
-    for word in (((z, 1), m), ((y, 1), (z, 0), m), ((z, 1), (y, 0), m)):
-        legs = _LegMap(Fraction(1), (0,), (word,))
-        assert _normal_form(legs) is None
-        assert not _same_matrix(legs, moved)
-        equal = legs.to_matrix() == moved.to_matrix()
-        assert _decide((2,), [(legs, moved)]).passed == equal
-    assert _normal_form(_LegMap(Fraction(1), (0,), (((y, 1), m),))) == _normal_form(moved)
+    moved = m.after(_power(x, 1))
+    for word in ((_power(z, 1), m), (_power(y, 1), _power(z, 0), m), (_power(z, 1), _power(y, 0), m)):
+        with pytest.raises(ValueError, match="do not meet"):
+            functools.reduce(_LegMap.after, word)
+    legs = _power(y, 1).after(m)
+    assert legs.words == moved.words and _same_matrix(legs, moved)
+    assert legs.to_matrix() == moved.to_matrix() == mat.mul(y.matrix, m.to_matrix())
 
 
 @st.composite
@@ -739,7 +754,8 @@ def permuted_leg_maps(draw):
     objs = [draw(hom_objects(max_dim=2)) for _ in range(n)]
     perm = tuple(draw(st.permutations(range(n)).filter(lambda p: p != list(range(n)))))
     scalar = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2)]))
-    return _LegMap(scalar, perm, tuple(((o, draw(st.integers(-2, 2))),) for o in objs))
+    exps = [draw(st.integers(-2, 2)) for _ in objs]
+    return _blocks(tuple([(o,) for o in objs]), exps, scalar, perm)
 
 
 @settings(max_examples=60, deadline=None)

@@ -376,6 +376,8 @@ def test_read_rational():
     rejected = (
         "1e400000", "1E5", "2.5e-3", "1/0", "3/00", "abc", "", "1/2/3", "True", "inf",
         "nan", "9" * 5000,
+        # Fraction() reads digits of any script and "1_0"; number text is ASCII
+        "\u0661", "\u0661.\u0665", "1/\u0662", "1_0", "1_0/3",
     )
     for text in rejected:
         with pytest.raises(ValueError, match="^where: "):
@@ -428,21 +430,21 @@ def test_from_dict_names_the_bad_coefficient():
 
 
 @pytest.mark.parametrize(
-    "change, field",
+    "change, refusal",
     [
-        (lambda d: d["terms"][0]["e"][0].__setitem__(0, 1.7), "phi.terms[0].e"),
-        (lambda d: d["terms"][0]["e"].__setitem__(1, "10"), "phi.terms[0].e"),
-        (lambda d: d.__setitem__("rank", 2.0), "phi.rank"),
-        (lambda d: d.__setitem__("legs", "3"), "phi.legs"),
-        (lambda d: d["terms"][0]["e"][2].__setitem__(1, True), "phi.terms[0].e"),
+        (lambda d: d["terms"][0]["e"][0].__setitem__(0, 1.7), "phi.terms[0].e: expected an integer, got "),
+        (lambda d: d["terms"][0]["e"].__setitem__(1, "10"), "phi.terms[0].e: expected an array, got str"),
+        (lambda d: d.__setitem__("rank", 2.0), "phi.rank: expected an integer, got "),
+        (lambda d: d.__setitem__("legs", "3"), "phi.legs: expected an integer, got "),
+        (lambda d: d["terms"][0]["e"][2].__setitem__(1, True), "phi.terms[0].e: expected an integer, got "),
     ],
 )
-def test_from_dict_refuses_non_integer_exponents(change, field):
-    # int() would read 1.7 as 1, 2.0 as 2, true as 1 and "10" as the digits (1, 0)
+def test_from_dict_refuses_non_integer_exponents(change, refusal):
+    # int() would read 1.7 as 1, 2.0 as 2, true as 1 and, iterating "10", the digits (1, 0)
     doc = {"rank": 2, "legs": 3, "terms": [{"c": "1", "e": [[1, 0], [0, 0], [0, 1]]}]}
     TensorElement.from_dict(doc, "phi.")
     change(doc)
-    with pytest.raises(TypeError, match=rf"^{re.escape(field)}: expected an integer, got "):
+    with pytest.raises(TypeError, match=rf"^{re.escape(refusal)}"):
         TensorElement.from_dict(doc, "phi.")
 
 
@@ -703,6 +705,14 @@ INTEGER_SITES = [
     ("TensorElement exponent", "exponent", lambda v: _first_exponent(TensorElement(1, 1, {((v,),): 1}))),
     ("TensorElement.single", "exponent", lambda v: _first_exponent(TensorElement.single(1, [(v,)]))),
     ("UnitElement rank", "rank", lambda v: UnitElement(v, 1, ((0, 0),)).rank),
+    ("AlgebraMapSpec rank", "rank", lambda v: AlgebraMapSpec(v, 1, (UnitElement(2, 1, ((0, 0),)),) * 2).rank),
+    (
+        "AlgebraMapSpec target_legs",
+        "target_legs",
+        lambda v: AlgebraMapSpec(1, v, (UnitElement(1, 1, ((0,), (0,))),)).target_legs,
+    ),
+    ("CounitSpec rank", "rank", lambda v: CounitSpec(v, (1, 1)).rank),
+    ("HarrisonCochain degree", "degree", lambda v: HarrisonCochain(v, UnitElement(1, 1, ((0,), (0,)))).degree),
     ("UnitElement monomial", "monomial[0]", lambda v: UnitElement(1, 1, ((v,),)).monomial[0][0]),
     ("UnitElement.power", "n", lambda v: UnitElement(1, 1, ((1,),)).power(v).monomial[0][0]),
     ("QuasiBialgebraPresentation.from_dict rank", "rank", lambda v: _presentation(("rank",), v).rank),
