@@ -102,7 +102,7 @@ def _load(path: str, read):
     data = _read_json(path)
     try:
         return read(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputParseError(f"{path}: {exc}") from exc
 
 

@@ -34,6 +34,7 @@ from .laurent import (
     as_unit,
     format_coefficient,
     read_integer,
+    read_key,
     read_shape,
 )
 
@@ -92,12 +93,12 @@ class HarrisonCochain:
         """The cochain a ``to_dict`` document describes, over ``rank`` when
         given (every element must then have that length)."""
         data = read_shape(data, "object", "cochain")
-        elements = read_shape(data["elements"], "array", "elements")
+        elements = read_shape(read_key(data, "elements"), "array", "elements")
         if rank is None:
             if not elements:
                 raise DegreeMismatch("a degree-0 cochain needs an explicit rank")
             rank = len(read_shape(elements[0], "array", "elements[0]"))
-        return cls.from_data(rank, data["scalar"], elements)
+        return cls.from_data(rank, read_key(data, "scalar"), elements)
 
 
 def coface(i: CofaceIndex, c: HarrisonCochain) -> HarrisonCochain:

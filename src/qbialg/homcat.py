@@ -46,7 +46,7 @@ from functools import partial, reduce
 from typing import Sequence
 
 from . import matrices as mat
-from .laurent import format_coefficient, read_integer, read_rational
+from .laurent import format_coefficient, read_integer, read_rational, read_shape
 from .matrices import Matrix, NotInvertible
 
 
@@ -180,7 +180,7 @@ class StructureMaps:
         for name in ("left_exp", "right_exp"):
             object.__setattr__(self, name, read_integer(getattr(self, name), name))
         for name, length in (("assoc_exp", 3), ("braid_exp", 2)):
-            exps = tuple([read_integer(e, name) for e in getattr(self, name)])
+            exps = tuple([read_integer(e, name) for e in read_shape(getattr(self, name), "array", name)])
             if len(exps) != length:
                 raise ValueError(f"{name} needs {length} exponents, got {len(exps)}")
             object.__setattr__(self, name, exps)
@@ -520,8 +520,11 @@ def naturality_braiding_sides(p, sources, targets, maps) -> tuple[Matrix, Matrix
 
 # -- random sampling, all through one seeded generator ----------------------
 
+# elementary operations drawn for each unimodular matrix
+_UNIMODULAR_DRAWS = 6
 
-def random_unimodular(rng: random.Random, n: int, ops: int = 6) -> tuple[Matrix, Matrix]:
+
+def random_unimodular(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
     """(u, u^-1) for u a product of elementary integer matrices.
 
     Every power of u is exact and integral.  Each draw applies a row
@@ -531,7 +534,7 @@ def random_unimodular(rng: random.Random, n: int, ops: int = 6) -> tuple[Matrix,
     """
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     cols = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(ops):
+    for _ in range(_UNIMODULAR_DRAWS):
         kind = rng.randrange(3)
         i = rng.randrange(n)
         j = rng.randrange(n)

@@ -1,9 +1,11 @@
 """Exact integer linear algebra: Smith normal form and lattice quotients.
 
-Everything here works on plain lists of Python ints, so there is no
-coefficient growth problem and no dependency.  The Smith routine keeps
-both transform matrices, which is what lets callers extract honest
-lattice bases for kernels instead of rational nullspaces.
+Everything here works on plain lists of Python ints, so nothing rounds
+and there is no dependency; ``solve_columns`` is the one routine that
+computes in ``Fraction``.  The Smith routine keeps both transform
+matrices in the array it reduces, beside and below a, which is what lets
+callers extract honest lattice bases for kernels instead of rational
+nullspaces.
 """
 
 from __future__ import annotations
@@ -41,6 +43,22 @@ def matrix_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
+def _pivot(rows: IntMatrix, k: int, m: int, n: int) -> tuple[int, int, int] | None:
+    """(|v|, i, j) for the first entry v of least absolute value in the block
+    of d from (k, k), scanned row by row, or None if that block is zero.
+    Nothing is smaller than a unit, so the scan returns at the first one."""
+    best = None
+    for i in range(k, m):
+        row = rows[i]
+        for j in range(k, n):
+            v = row[j]
+            if v and (best is None or abs(v) < best[0]):
+                best = abs(v), i, j
+                if best[0] == 1:
+                    return best
+    return best
+
+
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Diagonalize over Z: returns (d, s, t) with d = s * a * t.
 
@@ -48,81 +66,50 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     unimodular.  The diagonal of d is nonnegative with each entry
     dividing the next, nonzero entries first.
 
+    One array holds all three: for a of shape m x n, ``rows[:m]`` are
+    [d | s] and ``rows[m:]`` are t.  A row operation on d then acts on s
+    in the same statement, and a column operation on d acts on t.
+
     Each pivot is the first entry of least absolute value in the
-    trailing block, scanned row by row.  A unit pivot has two exits:
-    the scan stops at the first entry of absolute value 1, and the
-    divisibility check on the trailing block is skipped, since a unit
-    divides everything.  Neither exit changes which pivot is taken, so
-    d, s and t are those of the full scans.
+    trailing block, scanned row by row.  A unit pivot needs no
+    divisibility check on the trailing block, since a unit divides
+    everything.
     """
     m, n = matrix_shape(a)
-    d = [[read_integer(x, "matrix entry") for x in row] for row in a]
-    s = identity_matrix(m)
-    t = identity_matrix(n)
+    if any(len(row) != n for row in a):  # rows of a and s must line up
+        raise ValueError("ragged rows")
+    rows = [[read_integer(x, "matrix entry") for x in row] + e for row, e in zip(a, identity_matrix(m))]
+    rows += identity_matrix(n)
 
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        s[i], s[j] = s[j], s[i]
+    def add_row(i, j, c):  # row i += c * row j, in d and s
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
 
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in t:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, c):
-        # row_i += c * row_j
-        d[i] = [x + c * y for x, y in zip(d[i], d[j])]
-        s[i] = [x + c * y for x, y in zip(s[i], s[j])]
-
-    def add_col(i, j, c):
-        # col_i += c * col_j
-        for row in d:
+    def add_col(i, j, c):  # column i += c * column j, in d and t
+        for row in rows:
             row[i] += c * row[j]
-        for row in t:
-            row[i] += c * row[j]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        s[i] = [-x for x in s[i]]
 
     for k in range(min(m, n)):
-        while True:
-            # bring the smallest nonzero entry of the trailing block to (k, k);
-            # nothing is smaller than a unit, so the search stops at the first
-            pivot = None
-            best = None
-            for i in range(k, m):
-                row = d[i]
-                for j in range(k, n):
-                    v = row[j]
-                    if v and (best is None or abs(v) < best):
-                        best, pivot = abs(v), (i, j)
-                        if best == 1:
-                            break
-                if best == 1:
-                    break
-            if pivot is None:
-                break
-            if pivot != (k, k):
-                if pivot[0] != k:
-                    swap_rows(k, pivot[0])
-                if pivot[1] != k:
-                    swap_cols(k, pivot[1])
+        while pivot := _pivot(rows, k, m, n):
+            best, i, j = pivot
+            rows[k], rows[i] = rows[i], rows[k]
+            if j != k:
+                for row in rows:
+                    row[k], row[j] = row[j], row[k]
             # clear the pivot column and row; a nonzero remainder yields a
             # strictly smaller pivot, so this loop terminates
+            p = rows[k][k]
             dirty = False
             for i in range(k + 1, m):
-                if d[i][k]:
-                    add_row(i, k, -(d[i][k] // d[k][k]))
-                    if d[i][k]:
+                if rows[i][k]:
+                    add_row(i, k, -(rows[i][k] // p))
+                    if rows[i][k]:
                         dirty = True
             if dirty:
                 continue
             for j in range(k + 1, n):
-                if d[k][j]:
-                    add_col(j, k, -(d[k][j] // d[k][k]))
-                    if d[k][j]:
+                if rows[k][j]:
+                    add_col(j, k, -(rows[k][j] // p))
+                    if rows[k][j]:
                         dirty = True
             if dirty:
                 continue
@@ -130,22 +117,15 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             # whole trailing block for the chain
             if best == 1:
                 break
-            offender = None
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if d[i][j] % d[k][k]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(k + 1, m) if any(rows[i][j] % p for j in range(k + 1, n))), None)
             if offender is None:
                 break
             add_row(k, offender, 1)
-        if k < min(m, n) and d[k][k] < 0:
-            negate_row(k)
-        if k < min(m, n) and d[k][k] == 0:
+        else:  # a zero block: the rest of the diagonal is zero
             break
-    return d, s, t
+        if rows[k][k] < 0:
+            rows[k] = [-x for x in rows[k]]
+    return [row[:n] for row in rows[:m]], [row[n:] for row in rows[:m]], rows[m:]
 
 
 def diagonal_entries(d: IntMatrix) -> list[int]:
@@ -155,8 +135,7 @@ def diagonal_entries(d: IntMatrix) -> list[int]:
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """Nonzero diagonal entries of the Smith form, in dividing order."""
-    d, _, _ = smith_normal_form(a)
-    return tuple(x for x in diagonal_entries(d) if x)
+    return tuple(invariant_factors_from_diagonal(smith_normal_form(a)[0]))
 
 
 def kernel_basis(a: IntMatrix) -> list[list[int]]:

@@ -10,7 +10,8 @@ Every exact number coming in from a file or a Python caller is read by
 one of two readers here, which name the field they refuse:
 ``read_integer`` takes an int that is not a bool, ``read_rational`` such
 an int, a ``Fraction`` or text such as "-3/2", and neither a float.
-``read_shape`` reads every array and record around them the same way.
+``read_shape`` reads every array and record around them the same way, and
+``read_key`` every key of a record.
 
 Group-like monomials q * g^(v_1) (x) ... (x) g^(v_m) with q != 0 are
 exactly the invertible elements of the tensor power.  ``as_unit`` is the
@@ -32,7 +33,7 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping
@@ -105,6 +106,14 @@ def read_shape(value, kind: str, field: str):
     if isinstance(value, _SHAPES[kind]):
         return value
     raise TypeError(f"{field}: expected an {kind}, got {type(value).__name__}")
+
+
+def read_key(record: Mapping, key: str, prefix: str = ""):
+    """``record[key]``, the field ``{prefix}{key}``; a missing key raises
+    ValueError naming that field."""
+    if key not in record:
+        raise ValueError(f"{prefix}{key}: missing")
+    return record[key]
 
 
 def _as_vector(v: Iterable, rank: int, field: str) -> Vector:
@@ -322,12 +331,13 @@ class TensorElement:
     def from_dict(cls, data: Mapping, field: str = "") -> "TensorElement":
         """The element a ``to_dict`` document describes; ``field`` ("phi.") prefixes errors."""
         data = read_shape(data, "object", field[:-1] or "element")
-        rank, legs = _shape(data["rank"], data["legs"], field)
+        rank, legs = _shape(read_key(data, "rank", field), read_key(data, "legs", field), field)
         terms: dict[TermKey, Fraction] = {}
-        for i, entry in enumerate(read_shape(data["terms"], "array", f"{field}terms")):
+        for i, entry in enumerate(read_shape(read_key(data, "terms", field), "array", f"{field}terms")):
             where = f"{field}terms[{i}]"
             entry = read_shape(entry, "object", where)
-            _add_term(terms, rank, legs, entry["e"], entry["c"], f"{where}.e", f"{where}.c")
+            e, c = read_key(entry, "e", f"{where}."), read_key(entry, "c", f"{where}.")
+            _add_term(terms, rank, legs, e, c, f"{where}.e", f"{where}.c")
         return _raw(rank, legs, terms)
 
 
@@ -431,6 +441,7 @@ def _read_unit(rank, scalar, vectors, field: str) -> tuple[int, Fraction, tuple[
     scalar = read_rational(scalar, "scalar")
     if not scalar:
         raise NotAUnit("scalar part of a unit must be nonzero")
+    vectors = read_shape(vectors, "array", field)
     return rank, scalar, tuple([_as_vector(v, rank, f"{field}[{j}]") for j, v in enumerate(vectors)])
 
 
@@ -510,18 +521,19 @@ class AlgebraMapSpec:
     rank: int
     target_legs: int
     images: tuple[UnitElement, ...]
+    field: InitVar[str] = "image"  # the images' name in errors
 
-    def __post_init__(self):
+    def __post_init__(self, field):
         for name in ("rank", "target_legs"):
             object.__setattr__(self, name, read_integer(getattr(self, name), name))
         if self.target_legs < 1:
             raise LegMismatch(f"target_legs must be >= 1, got {self.target_legs}")
         imgs = tuple(
-            as_unit(im, self.rank, self.target_legs, f"image[{i}]")
-            for i, im in enumerate(self.images)
+            as_unit(im, self.rank, self.target_legs, f"{field}[{i}]")
+            for i, im in enumerate(read_shape(self.images, "array", field))
         )
         if len(imgs) != self.rank:
-            raise RankMismatch(f"need {self.rank} generator images, got {len(imgs)}")
+            raise RankMismatch(f"{field}: need {self.rank} generator images, got {len(imgs)}")
         object.__setattr__(self, "images", imgs)
 
     def image_of_vector(self, e: Vector) -> UnitElement:
@@ -546,9 +558,10 @@ class CounitSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "rank", read_integer(self.rank, "rank"))
-        vals = tuple([read_rational(v, f"counit[{i}]") for i, v in enumerate(self.values)])
+        values = read_shape(self.values, "array", "counit")
+        vals = tuple([read_rational(v, f"counit[{i}]") for i, v in enumerate(values)])
         if len(vals) != self.rank:
-            raise RankMismatch(f"need {self.rank} generator values, got {len(vals)}")
+            raise RankMismatch(f"counit: need {self.rank} generator values, got {len(vals)}")
         if not all(vals):
             raise NotAUnit("counit values must be nonzero")
         object.__setattr__(self, "values", vals)

@@ -33,6 +33,7 @@ from .laurent import (
     format_coefficient,
     insert_unit_leg,
     read_integer,
+    read_key,
     read_rational,
     read_shape,
     tensor_concat,
@@ -89,17 +90,15 @@ class QuasiBialgebraPresentation:
     @classmethod
     def from_dict(cls, data: Mapping) -> "QuasiBialgebraPresentation":
         data = read_shape(data, "object", "presentation")
-        rank = read_integer(data["rank"], "rank")
-        coproduct = read_shape(data["coproduct"], "array", "coproduct")
+        rank = read_integer(read_key(data, "rank"), "rank")
+        coproduct = read_shape(read_key(data, "coproduct"), "array", "coproduct")
         images = tuple(TensorElement.from_dict(d, f"coproduct[{i}].") for i, d in enumerate(coproduct))
-        counit = CounitSpec(rank, tuple(read_shape(data["counit"], "array", "counit")))
+        counit = CounitSpec(rank, read_key(data, "counit"))
         return cls(
             rank,
-            AlgebraMapSpec(rank, 2, images),
+            AlgebraMapSpec(rank, 2, images, "coproduct"),
             counit,
-            TensorElement.from_dict(data["phi"], "phi."),
-            TensorElement.from_dict(data["lambda"], "lambda."),
-            TensorElement.from_dict(data["rho"], "rho."),
+            *(TensorElement.from_dict(read_key(data, k), f"{k}.") for k in ("phi", "lambda", "rho")),
         )
 
 
@@ -116,7 +115,8 @@ class CanonicalTriple:
         if not self.q:
             raise NotAUnit("the scalar q of a canonical triple must be nonzero")
         for name in ("h", "g"):
-            object.__setattr__(self, name, tuple([read_integer(c, name) for c in getattr(self, name)]))
+            exps = read_shape(getattr(self, name), "array", name)
+            object.__setattr__(self, name, tuple([read_integer(c, name) for c in exps]))
         if len(self.h) != len(self.g) or not self.h:
             raise RankMismatch("h and g must be exponent vectors of the same rank >= 1")
 

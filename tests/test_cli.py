@@ -401,6 +401,14 @@ def _set(path, value):
     return edit
 
 
+def _drop(path):
+    """An edit of a document: the key at the end of ``path`` is deleted."""
+    def edit(doc):
+        *parents, last = path
+        del functools.reduce(lambda node, key: node[key], parents, doc)[last]
+    return edit
+
+
 _CANONICAL_DOC = canonical(CanonicalTriple(Fraction(2), (1,), (1,))).to_dict()
 _COCHAIN_DOC = {"scalar": "2", "elements": [[1], [2]]}
 
@@ -427,7 +435,23 @@ _SHAPE_ERRORS = [
         "coproduct image", "verify", _CANONICAL_DOC, _set(("coproduct", 0), 5),
         "coproduct[0]: expected an object, got int",
     ),
+    (
+        "coproduct image legs", "verify", _CANONICAL_DOC,
+        _set(("coproduct", 0), {"rank": 1, "legs": 3, "terms": [{"c": "1", "e": [[1], [1], [1]]}]}),
+        "coproduct[0]: element has 3 legs, expected 2",
+    ),
+    (
+        "coproduct image count", "verify", _CANONICAL_DOC,
+        _set(("coproduct",), _CANONICAL_DOC["coproduct"] * 2),
+        "coproduct: need 1 generator images, got 2",
+    ),
     ("presentation", "verify", [1], None, "presentation: expected an object, got list"),
+    ("missing rank", "verify", _CANONICAL_DOC, _drop(("rank",)), "rank: missing"),
+    ("missing lambda", "verify", _CANONICAL_DOC, _drop(("lambda",)), "lambda: missing"),
+    ("missing legs", "verify", _CANONICAL_DOC, _drop(("phi", "legs")), "phi.legs: missing"),
+    ("missing terms", "verify", _CANONICAL_DOC, _drop(("coproduct", 0, "terms")), "coproduct[0].terms: missing"),
+    ("missing exponents", "verify", _CANONICAL_DOC, _drop(("phi", "terms", 0, "e")), "phi.terms[0].e: missing"),
+    ("missing coefficient", "verify", _CANONICAL_DOC, _drop(("phi", "terms", 0, "c")), "phi.terms[0].c: missing"),
     (
         "cochain element", "boundary", _COCHAIN_DOC, _set(("elements",), [5]),
         "elements[0]: expected an array, got int",
@@ -438,6 +462,8 @@ _SHAPE_ERRORS = [
     ),
     ("cochain elements", "boundary", _COCHAIN_DOC, _set(("elements",), 5), "elements: expected an array, got int"),
     ("cochain", "boundary", [1], None, "cochain: expected an object, got list"),
+    ("missing cochain scalar", "boundary", _COCHAIN_DOC, _drop(("scalar",)), "scalar: missing"),
+    ("missing cochain elements", "boundary", _COCHAIN_DOC, _drop(("elements",)), "elements: missing"),
 ]
 
 

@@ -1,11 +1,13 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qbialg.harrison import coboundary_matrix
+from qbialg.harrison import coboundary_matrix, cocycle_classify
 from qbialg.intlinalg import (
     diagonal_entries,
     identity_matrix,
@@ -85,8 +87,45 @@ def test_snf_known_values():
     assert invariant_factors([[6, 10], [10, 6]]) == (2, 32)
 
 
+# -- recorded outputs: a change of pivot order or of the elementary
+# operations keeps every property above, but not these values ---------------
+
+
+def test_smith_forms_of_coboundary_matrices_are_pinned():
+    # (d, s, t) of D_0 ... D_12 over Z, entry for entry
+    recorded = json.loads((Path(__file__).resolve().parent / "golden" / "smith_coboundary_rank1.json").read_text())
+    assert len(recorded) == 13
+    for n, expected in enumerate(recorded):
+        assert list(smith_normal_form(coboundary_matrix(1, n))) == expected, n
+
+
+@pytest.mark.parametrize(
+    "rank, kernel",
+    [
+        (1, ((1, 0, 0), (0, 0, 1))),
+        (2, ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))),
+        (
+            3,
+            (
+                (1, 0, 0, 0, 0, 0, 0, 0, 0),
+                (0, 1, 0, 0, 0, 0, 0, 0, 0),
+                (0, 0, 1, 0, 0, 0, 0, 0, 0),
+                (0, 0, 0, 0, 0, 0, 1, 0, 0),
+                (0, 0, 0, 0, 0, 0, 0, 1, 0),
+                (0, 0, 0, 0, 0, 0, 0, 0, 1),
+            ),
+        ),
+    ],
+)
+def test_cocycle_kernel_vectors_are_pinned(rank, kernel):
+    assert cocycle_classify(rank).kernel_vectors == kernel
+
+
 def test_snf_empty_and_degenerate():
     assert smith_normal_form([])[0] == []
+    for ragged in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError, match="ragged rows"):
+            smith_normal_form(ragged)
     check_snf([[0]])
     check_snf([[7]])
     check_snf([[3, 6, 9]])

@@ -826,8 +826,31 @@ REFUSALS = [
     ("UnitElement * legs", lambda: _U1 * _U11, LegMismatch, "1 legs vs 2"),
     ("zero-leg to_tensor", lambda: UnitElement(1, 1, ()).to_tensor(), LegMismatch, "a zero-leg unit"),
     ("AlgebraMapSpec target_legs 0", lambda: AlgebraMapSpec(1, 0, ()), LegMismatch, "target_legs must be >= 1"),
-    ("AlgebraMapSpec images", lambda: AlgebraMapSpec(2, 1, (_U2,)), RankMismatch, "need 2 generator images"),
-    ("CounitSpec values", lambda: CounitSpec(2, (1,)), RankMismatch, "need 2 generator values"),
+    ("AlgebraMapSpec images", lambda: AlgebraMapSpec(2, 1, (_U2,)), RankMismatch, "image: need 2 generator images"),
+    ("AlgebraMapSpec images not an array", lambda: AlgebraMapSpec(1, 1, 5), TypeError, "image: expected an array"),
+    ("CounitSpec values", lambda: CounitSpec(2, (1,)), RankMismatch, "counit: need 2 generator values"),
+    ("CounitSpec values not an array", lambda: CounitSpec(1, 5), TypeError, "counit: expected an array, got int"),
+    ("UnitElement monomial not an array", lambda: UnitElement(1, 1, 5), TypeError, "monomial: expected an array"),
+    (
+        "HarrisonCochain elements not an array",
+        lambda: HarrisonCochain.from_data(1, 1, 5),
+        TypeError,
+        "elements: expected an array, got int",
+    ),
+    ("CanonicalTriple h not an array", lambda: CanonicalTriple(1, 5, (1,)), TypeError, "h: expected an array"),
+    ("CanonicalTriple g not an array", lambda: CanonicalTriple(1, (1,), 5), TypeError, "g: expected an array"),
+    (
+        "StructureMaps assoc_exp not an array",
+        lambda: StructureMaps(5, 1, 0, 1, 0, (0, 0)),
+        TypeError,
+        "assoc_exp: expected an array, got int",
+    ),
+    (
+        "StructureMaps braid_exp not an array",
+        lambda: StructureMaps((0, 0, 0), 1, 0, 1, 0, 5),
+        TypeError,
+        "braid_exp: expected an array, got int",
+    ),
     (
         "apply_algebra_map_on_leg rank",
         lambda: apply_algebra_map_on_leg(_DIAGONAL, _U2, 1),
