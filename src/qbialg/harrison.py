@@ -20,8 +20,10 @@ forms are taken of Dₙ and Dₙ₋₁ alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping
 
 from .intlinalg import invariant_factors, kernel_basis
@@ -120,20 +122,25 @@ def coface(i: CofaceIndex, c: HarrisonCochain) -> HarrisonCochain:
 def boundary(c: HarrisonCochain) -> HarrisonCochain:
     """Alternating product of all cofaces, computed from the definition.
 
-    Multiplying units adds exponent vectors slot by slot, so each coface
-    is added with its sign into one integer accumulator per target slot,
-    and the scalar is raised once to the sum of the signs.
+    Multiplying units adds exponent vectors slot by slot, so the exponent
+    part is a signed running sum: the n + 2 coface monomials, each
+    flattened to r(n + 1) ints, are added to (i even) or subtracted from
+    (i odd) one flat list, which is cut back into n + 1 slots at the end.
+    The scalar is raised once to the sum of the signs.
     """
     rank = c.rank
-    slots = [[0] * rank for _ in range(c.degree + 1)]
+    flat = [0] * (rank * (c.degree + 1))
     signs = 0
     for i in range(c.degree + 2):
-        sign = 1 if i % 2 == 0 else -1
-        signs += sign
-        for acc, v in zip(slots, coface(i, c).unit.monomial):
-            for k in range(rank):
-                acc[k] += sign * v[k]
-    unit = _raw_unit(rank, c.unit.scalar ** signs, tuple(map(tuple, slots)))
+        face = chain.from_iterable(coface(i, c).unit.monomial)
+        if i % 2 == 0:
+            flat = list(map(operator.add, flat, face))
+            signs += 1
+        else:
+            flat = list(map(operator.sub, flat, face))
+            signs -= 1
+    slots = tuple(map(tuple, zip(*[iter(flat)] * rank)))
+    unit = _raw_unit(rank, c.unit.scalar ** signs, slots)
     return HarrisonCochain(c.degree + 1, unit)
 
 
@@ -176,22 +183,29 @@ def coboundary_matrix(rank: int, degree: int) -> list[list[int]]:
     Rows are grouped in ``degree + 1`` blocks of ``rank``; column block j
     is the j-th tensor slot of the source.  Degree 0 gives a matrix with
     no columns.
+
+    Coface i, with sign (-1)^i, sends source slot s (0-based) to target
+    slot s when s < i and to target slot s + 1 when s >= i - 1: slots
+    below i - 1 keep their place, slot i - 1 is duplicated, and slots
+    above shift up by one (coface 0 shifts every slot, coface n + 1
+    none).  So Dₙ is bidiagonal.  Column s has
+
+        Σ_{i=s+1}^{n+1} (-1)^i = [n odd] - [s even]  in row s, and
+        Σ_{i=0}^{s+1} (-1)^i = [s odd]               in row s + 1,
+
+    and the matrix is Dₙ ⊗ I_r, each entry repeated down a block diagonal.
     """
     if degree < 0:
         raise DegreeMismatch(f"degree must be >= 0, got {degree}")
     rows = rank * (degree + 1)
     cols = rank * degree
     mat = [[0] * cols for _ in range(rows)]
-    for i in range(degree + 2):
-        sign = 1 if i % 2 == 0 else -1
-        # coface i sends source slot s (0-based) to target slot s when
-        # s < i and to target slot s + 1 when s >= i - 1: slots below i - 1
-        # keep their place, slot i - 1 is duplicated, and slots above shift
-        # up by one (coface 0 shifts every slot, coface n + 1 none).
-        for s in range(degree):
-            for tgt in (s,) * (s < i) + (s + 1,) * (s >= i - 1):
-                for k in range(rank):
-                    mat[tgt * rank + k][s * rank + k] += sign
+    for s in range(degree):
+        stay = degree % 2 - (s % 2 == 0)
+        shift = s % 2
+        for j in range(s * rank, (s + 1) * rank):
+            mat[j][j] = stay
+            mat[j + rank][j] = shift
     return mat
 
 

@@ -90,7 +90,7 @@ class HomObject:
 
     def __post_init__(self, known_inverse):
         object.__setattr__(self, "dim", read_integer(self.dim, "dim"))
-        m = mat.from_rows(self.matrix)
+        m = mat.from_rows(read_shape(self.matrix, "array", "matrix"))
         if mat.shape(m) != (self.dim, self.dim):
             raise ValueError(f"automorphism must be {self.dim}x{self.dim}")
         if known_inverse is None:

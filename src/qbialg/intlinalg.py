@@ -78,7 +78,10 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     m, n = matrix_shape(a)
     if any(len(row) != n for row in a):  # rows of a and s must line up
         raise ValueError("ragged rows")
-    rows = [[read_integer(x, "matrix entry") for x in row] + e for row, e in zip(a, identity_matrix(m))]
+    rows = [
+        [x if type(x) is int else read_integer(x, "matrix entry") for x in row] + e
+        for row, e in zip(a, identity_matrix(m))
+    ]
     rows += identity_matrix(n)
 
     def add_row(i, j, c):  # row i += c * row j, in d and s

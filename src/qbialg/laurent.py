@@ -35,7 +35,7 @@ import re
 import sys
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Mapping
 
 Vector = tuple[int, ...]
@@ -124,15 +124,15 @@ def _as_vector(v: Iterable, rank: int, field: str) -> Vector:
 
 
 def _vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _vneg(a: Vector) -> Vector:
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
 
 
 def _vscale(c: int, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
+    return tuple(map(operator.mul, repeat(c), a))
 
 
 def _zero_vector(rank: int) -> Vector:
@@ -191,7 +191,7 @@ class TensorElement:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "legs", legs)
         clean: dict[TermKey, Fraction] = {}
-        for key, value in (terms or {}).items():
+        for key, value in read_shape({} if terms is None else terms, "object", "terms").items():
             _add_term(clean, rank, legs, key, value, "exponent", "coefficient")
         object.__setattr__(self, "_terms", clean)
 
@@ -212,7 +212,8 @@ class TensorElement:
     @classmethod
     def single(cls, coeff, exps: Iterable[Iterable[int]]) -> "TensorElement":
         """One monomial term coeff * g^(e_1) (x) ... (x) g^(e_m)."""
-        key = tuple([tuple(e) for e in exps])
+        exps = read_shape(exps, "array", "exps")
+        key = tuple([tuple(read_shape(e, "array", f"exps[{i}]")) for i, e in enumerate(exps)])
         if not key:
             raise LegMismatch("a tensor element needs at least one leg")
         return cls(len(key[0]), len(key), {key: coeff})
@@ -401,7 +402,7 @@ class UnitElement:
         return cls(rank, 1, ((0,) * rank,) * legs)
 
     def inverse(self) -> "UnitElement":
-        return _raw_unit(self.rank, 1 / self.scalar, tuple(_vneg(v) for v in self.monomial))
+        return _raw_unit(self.rank, 1 / self.scalar, tuple(map(_vneg, self.monomial)))
 
     def power(self, n: int) -> "UnitElement":
         n = read_integer(n, "n")
@@ -415,7 +416,7 @@ class UnitElement:
         return _raw_unit(
             self.rank,
             self.scalar * other.scalar,
-            tuple(_vadd(a, b) for a, b in zip(self.monomial, other.monomial)),
+            tuple(map(_vadd, self.monomial, other.monomial)),
         )
 
     def to_tensor(self) -> TensorElement:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbialg import harrison
+from qbialg.cli import MAX_DEGREE
 from qbialg.harrison import (
     AbelianGroupDescriptor,
     DegreeMismatch,
@@ -18,7 +19,7 @@ from qbialg.harrison import (
     cohomology,
 )
 from qbialg.intlinalg import invariant_factors, kernel_basis, quotient_invariants, solve_columns
-from qbialg.laurent import RankMismatch, TensorElement, UnitElement, format_coefficient
+from qbialg.laurent import AlgebraMapSpec, RankMismatch, TensorElement, UnitElement, format_coefficient
 
 
 def random_cochain(rng, rank, degree, span=3):
@@ -116,6 +117,31 @@ def test_cohomology_table():
             assert cohomology(rank, degree) == paper_table(rank, degree), (rank, degree)
     for degree in range(4):
         assert cohomology(1000, degree) == paper_table(1000, degree)
+
+
+def coface_rule_matrix(rank, degree):
+    """dⁿ entry by entry from the coface rule, one coface at a time: the
+    reference for the bidiagonal ``coboundary_matrix``."""
+    mat = [[0] * (rank * degree) for _ in range(rank * (degree + 1))]
+    for i in range(degree + 2):
+        sign = 1 if i % 2 == 0 else -1
+        # coface i sends source slot s (0-based) to target slot s when
+        # s < i and to target slot s + 1 when s >= i - 1: slots below i - 1
+        # keep their place, slot i - 1 is duplicated, and slots above shift
+        # up by one (coface 0 shifts every slot, coface n + 1 none).
+        for s in range(degree):
+            for tgt in (s,) * (s < i) + (s + 1,) * (s >= i - 1):
+                for k in range(rank):
+                    mat[tgt * rank + k][s * rank + k] += sign
+    return mat
+
+
+def test_coboundary_matrix_matches_coface_rule():
+    cases = [(rank, degree) for rank in range(1, 5) for degree in range(65)]
+    for rank, degree in cases + [(1, MAX_DEGREE)]:
+        m = coboundary_matrix(rank, degree)
+        assert m == coface_rule_matrix(rank, degree), (rank, degree)
+        assert all(type(x) is int for row in m for x in row)
 
 
 def test_coboundary_matrix_is_rank_one_matrix_tensor_identity():
@@ -273,6 +299,7 @@ def is_valid_unit(u):
     """``u`` is what the validating constructor makes of its own fields."""
     return (
         type(u.scalar) is Fraction
+        and type(u.monomial) is tuple
         and all(type(v) is tuple and all(type(c) is int for c in v) for v in u.monomial)
         and u == UnitElement(u.rank, u.scalar, u.monomial)
     )
@@ -312,6 +339,18 @@ def test_coboundary_matrix_matches_boundary(c):
 def test_cofaces_and_boundary_are_valid_units(c):
     results = [coface(i, c).unit for i in range(c.degree + 2)]
     results += [boundary(c).unit, c.inverse().unit, (c * c).unit]
+    assert all(is_valid_unit(u) for u in results)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cochains(), st.data())
+def test_unit_kernels_return_tuples_of_ints(c, data):
+    # the map-based vector kernels must hand back tuples of plain ints,
+    # never a list or a map object
+    b = boundary(c).unit
+    e = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=c.rank, max_size=c.rank)))
+    spec = AlgebraMapSpec(c.rank, b.legs, tuple(b.power(j + 1) for j in range(c.rank)))
+    results = [b, b * b, b.inverse(), b.power(data.draw(st.integers(-3, 3))), spec.image_of_vector(e)]
     assert all(is_valid_unit(u) for u in results)
 
 

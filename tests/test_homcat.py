@@ -68,6 +68,9 @@ def test_object_validation():
         HomObject(2, frac_rows([[1, 2], [2, 4]]))
     with pytest.raises(ValueError):
         HomObject(3, frac_rows([[1, 0], [0, 1]]))
+    # a matrix that is not an array is refused by name, before any iteration
+    with pytest.raises(TypeError, match=r"^matrix: expected an array, got int$"):
+        HomObject(1, 5)
 
 
 def test_morphism_validation():

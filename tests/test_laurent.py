@@ -831,6 +831,14 @@ REFUSALS = [
     ("CounitSpec values", lambda: CounitSpec(2, (1,)), RankMismatch, "counit: need 2 generator values"),
     ("CounitSpec values not an array", lambda: CounitSpec(1, 5), TypeError, "counit: expected an array, got int"),
     ("UnitElement monomial not an array", lambda: UnitElement(1, 1, 5), TypeError, "monomial: expected an array"),
+    ("TensorElement terms not an object", lambda: TensorElement(1, 1, 5), TypeError, "terms: expected an object, got int"),
+    ("TensorElement.single exps not an array", lambda: TensorElement.single(1, 5), TypeError, "exps: expected an array"),
+    (
+        "TensorElement.single exponent vector not an array",
+        lambda: TensorElement.single(1, (5,)),
+        TypeError,
+        "exps[0]: expected an array, got int",
+    ),
     (
         "HarrisonCochain elements not an array",
         lambda: HarrisonCochain.from_data(1, 1, 5),
