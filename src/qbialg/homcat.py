@@ -75,10 +75,10 @@ class HomObject:
 
     The automorphism is certified invertible on construction.  A caller
     that already holds its inverse passes it as ``known_inverse``, which
-    is checked by the one product f . f^-1 == I (for square matrices
-    that makes it a two-sided inverse) and raises ``ValueError`` when it
-    fails; without it, ``mat.inverse`` eliminates and a singular matrix
-    raises ``NotInvertible``.  Either way the inverse becomes the cached
+    is checked for f's shape and then by the one product f . f^-1 == I
+    (for square matrices that makes it a two-sided inverse) and raises
+    ``ValueError`` when either fails; without it, ``mat.inverse``
+    eliminates and a singular matrix raises ``NotInvertible``.  Either way the inverse becomes the cached
     f^-1; it is not part of the object's value.
     """
 
@@ -96,8 +96,12 @@ class HomObject:
         if known_inverse is None:
             inv = mat.inverse(m)  # NotInvertible propagates
         else:
-            inv = mat.from_rows(known_inverse)
-            if mat.mul(m, inv) != mat.identity(self.dim):  # a wrong shape raises here too
+            inv = mat.from_rows(read_shape(known_inverse, "array", "known_inverse"))
+            if mat.shape(inv) != mat.shape(m):
+                raise ValueError(
+                    f"known_inverse must be {self.dim}x{self.dim}, got {mat.shape(inv)}"
+                )
+            if mat.mul(m, inv) != mat.identity(self.dim):
                 raise ValueError("known_inverse is not the inverse of the automorphism")
         self._powers[-1] = inv
         object.__setattr__(self, "matrix", m)
@@ -118,7 +122,7 @@ class HomMorphism:
     matrix: Matrix
 
     def __post_init__(self):
-        m = mat.from_rows(self.matrix)
+        m = mat.from_rows(read_shape(self.matrix, "array", "matrix"))
         if mat.shape(m) != (self.target.dim, self.source.dim):
             raise ValueError(
                 f"map must be {self.target.dim}x{self.source.dim}, got {mat.shape(m)}"
@@ -524,31 +528,66 @@ def naturality_braiding_sides(p, sources, targets, maps) -> tuple[Matrix, Matrix
 _UNIMODULAR_DRAWS = 6
 
 
-def random_unimodular(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
-    """(u, u^-1) for u a product of elementary integer matrices.
+def _elementary_ops(rng: random.Random, n: int) -> list[tuple[int, int, int, int]]:
+    """The elementary integer operations of one unimodular draw, in order.
 
-    Every power of u is exact and integral.  Each draw applies a row
-    operation E to u (u <- E u) and its inverse as a column operation to
-    u^-1 (u^-1 <- u^-1 E^-1), so u^-1 comes without an elimination.
-    ``cols`` holds the columns of u^-1.
+    Each is (kind, i, j, c): kind 0 adds c times row j to row i, kind 1
+    swaps rows i and j, kind 2 negates row i.  A draw whose i == j would
+    make kind 0 or 1 the identity is drawn and dropped.
     """
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    cols = [[int(i == j) for j in range(n)] for i in range(n)]
+    ops = []
     for _ in range(_UNIMODULAR_DRAWS):
         kind = rng.randrange(3)
         i = rng.randrange(n)
         j = rng.randrange(n)
         if kind == 0 and i != j:
-            c = rng.choice((-1, 1))
-            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-            cols[j] = [x - c * y for x, y in zip(cols[j], cols[i])]
+            ops.append((0, i, j, rng.choice((-1, 1))))
         elif kind == 1 and i != j:
-            rows[i], rows[j] = rows[j], rows[i]
-            cols[i], cols[j] = cols[j], cols[i]
+            ops.append((1, i, j, 0))
         elif kind == 2:
-            rows[i] = [-x for x in rows[i]]
-            cols[i] = [-x for x in cols[i]]
-    return tuple(map(tuple, rows)), tuple(zip(*cols))
+            ops.append((2, i, j, 0))
+    return ops
+
+
+def _apply_rows(ops, m: Matrix) -> Matrix:
+    """E_k ... E_1 m, each operation applied to the rows of m in turn."""
+    rows = list(m)
+    for kind, i, j, c in ops:
+        if kind == 0:
+            rows[i] = tuple([x + c * y for x, y in zip(rows[i], rows[j])])
+        elif kind == 1:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = tuple([-x for x in rows[i]])
+    return tuple(rows)
+
+
+def _undo_columns(ops, m: Matrix) -> Matrix:
+    """m E_1^-1 ... E_k^-1, each inverse applied to the columns of m in turn.
+
+    Row i += c row j is undone on the right by column j -= c column i;
+    a swap and a negation are their own inverses.
+    """
+    cols = list(zip(*m))
+    for kind, i, j, c in ops:
+        if kind == 0:
+            cols[j] = tuple([x - c * y for x, y in zip(cols[j], cols[i])])
+        elif kind == 1:
+            cols[i], cols[j] = cols[j], cols[i]
+        else:
+            cols[i] = tuple([-x for x in cols[i]])
+    return tuple(zip(*cols))
+
+
+def random_unimodular(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
+    """(u, u^-1) for u a product of elementary integer matrices.
+
+    Every power of u is exact and integral.  u is the drawn operations
+    replayed on the rows of the identity and u^-1 their inverses
+    replayed on its columns, so u^-1 comes without an elimination.
+    """
+    ops = _elementary_ops(rng, n)
+    return _apply_rows(ops, mat.identity(n)), _undo_columns(ops, mat.identity(n))
 
 
 def random_object(rng: random.Random, max_dim: int = 4) -> HomObject:
@@ -559,17 +598,19 @@ def random_object(rng: random.Random, max_dim: int = 4) -> HomObject:
 def random_morphism(rng: random.Random, x: HomObject) -> tuple[HomObject, Matrix]:
     """A target object and an intertwiner from x to it.
 
-    The target automorphism is a unimodular conjugate of the source one
-    and the map is that conjugation times a small polynomial in f, which
+    The target automorphism is a unimodular conjugate u f u^-1 of the
+    source one and the map is u times a small polynomial p(f), which
     commutes with f; intertwining therefore holds by construction, and
     ``check_coherence`` still has ``HomMorphism`` check it on every use
-    before any power is moved across the map.  f^2 and f^-1 come from
-    the object's cache of powers, and u^-1 from the sampler, so the
-    target u f u^-1 is built with its known inverse u f^-1 u^-1, which
+    before any power is moved across the map.  u is never built: its
+    drawn elementary operations are replayed on the rows and their
+    inverses on the columns, O(draws n) per matrix instead of a dense
+    product.  f^2 and f^-1 come from the object's cache of powers, so
+    the target is built with its known inverse u f^-1 u^-1, which
     ``HomObject`` certifies by one product instead of an elimination.
     """
     n = x.dim
-    u, u_inv = random_unimodular(rng, n)
+    ops = _elementary_ops(rng, n)
     f = x.matrix
     coeffs = [rng.randint(-1, 1) for _ in range(3)]
     if not any(coeffs):
@@ -579,9 +620,11 @@ def random_morphism(rng: random.Random, x: HomObject) -> tuple[HomObject, Matrix
         if c:
             poly = tuple(tuple(a + c * b for a, b in zip(ra, rb)) for ra, rb in zip(poly, fp))
     target = HomObject(
-        n, mat.mul(mat.mul(u, f), u_inv), mat.mul(mat.mul(u, x.power(-1)), u_inv)
+        n,
+        _undo_columns(ops, _apply_rows(ops, f)),
+        _undo_columns(ops, _apply_rows(ops, x.power(-1))),
     )
-    return target, mat.mul(u, poly)
+    return target, _apply_rows(ops, poly)
 
 
 def _sample(rng: random.Random, pool, t: int, n: int, max_dim: int) -> tuple[HomObject, ...]:

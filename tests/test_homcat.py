@@ -82,6 +82,9 @@ def test_morphism_validation():
         HomMorphism(a, a, frac_rows([[0, 1], [1, 0]]))  # does not commute with the shear
     with pytest.raises(ValueError):
         HomMorphism(x, a, frac_rows([[1]]))  # shape mismatch
+    # a map that is not an array is refused by name, before any iteration
+    with pytest.raises(TypeError, match=r"^matrix: expected an array, got int$"):
+        HomMorphism(x, x, 5)
 
 
 def test_params_validation():
@@ -233,13 +236,105 @@ def test_known_inverse_is_certified_by_one_product():
         HomObject(3, u, mat.scale(-1, inv))
     with pytest.raises(ValueError, match="known_inverse"):
         HomObject(3, u, tuple(row[:2] for row in inv))  # 3x2
-    with pytest.raises(ValueError, match="cannot multiply"):
+    # a wrong shape is refused by name before the product is tried
+    with pytest.raises(ValueError, match=r"^known_inverse must be 3x3, got \(2, 3\)$"):
         HomObject(3, u, inv[:2])  # 2x3
+    with pytest.raises(ValueError, match=r"^known_inverse must be 2x2, got \(1, 1\)$"):
+        HomObject(2, mat.identity(2), ((1,),))
+    with pytest.raises(TypeError, match=r"^known_inverse: expected an array, got int$"):
+        HomObject(1, ((1,),), 5)
     singular = frac_rows([[1, 2], [2, 4]])
     with pytest.raises(ValueError, match="known_inverse"):
         HomObject(2, singular, mat.identity(2))
     with pytest.raises(NotInvertible):
         HomObject(2, singular)
+
+
+# automorphisms of dimension 1 with rational and integer entries, and of
+# dimensions 2 to 4 with rational ones: the sampler's replay must agree
+# with dense products on Fractions as well as on ints
+_ORACLE_OBJECTS = [obj([[c]]) for c in (Fraction(1, 2), Fraction(-1, 3), 3, -1, 1)] + [
+    HomObject(n, mat.scale(Fraction(1, 2), random_unimodular(random.Random(n), n)[0]))
+    for n in range(2, 5)
+]
+
+
+def _product_route(rng, x):
+    """random_morphism's target, its inverse and its map by dense products
+    with u and u^-1, from the very calls the sampler makes on the generator."""
+    n = x.dim
+    u = _elementary_draws(rng, n)
+    u_inv = mat.inverse(u)
+    coeffs = [rng.randint(-1, 1) for _ in range(3)]
+    if not any(coeffs):
+        coeffs[rng.randrange(3)] = 1
+    f = x.matrix
+    terms = [mat.scale(c, m) for c, m in zip(coeffs, (mat.identity(n), f, mat.mul(f, f)))]
+    poly = functools.reduce(lambda a, b: mat.sub(a, mat.scale(-1, b)), terms)
+
+    def conj(m):
+        return mat.mul(mat.mul(u, m), u_inv)
+
+    return conj(f), conj(mat.inverse(f)), mat.mul(u, poly)
+
+
+def test_random_morphism_agrees_with_the_product_route():
+    objects = _ORACLE_OBJECTS + [random_object(random.Random(s), 4) for s in range(12)]
+    for x in objects:
+        for seed in range(60):
+            rng, copy = random.Random(seed), random.Random(seed)
+            y, m = random_morphism(rng, x)
+            target, target_inv, expected = _product_route(copy, x)
+            assert rng.getstate() == copy.getstate()
+            assert y.matrix == target and y.power(-1) == target_inv
+            assert m == expected
+            HomMorphism(x, y, m)
+
+
+def _copy(rng):
+    copy = random.Random()
+    copy.setstate(rng.getstate())
+    return copy
+
+
+def test_a_wrong_column_replay_is_caught_by_the_known_inverse(monkeypatch):
+    """Skipping the first row addition in the column replay conjugates the
+    target and its known inverse by E on the left but by a different w on
+    the right.  The one-product certification refuses every such pair
+    that is not a true inverse pair.  The pair is one only when f conjugates
+    the transvection w^-1 E to its inverse, as a finite-order f such as
+    diag(-1, 1) can; such a target still differs from E f E^-1, which the
+    product-route oracle above catches."""
+    from qbialg import homcat
+
+    replay = homcat._undo_columns
+
+    def skip_first_addition(ops, m):
+        first = next((k for k, op in enumerate(ops) if op[0] == 0), None)
+        return replay(ops if first is None else ops[:first] + ops[first + 1:], m)
+
+    caught = slipped = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        x = random_object(rng, 4)
+        ops = homcat._elementary_ops(_copy(rng), x.dim)
+        if not any(op[0] == 0 for op in ops):
+            continue
+        e = _elementary_draws(_copy(rng), x.dim)
+        w_inv = skip_first_addition(ops, mat.identity(x.dim))
+        wrong = [mat.mul(mat.mul(e, m), w_inv) for m in (x.matrix, x.power(-1))]
+        with monkeypatch.context() as patch:
+            patch.setattr(homcat, "_undo_columns", skip_first_addition)
+            if mat.mul(*wrong) != mat.identity(x.dim):
+                with pytest.raises(ValueError, match="known_inverse"):
+                    random_morphism(rng, x)
+                caught += 1
+            else:
+                y, _ = random_morphism(rng, x)
+                assert y.matrix == wrong[0] != mat.mul(mat.mul(e, x.matrix), mat.inverse(e))
+                slipped += 1
+    # seeds 0-299 give 165 draws with an addition: 148 refused, 17 true inverse pairs
+    assert (caught, slipped) == (148, 17)
 
 
 def test_coherence_all_params():
