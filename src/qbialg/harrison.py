@@ -15,13 +15,16 @@ where the dᵢ are the invariant factors of dⁿ⁻¹ greater than 1.  The
 boundary never mixes the r coordinates of an exponent vector, so
 dⁿ = Dₙ ⊗ I_r with Dₙ the (n+1) × n matrix for r = 1: the ranks
 above are r · rank Dₙ, each dᵢ of Dₙ₋₁ appears r times, and the Smith
-forms are taken of Dₙ and Dₙ₋₁ alone.
+forms are taken of Dₙ and Dₙ₋₁ alone.  Dₙ does not depend on r, so its
+invariant factors are kept by degree: each Dₙ is reduced once per
+process, whatever the rank and however many tables are asked for.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import chain
 from typing import Mapping
@@ -256,6 +259,14 @@ def _scalar_exponent(degree: int) -> int:
     return 1 if degree % 2 == 1 else 0
 
 
+# large enough for every degree the CLI accepts (0..MAX_DEGREE = 256);
+# each entry is a short tuple of ints
+@lru_cache(maxsize=512)
+def _rank_one_factors(degree: int) -> tuple[int, ...]:
+    """Invariant factors of Dₙ = ``coboundary_matrix(1, degree)``, memoised."""
+    return invariant_factors(coboundary_matrix(1, degree))
+
+
 def cohomology(rank: int, degree: int) -> AbelianGroupDescriptor:
     """Cohomology in one degree, derived, not tabulated.
 
@@ -271,7 +282,8 @@ def cohomology(rank: int, degree: int) -> AbelianGroupDescriptor:
     the r = 1 matrices, the free rank is r(n − rank Dₙ − rank Dₙ₋₁),
     and each invariant factor of Dₙ₋₁ above 1 appears r times.  The
     cost does not grow with r.  The scalar part only depends on the
-    parity of the neighboring degrees.
+    parity of the neighboring degrees.  The invariant factors of each Dₙ
+    are memoised by degree, so each Dₙ is reduced once per process.
     """
     if rank < 1:
         raise RankMismatch(f"rank must be >= 1, got {rank}")
@@ -288,9 +300,9 @@ def cohomology(rank: int, degree: int) -> AbelianGroupDescriptor:
         # no exponent part at all: the cochain group is k* alone
         return AbelianGroupDescriptor(0, (), has_scalar)
 
-    outgoing = invariant_factors(coboundary_matrix(1, degree))
+    outgoing = _rank_one_factors(degree)
     # D₀ leaves Z^0, so it has rank 0 and no invariant factors
-    incoming = invariant_factors(coboundary_matrix(1, degree - 1)) if degree > 1 else ()
+    incoming = _rank_one_factors(degree - 1) if degree > 1 else ()
     free = rank * (degree - len(outgoing) - len(incoming))
     torsion = tuple(f for f in incoming if f > 1 for _ in range(rank))
     return AbelianGroupDescriptor(free, torsion, has_scalar)

@@ -90,13 +90,13 @@ class HomObject:
 
     def __post_init__(self, known_inverse):
         object.__setattr__(self, "dim", read_integer(self.dim, "dim"))
-        m = mat.from_rows(read_shape(self.matrix, "array", "matrix"))
+        m = mat.from_rows(self.matrix)
         if mat.shape(m) != (self.dim, self.dim):
             raise ValueError(f"automorphism must be {self.dim}x{self.dim}")
         if known_inverse is None:
             inv = mat.inverse(m)  # NotInvertible propagates
         else:
-            inv = mat.from_rows(read_shape(known_inverse, "array", "known_inverse"))
+            inv = mat.from_rows(known_inverse, "known_inverse")
             if mat.shape(inv) != mat.shape(m):
                 raise ValueError(
                     f"known_inverse must be {self.dim}x{self.dim}, got {mat.shape(inv)}"
@@ -122,7 +122,7 @@ class HomMorphism:
     matrix: Matrix
 
     def __post_init__(self):
-        m = mat.from_rows(read_shape(self.matrix, "array", "matrix"))
+        m = mat.from_rows(self.matrix)
         if mat.shape(m) != (self.target.dim, self.source.dim):
             raise ValueError(
                 f"map must be {self.target.dim}x{self.source.dim}, got {mat.shape(m)}"

@@ -123,8 +123,19 @@ def _as_vector(v: Iterable, rank: int, field: str) -> Vector:
     return vec
 
 
+_ONE = Fraction(1)
+
+
 def _vadd(a: Vector, b: Vector) -> Vector:
     return tuple(map(operator.add, a, b))
+
+
+def _times(a: Fraction, b: Fraction) -> Fraction:
+    """a * b, returning the other factor as it is when one of them is 1:
+    most scalars in a round trip are 1, and a test costs far less than a
+    ``Fraction`` product.  The result is always one of the inputs or their
+    product, so it stays a ``Fraction``."""
+    return a if b == 1 else b if a == 1 else a * b
 
 
 def _vneg(a: Vector) -> Vector:
@@ -402,11 +413,13 @@ class UnitElement:
         return cls(rank, 1, ((0,) * rank,) * legs)
 
     def inverse(self) -> "UnitElement":
-        return _raw_unit(self.rank, 1 / self.scalar, tuple(map(_vneg, self.monomial)))
+        q = self.scalar
+        return _raw_unit(self.rank, q if q == 1 else 1 / q, tuple(map(_vneg, self.monomial)))
 
     def power(self, n: int) -> "UnitElement":
         n = read_integer(n, "n")
-        return _raw_unit(self.rank, self.scalar ** n, tuple(_vscale(n, v) for v in self.monomial))
+        q = self.scalar
+        return _raw_unit(self.rank, q if q == 1 else q ** n, tuple(_vscale(n, v) for v in self.monomial))
 
     def __mul__(self, other: "UnitElement") -> "UnitElement":
         if self.rank != other.rank:
@@ -415,7 +428,7 @@ class UnitElement:
             raise LegMismatch(f"{self.legs} legs vs {other.legs}")
         return _raw_unit(
             self.rank,
-            self.scalar * other.scalar,
+            _times(self.scalar, other.scalar),
             tuple(map(_vadd, self.monomial, other.monomial)),
         )
 
@@ -449,7 +462,9 @@ def _read_unit(rank, scalar, vectors, field: str) -> tuple[int, Fraction, tuple[
 def _raw_unit(rank: int, scalar: Fraction, monomial: tuple[Vector, ...]) -> UnitElement:
     """Internal constructor that skips validation, for results computed
     from units that are already valid: a nonzero ``Fraction`` scalar and
-    ``rank``-long tuples of ints."""
+    ``rank``-long tuples of ints.  Unit arithmetic passes a scalar equal
+    to 1 on as it is instead of multiplying, dividing or raising it
+    (``_times``), so every computed scalar is still a ``Fraction``."""
     unit = object.__new__(UnitElement)
     object.__setattr__(unit, "rank", rank)
     object.__setattr__(unit, "scalar", scalar)
@@ -489,7 +504,7 @@ def tensor_concat(x: UnitElement, y: UnitElement) -> UnitElement:
     """Place x and y side by side: legs concatenate, coefficients multiply."""
     if x.rank != y.rank:
         raise RankMismatch(f"rank {x.rank} vs {y.rank}")
-    return _raw_unit(x.rank, x.scalar * y.scalar, x.monomial + y.monomial)
+    return _raw_unit(x.rank, _times(x.scalar, y.scalar), x.monomial + y.monomial)
 
 
 def permute_legs(x: UnitElement, perm: tuple[int, ...]) -> UnitElement:
@@ -538,14 +553,17 @@ class AlgebraMapSpec:
         object.__setattr__(self, "images", imgs)
 
     def image_of_vector(self, e: Vector) -> UnitElement:
-        """Image of the monomial g^e, as a unit of the target power."""
-        scalar = Fraction(1)
+        """Image of the monomial g^e, as a unit of the target power.  An
+        image whose scalar is 1 adds nothing to the scalar, so its power is
+        not taken."""
+        scalar = _ONE
         legs = [_zero_vector(self.rank)] * self.target_legs
         for j, c in enumerate(e):
             if not c:
                 continue
             im = self.images[j]
-            scalar *= im.scalar ** c
+            if im.scalar != 1:
+                scalar = _times(scalar, im.scalar ** c)
             legs = [_vadd(v, _vscale(c, w)) for v, w in zip(legs, im.monomial)]
         return _raw_unit(self.rank, scalar, tuple(legs))
 
@@ -568,10 +586,10 @@ class CounitSpec:
         object.__setattr__(self, "values", vals)
 
     def value_of_vector(self, e: Vector) -> Fraction:
-        out = Fraction(1)
+        out = _ONE
         for v, c in zip(self.values, e):
-            if c:
-                out *= v ** c
+            if c and v != 1:
+                out = _times(out, v ** c)
         return out
 
 
@@ -583,7 +601,7 @@ def apply_algebra_map_on_leg(amap: AlgebraMapSpec, x: UnitElement, leg: int) -> 
         raise LegOutOfRange(f"leg {leg} outside 1..{x.legs}")
     mono = x.monomial
     u = amap.image_of_vector(mono[leg - 1])
-    return _raw_unit(x.rank, x.scalar * u.scalar, mono[: leg - 1] + u.monomial + mono[leg:])
+    return _raw_unit(x.rank, _times(x.scalar, u.scalar), mono[: leg - 1] + u.monomial + mono[leg:])
 
 
 def apply_counit_on_leg(eps: CounitSpec, x: UnitElement, leg: int) -> UnitElement:
@@ -595,5 +613,5 @@ def apply_counit_on_leg(eps: CounitSpec, x: UnitElement, leg: int) -> UnitElemen
     if not 1 <= leg <= x.legs:
         raise LegOutOfRange(f"leg {leg} outside 1..{x.legs}")
     mono = x.monomial
-    scalar = x.scalar * eps.value_of_vector(mono[leg - 1])
+    scalar = _times(x.scalar, eps.value_of_vector(mono[leg - 1]))
     return _raw_unit(x.rank, scalar, mono[: leg - 1] + mono[leg:])

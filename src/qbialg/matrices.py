@@ -29,9 +29,9 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable
+from typing import Sequence
 
-from .laurent import read_rational
+from .laurent import read_rational, read_shape
 
 Rational = int | Fraction
 Matrix = tuple[tuple[Rational, ...], ...]
@@ -54,10 +54,17 @@ def _quotient(n: int, d: int) -> Rational:
     return Fraction(n, d) if r else q
 
 
-def from_rows(rows: Iterable[Iterable]) -> Matrix:
+def from_rows(rows: Sequence[Sequence], field: str = "matrix") -> Matrix:
+    """``rows`` as a matrix.  ``rows`` and each row i must be arrays,
+    read as ``field`` and ``field[i]``, and all rows one length; an error
+    names the field."""
+    rows = read_shape(rows, "array", field)
+    for i, row in enumerate(rows):
+        if type(row) is not tuple:  # a tuple row, as every computed matrix has, needs no call
+            read_shape(row, "array", f"{field}[{i}]")
     out = tuple([tuple([x if type(x) is int else _entry(x) for x in row]) for row in rows])
     if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged rows")
+        raise ValueError(f"{field}: ragged rows")
     return out
 
 

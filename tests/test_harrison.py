@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbialg import harrison
+from qbialg import harrison, intlinalg
 from qbialg.cli import MAX_DEGREE
 from qbialg.harrison import (
     AbelianGroupDescriptor,
@@ -173,7 +173,16 @@ def test_rank_one_coboundary_rank_closed_form():
         assert invariant_factors(coboundary_matrix(1, degree)) == expected, degree
 
 
-def test_rank_one_reduction_repeats_torsion(monkeypatch):
+@pytest.fixture
+def fresh_memo():
+    """An empty memo of the invariant factors of D_n, emptied again at
+    teardown, so that what a test computes under a patch does not outlive it."""
+    harrison._rank_one_factors.cache_clear()
+    yield
+    harrison._rank_one_factors.cache_clear()
+
+
+def test_rank_one_reduction_repeats_torsion(fresh_memo, monkeypatch):
     # the Harrison complexes have no torsion; doubling every coboundary
     # matrix keeps d∘d = 0 and makes every invariant factor 2, so the
     # route through D_n must repeat each factor r times to match the full matrices
@@ -188,6 +197,47 @@ def test_rank_one_reduction_repeats_torsion(monkeypatch):
             assert desc.free_rank == rank * degree - len(outgoing) - len(incoming)
             assert desc.torsion == tuple(f for f in incoming if f > 1)
             assert desc.torsion == (2,) * (rank * rank_one_coboundary_rank(degree - 1))
+
+
+def factors_route(rank, degree, matrix_rank):
+    """(free rank, torsion) of H^degree read straight off the invariant
+    factors of the outgoing and incoming matrices at ``matrix_rank``
+    (1 for D_n, ``rank`` for the full d^n), each repeated
+    rank / matrix_rank times; nothing is memoised."""
+    outgoing = invariant_factors(coboundary_matrix(matrix_rank, degree)) if degree else ()
+    incoming = invariant_factors(coboundary_matrix(matrix_rank, degree - 1)) if degree > 1 else ()
+    copies = rank // matrix_rank
+    free = copies * (matrix_rank * degree - len(outgoing) - len(incoming))
+    return free, tuple(f for f in incoming if f > 1 for _ in range(copies))
+
+
+def test_memoised_cohomology_equals_the_uncached_route(fresh_memo):
+    for rank in range(1, 5):
+        for degree in range(61):
+            got = cohomology(rank, degree)
+            assert (got.free_rank, got.torsion) == factors_route(rank, degree, 1), (rank, degree)
+            if degree <= 8:
+                assert (got.free_rank, got.torsion) == factors_route(rank, degree, rank), (rank, degree)
+            # asked again, the memo gives the same answer
+            assert cohomology(rank, degree) == got
+
+
+def test_a_table_reduces_each_rank_one_matrix_once(fresh_memo, monkeypatch):
+    calls = []
+    real = intlinalg.smith_normal_form
+
+    def counting(a):
+        calls.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    for rank in range(1, 5):
+        for degree in range(25):
+            assert cohomology(rank, degree) == paper_table(rank, degree), (rank, degree)
+    # D_1 .. D_24, one Smith form each, whatever the rank
+    assert len(calls) == 24
+    assert sorted(calls) == [n + 1 for n in range(1, 25)]
+    assert harrison._rank_one_factors.cache_info().maxsize > MAX_DEGREE
 
 
 def test_descriptor_str_and_dict():

@@ -85,6 +85,15 @@ def test_morphism_validation():
     # a map that is not an array is refused by name, before any iteration
     with pytest.raises(TypeError, match=r"^matrix: expected an array, got int$"):
         HomMorphism(x, x, 5)
+    # and so is a row that is not an array, or rows of two lengths
+    with pytest.raises(TypeError, match=r"^matrix\[1\]: expected an array, got int$"):
+        HomMorphism(x, x, ((1, 0), 7))
+    with pytest.raises(TypeError, match=r"^matrix\[1\]: expected an array, got int$"):
+        HomObject(2, ((1, 0), 5))
+    with pytest.raises(ValueError, match=r"^matrix: ragged rows$"):
+        HomMorphism(a, a, ((1, 0), (0,)))
+    with pytest.raises(ValueError, match=r"^matrix: ragged rows$"):
+        HomObject(2, ((1, 0), (1,)))
 
 
 def test_params_validation():
@@ -243,6 +252,10 @@ def test_known_inverse_is_certified_by_one_product():
         HomObject(2, mat.identity(2), ((1,),))
     with pytest.raises(TypeError, match=r"^known_inverse: expected an array, got int$"):
         HomObject(1, ((1,),), 5)
+    with pytest.raises(TypeError, match=r"^known_inverse\[1\]: expected an array, got int$"):
+        HomObject(2, mat.identity(2), ((1, 0), 5))
+    with pytest.raises(ValueError, match=r"^known_inverse: ragged rows$"):
+        HomObject(2, mat.identity(2), ((1, 0), (1,)))
     singular = frac_rows([[1, 2], [2, 4]])
     with pytest.raises(ValueError, match="known_inverse"):
         HomObject(2, singular, mat.identity(2))

@@ -4,6 +4,7 @@ import re
 import sys
 import tempfile
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -649,6 +650,50 @@ def test_leg_operations_match_the_multi_term_reference(rank, legs, other_legs, d
         assert apply_counit_on_leg(eps, x, leg).to_tensor() == ref_apply_counit_on_leg(eps, tx, leg)
 
 
+# -- scalars equal to 1 ---------------------------------------------------------
+#
+# Unit arithmetic passes a scalar equal to 1 on instead of multiplying,
+# dividing or raising it.  Drawn with 1 about half the time, every result
+# scalar must still be the plain Fraction formula, and a Fraction.
+
+unit_scalars = st.one_of(
+    st.just(Fraction(1)),
+    st.sampled_from((Fraction(-1), Fraction(2, 3), Fraction(-5, 2), Fraction(7), Fraction(1, 4))),
+)
+
+
+def exact(q, expect):
+    return type(q) is Fraction and q == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(-4, 4), st.data())
+def test_scalar_one_skip_matches_the_fraction_formula(rank, legs, n, data):
+    def unit(m):
+        vecs = [[data.draw(st.integers(-3, 3)) for _ in range(rank)] for _ in range(m)]
+        return UnitElement(rank, data.draw(unit_scalars), vecs)
+
+    x, y, z = unit(legs), unit(legs), unit(data.draw(st.integers(1, 3)))
+    p, q = x.scalar, y.scalar
+    assert exact((x * y).scalar, p * q)
+    assert exact(x.inverse().scalar, 1 / p)
+    assert exact(x.power(n).scalar, p ** n)
+    assert exact(tensor_concat(x, z).scalar, p * z.scalar)
+
+    leg = data.draw(st.integers(1, legs))
+    e = x.monomial[leg - 1]
+    target = data.draw(st.integers(1, 2))
+    images = tuple(unit(target) for _ in range(rank))
+    amap = AlgebraMapSpec(rank, target, images)
+    expect = p * prod((im.scalar ** c for im, c in zip(images, e)), start=Fraction(1))
+    assert exact(apply_algebra_map_on_leg(amap, x, leg).scalar, expect)
+
+    if legs >= 2:
+        eps = CounitSpec(rank, tuple(data.draw(unit_scalars) for _ in range(rank)))
+        expect = p * prod((v ** c for v, c in zip(eps.values, e)), start=Fraction(1))
+        assert exact(apply_counit_on_leg(eps, x, leg).scalar, expect)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -903,7 +948,8 @@ REFUSALS = [
     ("cohomology rank", lambda: cohomology(0, 1), RankMismatch, "rank must be >= 1"),
     ("cohomology degree", lambda: cohomology(1, -1), DegreeMismatch, "degree must be >= 0"),
     ("cocycle_classify rank", lambda: cocycle_classify(0), RankMismatch, "rank must be >= 1"),
-    ("from_rows ragged", lambda: mat.from_rows([[1, 2], [3]]), ValueError, "ragged rows"),
+    ("from_rows ragged", lambda: mat.from_rows([[1, 2], [3]]), ValueError, "matrix: ragged rows"),
+    ("from_rows row", lambda: mat.from_rows([[1, 2], 3], "rows"), TypeError, "rows[1]: expected an array, got int"),
     ("power non-square", lambda: mat.power(((1, 2),), 2), NotInvertible, "only square matrices"),
 ]
 
