@@ -38,7 +38,7 @@ from .laurent import (
     _read_unit,
     as_unit,
     format_coefficient,
-    read_integer,
+    read_bounded,
     read_key,
     read_shape,
 )
@@ -58,9 +58,7 @@ class HarrisonCochain:
     unit: UnitElement
 
     def __post_init__(self):
-        object.__setattr__(self, "degree", read_integer(self.degree, "degree"))
-        if self.degree < 0:
-            raise DegreeMismatch(f"degree must be >= 0, got {self.degree}")
+        object.__setattr__(self, "degree", read_bounded(self.degree, "degree", 0, error=DegreeMismatch))
         if self.unit.legs != self.degree:
             raise DegreeMismatch(
                 f"unit has {self.unit.legs} legs but the cochain degree is {self.degree}"
@@ -109,8 +107,7 @@ class HarrisonCochain:
 def coface(i: CofaceIndex, c: HarrisonCochain) -> HarrisonCochain:
     """The i-th coface: insert 1 at an end or duplicate the i-th slot."""
     n = c.degree
-    if not 0 <= i <= n + 1:
-        raise DegreeMismatch(f"coface index {i} outside 0..{n + 1}")
+    i = read_bounded(i, "coface index", 0, n + 1, DegreeMismatch)
     mono = c.unit.monomial
     zero = (0,) * c.rank
     if i == 0:
@@ -198,8 +195,8 @@ def coboundary_matrix(rank: int, degree: int) -> list[list[int]]:
 
     and the matrix is Dₙ ⊗ I_r, each entry repeated down a block diagonal.
     """
-    if degree < 0:
-        raise DegreeMismatch(f"degree must be >= 0, got {degree}")
+    rank = read_bounded(rank, "rank", 1, error=RankMismatch)
+    degree = read_bounded(degree, "degree", 0, error=DegreeMismatch)
     rows = rank * (degree + 1)
     cols = rank * degree
     mat = [[0] * cols for _ in range(rows)]
@@ -221,14 +218,11 @@ class AbelianGroupDescriptor:
     has_scalar_factor: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "free_rank", read_integer(self.free_rank, "free_rank"))
-        if self.free_rank < 0:
-            raise ValueError(f"free rank must be >= 0, got {self.free_rank}")
+        object.__setattr__(self, "free_rank", read_bounded(self.free_rank, "free_rank", 0))
         if not isinstance(self.has_scalar_factor, bool):
             raise TypeError(f"has_scalar_factor must be a bool, got {self.has_scalar_factor!r}")
-        object.__setattr__(self, "torsion", tuple([read_integer(t, "torsion") for t in self.torsion]))
-        if any(t < 2 for t in self.torsion):
-            raise ValueError("torsion invariants must be >= 2")
+        torsion = read_shape(self.torsion, "array", "torsion")
+        object.__setattr__(self, "torsion", tuple([read_bounded(t, "torsion", 2) for t in torsion]))
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError("torsion invariants must each divide the next")
@@ -285,10 +279,8 @@ def cohomology(rank: int, degree: int) -> AbelianGroupDescriptor:
     parity of the neighboring degrees.  The invariant factors of each Dₙ
     are memoised by degree, so each Dₙ is reduced once per process.
     """
-    if rank < 1:
-        raise RankMismatch(f"rank must be >= 1, got {rank}")
-    if degree < 0:
-        raise DegreeMismatch(f"degree must be >= 0, got {degree}")
+    rank = read_bounded(rank, "rank", 1, error=RankMismatch)
+    degree = read_bounded(degree, "degree", 0, error=DegreeMismatch)
 
     # scalar part: kernel is all of k* iff the outgoing exponent is 0;
     # the image from below is all of k* iff the incoming exponent is 1
@@ -349,8 +341,7 @@ def cocycle_classify(rank: int) -> ThreeCocycleClassification:
     Rank indices never mix, so d³ = D₃ ⊗ I_r (as in ``cohomology``) and
     its kernel is ker D₃ ⊗ Z^r: each vector times each of e₁ … e_r.
     """
-    if rank < 1:
-        raise RankMismatch(f"rank must be >= 1, got {rank}")
+    rank = read_bounded(rank, "rank", 1, error=RankMismatch)
     basis = kernel_basis(coboundary_matrix(1, 3))
     if len(basis) != 2:
         raise ArithmeticError(f"kernel of the degree-3 boundary has rank {len(basis)}, expected 2")

@@ -46,7 +46,7 @@ from functools import partial, reduce
 from typing import Sequence
 
 from . import matrices as mat
-from .laurent import format_coefficient, read_integer, read_rational, read_shape
+from .laurent import format_coefficient, read_bounded, read_integer, read_rational, read_shape
 from .matrices import Matrix, NotInvertible
 
 
@@ -639,6 +639,11 @@ def _sample(rng: random.Random, pool, t: int, n: int, max_dim: int) -> tuple[Hom
     return (pool[t % len(pool)],) + tuple(rng.choice(pool) for _ in range(n - 1))
 
 
+def _sampling(seed, trials, max_dim) -> tuple[int, int, int]:
+    """``seed``, and ``trials`` and ``max_dim`` each >= 1: no run passes having sampled nothing."""
+    return read_integer(seed, "seed"), read_bounded(trials, "trials", 1), read_bounded(max_dim, "max_dim", 1)
+
+
 # -- reports ----------------------------------------------------------------
 
 
@@ -725,6 +730,7 @@ def check_coherence(
     byte for byte.  User-supplied objects, when given, are cycled
     through deterministically and mixed with random picks.
     """
+    seed, trials, max_dim = _sampling(seed, trials, max_dim)
     s = structure_maps(p)
     rng = random.Random(seed)
     pool = list(objects)
@@ -815,6 +821,7 @@ def compare_structures(
     leave open builds one matrix, the ratio: the constraints are equal
     exactly when it is the identity, or when both scalars are zero.
     """
+    seed, trials, max_dim = _sampling(seed, trials, max_dim)
     s1 = structure_maps(p1)
     s2 = structure_maps(p2)
     rng = random.Random(seed)

@@ -7,11 +7,12 @@ map from m-tuples of integer exponent vectors to nonzero rational
 coefficients.  All arithmetic is exact; nothing here ever rounds.
 
 Every exact number coming in from a file or a Python caller is read by
-one of two readers here, which name the field they refuse:
+one of the readers here, which name the field they refuse:
 ``read_integer`` takes an int that is not a bool, ``read_rational`` such
-an int, a ``Fraction`` or text such as "-3/2", and neither a float.
-``read_shape`` reads every array and record around them the same way, and
-``read_key`` every key of a record.
+an int, a ``Fraction`` or text such as "-3/2", and neither a float;
+``read_bounded`` reads a rank, degree, count or index as an integer in
+its range.  ``read_shape`` reads every array and record around them the
+same way, and ``read_key`` every key of a record.
 
 Group-like monomials q * g^(v_1) (x) ... (x) g^(v_m) with q != 0 are
 exactly the invertible elements of the tensor power.  ``as_unit`` is the
@@ -66,6 +67,17 @@ def read_integer(value, field: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return operator.index(value)  # an int subclass, as a plain int
     raise TypeError(f"{field}: expected an integer, got {value!r}")
+
+
+def read_bounded(value, field: str, lo: int, hi: int | None = None, error=ValueError) -> int:
+    """``value`` read by ``read_integer`` as ``field``, which must lie in lo..hi
+    (no upper bound when ``hi`` is None); one out of range raises ``error``."""
+    n = value if type(value) is int else read_integer(value, field)  # no call for a plain int
+    if hi is None and n < lo:
+        raise error(f"{field} must be >= {lo}, got {n}")
+    if hi is not None and not lo <= n <= hi:
+        raise error(f"{field} {n} outside {lo}..{hi}")
+    return n
 
 
 # Number text is ASCII: a sign, the digits 0-9 and spaces around them
@@ -232,8 +244,7 @@ class TensorElement:
     @classmethod
     def generator(cls, rank: int, index: int) -> "TensorElement":
         """The one-leg generator g_index (1-based index)."""
-        if not 1 <= index <= rank:
-            raise RankMismatch(f"generator index {index} outside 1..{rank}")
+        index = read_bounded(index, "generator index", 1, read_integer(rank, "rank"), RankMismatch)
         vec = tuple(1 if j == index - 1 else 0 for j in range(rank))
         return cls(rank, 1, {(vec,): Fraction(1)})
 
@@ -355,13 +366,8 @@ class TensorElement:
 
 def _shape(rank, legs, field: str) -> tuple[int, int]:
     """``rank`` and ``legs`` read as ``{field}rank`` and ``{field}legs``, both >= 1."""
-    rank = read_integer(rank, f"{field}rank")
-    legs = read_integer(legs, f"{field}legs")
-    if rank < 1:
-        raise RankMismatch(f"rank must be >= 1, got {rank}")
-    if legs < 1:
-        raise LegMismatch(f"legs must be >= 1, got {legs}")
-    return rank, legs
+    rank = read_bounded(rank, f"{field}rank", 1, error=RankMismatch)
+    return rank, read_bounded(legs, f"{field}legs", 1, error=LegMismatch)
 
 
 def _add_term(terms: dict, rank: int, legs: int, key, value, e_field: str, c_field: str) -> None:
@@ -408,9 +414,8 @@ class UnitElement:
 
     @classmethod
     def identity(cls, rank: int, legs: int) -> "UnitElement":
-        if legs < 0:
-            raise LegMismatch(f"legs must be >= 0, got {legs}")
-        return cls(rank, 1, ((0,) * rank,) * legs)
+        legs = read_bounded(legs, "legs", 0, error=LegMismatch)
+        return cls(rank, 1, (_zero_vector(read_integer(rank, "rank")),) * legs)
 
     def inverse(self) -> "UnitElement":
         q = self.scalar
@@ -449,9 +454,7 @@ class UnitElement:
 
 def _read_unit(rank, scalar, vectors, field: str) -> tuple[int, Fraction, tuple[Vector, ...]]:
     """(rank, scalar, monomial) of a unit, read once; vector j as ``field[j]``."""
-    rank = read_integer(rank, "rank")
-    if rank < 1:
-        raise RankMismatch(f"rank must be >= 1, got {rank}")
+    rank = read_bounded(rank, "rank", 1, error=RankMismatch)
     scalar = read_rational(scalar, "scalar")
     if not scalar:
         raise NotAUnit("scalar part of a unit must be nonzero")
@@ -512,6 +515,7 @@ def permute_legs(x: UnitElement, perm: tuple[int, ...]) -> UnitElement:
 
     permute_legs(x, (2, 3, 1)) realizes x^(2) (x) x^(3) (x) x^(1).
     """
+    perm = tuple([read_integer(p, "perm") for p in read_shape(perm, "array", "perm")])
     if sorted(perm) != list(range(1, x.legs + 1)):
         raise LegOutOfRange(f"{perm} is not a permutation of 1..{x.legs}")
     return _raw_unit(x.rank, x.scalar, tuple(x.monomial[p - 1] for p in perm))
@@ -519,8 +523,7 @@ def permute_legs(x: UnitElement, perm: tuple[int, ...]) -> UnitElement:
 
 def insert_unit_leg(x: UnitElement, position: int) -> UnitElement:
     """Insert an identity leg so that it becomes leg ``position`` (1-based)."""
-    if not 1 <= position <= x.legs + 1:
-        raise LegOutOfRange(f"position {position} outside 1..{x.legs + 1}")
+    position = read_bounded(position, "position", 1, x.legs + 1, LegOutOfRange)
     z = (_zero_vector(x.rank),)
     return _raw_unit(x.rank, x.scalar, x.monomial[: position - 1] + z + x.monomial[position - 1 :])
 
@@ -540,10 +543,8 @@ class AlgebraMapSpec:
     field: InitVar[str] = "image"  # the images' name in errors
 
     def __post_init__(self, field):
-        for name in ("rank", "target_legs"):
-            object.__setattr__(self, name, read_integer(getattr(self, name), name))
-        if self.target_legs < 1:
-            raise LegMismatch(f"target_legs must be >= 1, got {self.target_legs}")
+        for name, error in (("rank", RankMismatch), ("target_legs", LegMismatch)):
+            object.__setattr__(self, name, read_bounded(getattr(self, name), name, 1, error=error))
         imgs = tuple(
             as_unit(im, self.rank, self.target_legs, f"{field}[{i}]")
             for i, im in enumerate(read_shape(self.images, "array", field))
@@ -576,7 +577,7 @@ class CounitSpec:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rank", read_integer(self.rank, "rank"))
+        object.__setattr__(self, "rank", read_bounded(self.rank, "rank", 1, error=RankMismatch))
         values = read_shape(self.values, "array", "counit")
         vals = tuple([read_rational(v, f"counit[{i}]") for i, v in enumerate(values)])
         if len(vals) != self.rank:
@@ -597,8 +598,7 @@ def apply_algebra_map_on_leg(amap: AlgebraMapSpec, x: UnitElement, leg: int) -> 
     """Apply an algebra map to one leg, splicing its output legs in place."""
     if amap.rank != x.rank:
         raise RankMismatch(f"map rank {amap.rank} vs element rank {x.rank}")
-    if not 1 <= leg <= x.legs:
-        raise LegOutOfRange(f"leg {leg} outside 1..{x.legs}")
+    leg = read_bounded(leg, "leg", 1, x.legs, LegOutOfRange)
     mono = x.monomial
     u = amap.image_of_vector(mono[leg - 1])
     return _raw_unit(x.rank, _times(x.scalar, u.scalar), mono[: leg - 1] + u.monomial + mono[leg:])
@@ -610,8 +610,7 @@ def apply_counit_on_leg(eps: CounitSpec, x: UnitElement, leg: int) -> UnitElemen
         raise RankMismatch(f"counit rank {eps.rank} vs element rank {x.rank}")
     if x.legs < 2:
         raise LegMismatch("cannot drop the only leg; counit application needs legs >= 2")
-    if not 1 <= leg <= x.legs:
-        raise LegOutOfRange(f"leg {leg} outside 1..{x.legs}")
+    leg = read_bounded(leg, "leg", 1, x.legs, LegOutOfRange)
     mono = x.monomial
     scalar = _times(x.scalar, eps.value_of_vector(mono[leg - 1]))
     return _raw_unit(x.rank, scalar, mono[: leg - 1] + mono[leg:])

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -271,6 +272,27 @@ def test_cocycle_classification():
         c = HarrisonCochain.from_data(rank, Fraction(1), [list(h), [0] * rank, list(g)])
         assert boundary(c) == HarrisonCochain.identity(rank, 4)
         assert cls.parameters_of(elem) == (h, g)
+
+
+@pytest.mark.parametrize(
+    "name, result, message",
+    [
+        ("coboundary_matrix", [[0] * 3 for _ in range(4)], "kernel of the degree-3 boundary has rank 3, expected 2"),
+        (
+            "coboundary_matrix",
+            [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            "degree-3 kernel has a nonvanishing middle slot",
+        ),
+        # a kernel lattice is saturated, so no matrix alone gives outer slots
+        # that are not free: only a wrong basis reaches this guard
+        ("kernel_basis", [[2, 0, 0], [0, 0, 1]], "outer slots of the degree-3 kernel are not free"),
+    ],
+    ids=["kernel rank", "middle slot", "outer slots"],
+)
+def test_cocycle_classify_checks_the_kernel_it_derives(monkeypatch, name, result, message):
+    monkeypatch.setattr(harrison, name, lambda *args: result)
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        cocycle_classify(1)
 
 
 def test_parameters_of_rejects_bad_elements():

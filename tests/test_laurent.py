@@ -19,9 +19,17 @@ from qbialg.harrison import (
     HarrisonCochain,
     coboundary_matrix,
     cocycle_classify,
+    coface,
     cohomology,
 )
-from qbialg.homcat import HomObject, MonoidalParams, StructureMaps
+from qbialg.homcat import (
+    PLAIN_STRUCTURE,
+    HomObject,
+    MonoidalParams,
+    StructureMaps,
+    check_coherence,
+    compare_structures,
+)
 from qbialg.intlinalg import smith_normal_form
 from qbialg.matrices import NotInvertible
 from qbialg.laurent import (
@@ -739,6 +747,15 @@ def _first_exponent(x):
     return x.terms()[0][0][0][0]
 
 
+_U1 = UnitElement(1, 1, ((0,),))
+_U2 = UnitElement(2, 1, ((0, 0),))
+_U11 = UnitElement(1, 1, ((0,), (0,)))
+_DIAGONAL = AlgebraMapSpec(1, 2, (UnitElement(1, 1, ((1,), (1,))),))
+_ORD = ordinary(1)
+# a one-dimensional object, so that a sampled run stays small
+_POOL = (HomObject(1, ((1,),)),)
+
+
 # (site, field, build): build(value) constructs with value at the site
 # and returns what the site stores
 INTEGER_SITES = [
@@ -781,6 +798,26 @@ INTEGER_SITES = [
     ),
     ("AbelianGroupDescriptor free_rank", "free_rank", lambda v: AbelianGroupDescriptor(v, (), False).free_rank),
     ("AbelianGroupDescriptor torsion", "torsion", lambda v: AbelianGroupDescriptor(0, (v,), False).torsion[0]),
+    ("TensorElement.generator rank", "rank", lambda v: TensorElement.generator(v, 1).rank),
+    ("UnitElement.identity rank", "rank", lambda v: UnitElement.identity(v, 1).rank),
+    ("UnitElement.identity legs", "legs", lambda v: UnitElement.identity(1, v).legs),
+    # D_1 ⊗ I_r has r columns, and so has D_n for r = 1
+    ("coboundary_matrix rank", "rank", lambda v: len(coboundary_matrix(v, 1)[0])),
+    ("coboundary_matrix degree", "degree", lambda v: len(coboundary_matrix(1, v)[0])),
+    ("cohomology rank", "rank", lambda v: cohomology(v, 1).free_rank),
+    ("cocycle_classify rank", "rank", lambda v: cocycle_classify(v).rank),
+    ("check_coherence trials", "trials", lambda v: check_coherence(PLAIN_STRUCTURE, _POOL, trials=v).trials),
+    ("check_coherence seed", "seed", lambda v: check_coherence(PLAIN_STRUCTURE, _POOL, trials=1, seed=v).seed),
+    (
+        "compare_structures trials",
+        "trials",
+        lambda v: compare_structures(PLAIN_STRUCTURE, PLAIN_STRUCTURE, _POOL, trials=v).trials,
+    ),
+    (
+        "compare_structures seed",
+        "seed",
+        lambda v: compare_structures(PLAIN_STRUCTURE, PLAIN_STRUCTURE, _POOL, trials=1, seed=v).seed,
+    ),
     ("MonoidalParams a", "a", lambda v: MonoidalParams(1, v, 0).a),
     ("MonoidalParams b", "b", lambda v: MonoidalParams(1, 0, v).b),
     ("StructureMaps left_exp", "left_exp", lambda v: StructureMaps((0, 0, 0), 1, v, 1, 0, (0, 0)).left_exp),
@@ -822,15 +859,44 @@ RATIONAL_SITES = [
 ]
 
 
-@pytest.mark.parametrize("field, build", [s[1:] for s in INTEGER_SITES], ids=[s[0] for s in INTEGER_SITES])
-def test_integer_sites_read_exact_integers(field, build):
+# (site, field, call): call(value) passes value as a count or an index
+# that the result keeps no record of
+INTEGER_ARGUMENTS = [
+    ("TensorElement.generator index", "generator index", lambda v: TensorElement.generator(2, v)),
+    ("permute_legs perm", "perm", lambda v: permute_legs(_U11, (v, 1))),
+    ("insert_unit_leg position", "position", lambda v: insert_unit_leg(_U11, v)),
+    ("apply_algebra_map_on_leg leg", "leg", lambda v: apply_algebra_map_on_leg(_DIAGONAL, _U11, v)),
+    ("apply_counit_on_leg leg", "leg", lambda v: apply_counit_on_leg(CounitSpec(1, (1,)), _U11, v)),
+    ("coface index", "coface index", lambda v: coface(v, HarrisonCochain.identity(1, 2))),
+    ("cohomology degree", "degree", lambda v: cohomology(1, v)),
+    ("check_coherence max_dim", "max_dim", lambda v: check_coherence(PLAIN_STRUCTURE, trials=1, max_dim=v)),
+    (
+        "compare_structures max_dim",
+        "max_dim",
+        lambda v: compare_structures(PLAIN_STRUCTURE, PLAIN_STRUCTURE, trials=1, max_dim=v),
+    ),
+]
+
+
+def _refuses_all_but_integers(field, build):
+    """build(2), after each value below is refused with ``field`` named."""
     # 2.0 and Fraction(2) are integral but not integers, "2" is text and
     # True is a bool: each would be read as a number by int() or index()
     for bad in (True, 2.0, 1.5, "2", Fraction(2)):
         with pytest.raises(TypeError, match=rf"^{re.escape(field)}: expected an integer, got "):
             build(bad)
-    stored = build(2)
+    return build(2)
+
+
+@pytest.mark.parametrize("field, build", [s[1:] for s in INTEGER_SITES], ids=[s[0] for s in INTEGER_SITES])
+def test_integer_sites_read_exact_integers(field, build):
+    stored = _refuses_all_but_integers(field, build)
     assert stored == 2 and type(stored) is int
+
+
+@pytest.mark.parametrize("field, call", [s[1:] for s in INTEGER_ARGUMENTS], ids=[s[0] for s in INTEGER_ARGUMENTS])
+def test_integer_arguments_read_exact_integers(field, call):
+    _refuses_all_but_integers(field, call)
 
 
 @pytest.mark.parametrize("field, build", [s[1:] for s in RATIONAL_SITES], ids=[s[0] for s in RATIONAL_SITES])
@@ -853,12 +919,6 @@ def test_rational_sites_read_exact_rationals(field, build):
 
 
 # -- library refusals, each with its exception and message ---------------------
-
-_U1 = UnitElement(1, 1, ((0,),))
-_U2 = UnitElement(2, 1, ((0, 0),))
-_U11 = UnitElement(1, 1, ((0,), (0,)))
-_DIAGONAL = AlgebraMapSpec(1, 2, (UnitElement(1, 1, ((1,), (1,))),))
-_ORD = ordinary(1)
 
 REFUSALS = [
     ("TensorElement rank 0", lambda: TensorElement(0, 1), RankMismatch, "rank must be >= 1"),
@@ -948,6 +1008,69 @@ REFUSALS = [
     ("cohomology rank", lambda: cohomology(0, 1), RankMismatch, "rank must be >= 1"),
     ("cohomology degree", lambda: cohomology(1, -1), DegreeMismatch, "degree must be >= 0"),
     ("cocycle_classify rank", lambda: cocycle_classify(0), RankMismatch, "rank must be >= 1"),
+    (
+        "TensorElement.from_dict rank 0",
+        lambda: TensorElement.from_dict({"rank": 0, "legs": 1, "terms": []}, "phi."),
+        RankMismatch,
+        "phi.rank must be >= 1, got 0",
+    ),
+    ("UnitElement rank 0", lambda: UnitElement(0, 1, ()), RankMismatch, "rank must be >= 1, got 0"),
+    ("UnitElement.identity legs -1", lambda: UnitElement.identity(1, -1), LegMismatch, "legs must be >= 0, got -1"),
+    ("AlgebraMapSpec rank 0", lambda: AlgebraMapSpec(0, 1, ()), RankMismatch, "rank must be >= 1, got 0"),
+    ("CounitSpec rank 0", lambda: CounitSpec(0, ()), RankMismatch, "rank must be >= 1, got 0"),
+    ("permute_legs", lambda: permute_legs(_U11, (2, 2)), LegOutOfRange, "(2, 2) is not a permutation of 1..2"),
+    ("permute_legs perm not an array", lambda: permute_legs(_U11, 5), TypeError, "perm: expected an array, got int"),
+    ("insert_unit_leg position", lambda: insert_unit_leg(_U11, 4), LegOutOfRange, "position 4 outside 1..3"),
+    ("coface index", lambda: coface(4, HarrisonCochain.identity(1, 2)), DegreeMismatch, "coface index 4 outside 0..3"),
+    ("coboundary_matrix rank", lambda: coboundary_matrix(0, 1), RankMismatch, "rank must be >= 1, got 0"),
+    (
+        "AbelianGroupDescriptor free_rank",
+        lambda: AbelianGroupDescriptor(-1, (), False),
+        ValueError,
+        "free_rank must be >= 0, got -1",
+    ),
+    (
+        "AbelianGroupDescriptor torsion 1",
+        lambda: AbelianGroupDescriptor(0, (1,), False),
+        ValueError,
+        "torsion must be >= 2, got 1",
+    ),
+    (
+        "AbelianGroupDescriptor torsion not an array",
+        lambda: AbelianGroupDescriptor(0, 5, False),
+        TypeError,
+        "torsion: expected an array, got int",
+    ),
+    (
+        "AbelianGroupDescriptor torsion text",
+        lambda: AbelianGroupDescriptor(0, "23", False),
+        TypeError,
+        "torsion: expected an array, got str",
+    ),
+    (
+        "check_coherence trials 0",
+        lambda: check_coherence(PLAIN_STRUCTURE, trials=0),
+        ValueError,
+        "trials must be >= 1, got 0",
+    ),
+    (
+        "check_coherence max_dim 0",
+        lambda: check_coherence(PLAIN_STRUCTURE, max_dim=0),
+        ValueError,
+        "max_dim must be >= 1, got 0",
+    ),
+    (
+        "compare_structures trials 0",
+        lambda: compare_structures(PLAIN_STRUCTURE, PLAIN_STRUCTURE, trials=0),
+        ValueError,
+        "trials must be >= 1, got 0",
+    ),
+    (
+        "compare_structures max_dim 0",
+        lambda: compare_structures(PLAIN_STRUCTURE, PLAIN_STRUCTURE, max_dim=0),
+        ValueError,
+        "max_dim must be >= 1, got 0",
+    ),
     ("from_rows ragged", lambda: mat.from_rows([[1, 2], [3]]), ValueError, "matrix: ragged rows"),
     ("from_rows row", lambda: mat.from_rows([[1, 2], 3], "rows"), TypeError, "rows[1]: expected an array, got int"),
     ("power non-square", lambda: mat.power(((1, 2),), 2), NotInvertible, "only square matrices"),
