@@ -89,7 +89,7 @@ class HomObject:
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self, known_inverse):
-        object.__setattr__(self, "dim", read_integer(self.dim, "dim"))
+        object.__setattr__(self, "dim", read_bounded(self.dim, "dim", 1))
         m = mat.from_rows(self.matrix)
         if mat.shape(m) != (self.dim, self.dim):
             raise ValueError(f"automorphism must be {self.dim}x{self.dim}")
@@ -229,7 +229,11 @@ _ONE = Fraction(1)
 
 
 def _product(a: Fraction, b: Fraction) -> Fraction:
-    """a * b, skipping the product when a factor is the shared scalar 1."""
+    """a * b, skipping the product when a factor is the shared scalar 1.
+
+    Tested by ``is``, not by ``== 1`` as in ``laurent._times``: a 1 here
+    is nearly always ``_ONE`` itself, ``is`` costs under half as much,
+    and a miss only costs the product."""
     return b if a is _ONE else a if b is _ONE else a * b
 
 
@@ -276,7 +280,7 @@ class _LegMap:
 
     def to_matrix(self) -> Matrix:
         mats = [
-            reduce(_compose, [m.matrix for m in maps] + [x.power(e)]) for maps, x, e in self.words
+            reduce(mat.mul, [m.matrix for m in maps] + [x.power(e)]) for maps, x, e in self.words
         ]
         mats[0] = mat.scale(self.scalar, mats[0])
         k = reduce(mat.kron, mats)
@@ -293,19 +297,6 @@ class _LegMap:
         for i in _permuted(self.perm, range(n)):
             rows = [r + x * strides[i] for r in rows for x in range(dims[i])]
         return tuple([k[r] for r in rows])
-
-
-def _compose(a: Matrix, b: Matrix) -> Matrix:
-    """a . b, skipping the product when a factor is an identity leg.
-
-    f^0 legs are the matrices ``mat.identity`` caches, so ``is`` finds
-    them without comparing entries; a miss only costs the product.
-    """
-    if a is mat.identity(len(a)):
-        return b
-    if b is mat.identity(len(b)):
-        return a
-    return mat.mul(a, b)
 
 
 def _same_matrix(lhs: _LegMap, rhs: _LegMap) -> bool:

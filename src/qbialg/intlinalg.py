@@ -2,16 +2,18 @@
 
 Everything here works on plain lists of Python ints, so nothing rounds
 and there is no dependency; ``solve_columns`` is the one routine that
-computes in ``Fraction``.  The Smith routine keeps both transform
-matrices in the array it reduces, beside and below a, which is what lets
-callers extract honest lattice bases for kernels instead of rational
-nullspaces.
+computes in ``Fraction``.  Products and shapes come from ``matrices``:
+``matrix_mul`` is ``matrices.mul`` with its rows as lists.  The Smith
+routine keeps both transform matrices in the array it reduces, beside
+and below a, which is what lets callers extract honest lattice bases for
+kernels instead of rational nullspaces.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import matrices as mat
 from .laurent import read_integer
 
 IntMatrix = list[list[int]]
@@ -21,26 +23,8 @@ def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def matrix_shape(a: IntMatrix) -> tuple[int, int]:
-    return len(a), len(a[0]) if a else 0
-
-
 def matrix_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows, inner = matrix_shape(a)
-    inner2, cols = matrix_shape(b)
-    if inner != inner2:
-        raise ValueError(f"cannot multiply {matrix_shape(a)} by {matrix_shape(b)}")
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += v * bk[j]
-    return out
+    return [list(row) for row in mat.mul(a, b)]
 
 
 def _pivot(rows: IntMatrix, k: int, m: int, n: int) -> tuple[int, int, int] | None:
@@ -75,7 +59,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     divisibility check on the trailing block, since a unit divides
     everything.
     """
-    m, n = matrix_shape(a)
+    m, n = mat.shape(a)
     if any(len(row) != n for row in a):  # rows of a and s must line up
         raise ValueError("ragged rows")
     rows = [
@@ -132,7 +116,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def diagonal_entries(d: IntMatrix) -> list[int]:
-    m, n = matrix_shape(d)
+    m, n = mat.shape(d)
     return [d[i][i] for i in range(min(m, n))]
 
 
@@ -147,7 +131,7 @@ def kernel_basis(a: IntMatrix) -> list[list[int]]:
     The basis columns span the full kernel lattice, not a finite-index
     sublattice: any integer kernel vector is an integer combination.
     """
-    m, n = matrix_shape(a)
+    m, n = mat.shape(a)
     if n == 0:
         return []
     d, _, t = smith_normal_form(a)

@@ -230,6 +230,7 @@ class TensorElement:
     @classmethod
     def one(cls, rank: int, legs: int) -> "TensorElement":
         """The multiplicative identity 1 (x) ... (x) 1."""
+        rank, legs = _shape(rank, legs, "")
         return cls(rank, legs, {((0,) * rank,) * legs: 1})
 
     @classmethod

@@ -22,6 +22,11 @@ as one comprehension over a row of each factor.  ``inverse`` is
 fraction-free: it clears denominators and eliminates with exact integer
 divisions (Bareiss), so the unimodular matrices the hom-category checker
 samples never touch a ``Fraction``.
+
+``mul`` is the one dense product in the package: ``homcat`` folds each
+leg word with it and ``intlinalg.matrix_mul`` is its list view.
+``identity`` is cached only so that each size is built once; nothing
+compares identities by ``is``.
 """
 from __future__ import annotations
 
@@ -74,7 +79,7 @@ def shape(a: Matrix) -> tuple[int, int]:
 
 @lru_cache(maxsize=64)
 def identity(n: int) -> Matrix:
-    """The n x n identity; cached, so equal sizes share one (immutable) object."""
+    """The n x n identity, cached so that each size is built once."""
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 

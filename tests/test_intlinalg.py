@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -179,6 +180,14 @@ def test_quotient_invariants():
 def test_identity_matrix():
     assert identity_matrix(2) == [[1, 0], [0, 1]]
     assert identity_matrix(0) == []
+
+
+def test_matrix_mul_is_a_list_of_int_lists():
+    product = matrix_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]])
+    assert product == [[2, 1], [4, 3]]
+    assert all(type(row) is list and all(type(x) is int for x in row) for row in product)
+    with pytest.raises(ValueError, match=re.escape("cannot multiply (1, 2) by (1, 2)")):
+        matrix_mul([[1, 2]], [[1, 2]])
 
 
 # -- invariant factors against sympy ---------------------------------------------

@@ -29,6 +29,7 @@ from qbialg.homcat import (
     StructureMaps,
     check_coherence,
     compare_structures,
+    from_module_action,
 )
 from qbialg.intlinalg import smith_normal_form
 from qbialg.matrices import NotInvertible
@@ -926,6 +927,8 @@ REFUSALS = [
     ("TensorElement term legs", lambda: TensorElement(1, 2, {((0,),): 1}), LegMismatch, "term ((0,),) has 1 legs"),
     ("TensorElement.single no legs", lambda: TensorElement.single(1, []), LegMismatch, "a tensor element needs"),
     ("TensorElement.generator", lambda: TensorElement.generator(1, 2), RankMismatch, "generator index 2 outside"),
+    ("TensorElement.one text rank", lambda: TensorElement.one("2", 1), TypeError, "rank: expected an integer, got '2'"),
+    ("TensorElement.one float legs", lambda: TensorElement.one(1, 2.0), TypeError, "legs: expected an integer, got 2.0"),
     ("TensorElement + UnitElement", lambda: TensorElement.one(1, 1) + _U1, TypeError, "expected TensorElement"),
     ("UnitElement * rank", lambda: _U1 * _U2, RankMismatch, "rank 1 vs 2"),
     ("UnitElement * legs", lambda: _U1 * _U11, LegMismatch, "1 legs vs 2"),
@@ -1071,6 +1074,9 @@ REFUSALS = [
         ValueError,
         "max_dim must be >= 1, got 0",
     ),
+    ("HomObject dim 0", lambda: HomObject(0, ()), ValueError, "dim must be >= 1, got 0"),
+    ("HomObject dim -1", lambda: HomObject(-1, ()), ValueError, "dim must be >= 1, got -1"),
+    ("from_module_action empty", lambda: from_module_action([]), ValueError, "dim must be >= 1, got 0"),
     ("from_rows ragged", lambda: mat.from_rows([[1, 2], [3]]), ValueError, "matrix: ragged rows"),
     ("from_rows row", lambda: mat.from_rows([[1, 2], 3], "rows"), TypeError, "rows[1]: expected an array, got int"),
     ("power non-square", lambda: mat.power(((1, 2),), 2), NotInvertible, "only square matrices"),
