@@ -105,18 +105,14 @@ class HarrisonCochain:
 
 
 def coface(i: CofaceIndex, c: HarrisonCochain) -> HarrisonCochain:
-    """The i-th coface: insert 1 at an end or duplicate the i-th slot."""
+    """The i-th coface: insert 1 at an end or duplicate the i-th slot.  With
+    p = (1, x_1, ..., x_n, 1), it is p[1:i+1] + p[i:n+1]: slot i doubled,
+    both pads dropped."""
     n = c.degree
     i = read_bounded(i, "coface index", 0, n + 1, DegreeMismatch)
-    mono = c.unit.monomial
-    zero = (0,) * c.rank
-    if i == 0:
-        new = (zero,) + mono
-    elif i == n + 1:
-        new = mono + (zero,)
-    else:
-        new = mono[: i - 1] + (mono[i - 1], mono[i - 1]) + mono[i:]
-    return HarrisonCochain(n + 1, _raw_unit(c.rank, c.unit.scalar, new))
+    zero = ((0,) * c.rank,)
+    p = zero + c.unit.monomial + zero
+    return HarrisonCochain(n + 1, _raw_unit(c.rank, c.unit.scalar, p[1 : i + 1] + p[i : n + 1]))
 
 
 def boundary(c: HarrisonCochain) -> HarrisonCochain:
@@ -335,13 +331,25 @@ def cocycle_classify(rank: int) -> ThreeCocycleClassification:
     """Derive the degree-3 cocycle lattice from the coboundary matrix.
 
     The kernel basis of D₃ = ``coboundary_matrix(1, 3)`` comes out of
-    Smith normal form; the shape claims (rank 2, middle slot zero, outer
-    slots jointly unimodular) are then checked rather than assumed, so a
-    wrong coboundary matrix cannot silently produce the familiar answer.
+    Smith normal form, once per process since it does not depend on r;
+    the shape claims (rank 2, middle slot zero, outer slots jointly
+    unimodular) are then checked rather than assumed, so a wrong
+    coboundary matrix cannot silently produce the familiar answer.
     Rank indices never mix, so d³ = D₃ ⊗ I_r (as in ``cohomology``) and
     its kernel is ker D₃ ⊗ Z^r: each vector times each of e₁ … e_r.
     """
     rank = read_bounded(rank, "rank", 1, error=RankMismatch)
+    vectors = (
+        tuple(x * (j == k) for x in v for j in range(rank))
+        for v in _degree_three_kernel()
+        for k in range(rank)
+    )
+    return ThreeCocycleClassification(rank, tuple(vectors))
+
+
+@lru_cache(maxsize=1)
+def _degree_three_kernel() -> tuple[tuple[int, ...], ...]:
+    """The kernel basis of D₃, with its shape checked, memoised."""
     basis = kernel_basis(coboundary_matrix(1, 3))
     if len(basis) != 2:
         raise ArithmeticError(f"kernel of the degree-3 boundary has rank {len(basis)}, expected 2")
@@ -350,7 +358,4 @@ def cocycle_classify(rank: int) -> ThreeCocycleClassification:
     factors = invariant_factors([[v[0] for v in basis], [v[2] for v in basis]])
     if len(factors) != 2 or any(f != 1 for f in factors):
         raise ArithmeticError("outer slots of the degree-3 kernel are not free")
-    vectors = (
-        tuple(x * (j == k) for x in v for j in range(rank)) for v in basis for k in range(rank)
-    )
-    return ThreeCocycleClassification(rank, tuple(vectors))
+    return tuple(map(tuple, basis))

@@ -184,10 +184,8 @@ class StructureMaps:
         for name in ("left_exp", "right_exp"):
             object.__setattr__(self, name, read_integer(getattr(self, name), name))
         for name, length in (("assoc_exp", 3), ("braid_exp", 2)):
-            exps = tuple([read_integer(e, name) for e in read_shape(getattr(self, name), "array", name)])
-            if len(exps) != length:
-                raise ValueError(f"{name} needs {length} exponents, got {len(exps)}")
-            object.__setattr__(self, name, exps)
+            exps = read_shape(getattr(self, name), "array", name, length)
+            object.__setattr__(self, name, tuple([read_integer(e, name) for e in exps]))
 
 
 def structure_maps(p) -> StructureMaps:

@@ -12,7 +12,8 @@ one of the readers here, which name the field they refuse:
 an int, a ``Fraction`` or text such as "-3/2", and neither a float;
 ``read_bounded`` reads a rank, degree, count or index as an integer in
 its range.  ``read_shape`` reads every array and record around them the
-same way, and ``read_key`` every key of a record.
+same way, and an array's length where that is fixed; ``read_key`` reads
+every key of a record.
 
 Group-like monomials q * g^(v_1) (x) ... (x) g^(v_m) with q != 0 are
 exactly the invertible elements of the tensor power.  ``as_unit`` is the
@@ -113,11 +114,14 @@ def read_rational(value, field: str) -> Fraction:
 _SHAPES = {"array": (list, tuple), "object": dict}
 
 
-def read_shape(value, kind: str, field: str):
-    """``value`` if it is a JSON ``kind``, "array" (list or tuple) or "object" (dict)."""
-    if isinstance(value, _SHAPES[kind]):
-        return value
-    raise TypeError(f"{field}: expected an {kind}, got {type(value).__name__}")
+def read_shape(value, kind: str, field: str, length: int | None = None, error=ValueError):
+    """``value`` if it is a JSON ``kind``, "array" (list or tuple) or "object" (dict),
+    else TypeError; an array not ``length`` long, when that is given, raises ``error``."""
+    if not isinstance(value, _SHAPES[kind]):
+        raise TypeError(f"{field}: expected an {kind}, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise error(f"{field}: expected length {length}, got {len(value)}")
+    return value
 
 
 def read_key(record: Mapping, key: str, prefix: str = ""):
@@ -129,10 +133,7 @@ def read_key(record: Mapping, key: str, prefix: str = ""):
 
 
 def _as_vector(v: Iterable, rank: int, field: str) -> Vector:
-    vec = tuple([read_integer(c, field) for c in read_shape(v, "array", field)])
-    if len(vec) != rank:
-        raise RankMismatch(f"exponent vector {vec} has length {len(vec)}, expected {rank}")
-    return vec
+    return tuple([read_integer(c, field) for c in read_shape(v, "array", field, rank, RankMismatch)])
 
 
 _ONE = Fraction(1)
@@ -374,9 +375,7 @@ def _shape(rank, legs, field: str) -> tuple[int, int]:
 def _add_term(terms: dict, rank: int, legs: int, key, value, e_field: str, c_field: str) -> None:
     """Add value * g^(key[0]) (x) ... into ``terms``, dropping a zero sum;
     the exponents are read as ``e_field``, the coefficient as ``c_field``."""
-    key = tuple([_as_vector(v, rank, e_field) for v in read_shape(key, "array", e_field)])
-    if len(key) != legs:
-        raise LegMismatch(f"term {key} has {len(key)} legs, expected {legs}")
+    key = tuple([_as_vector(v, rank, e_field) for v in read_shape(key, "array", e_field, legs, LegMismatch)])
     s = terms.pop(key, 0) + read_rational(value, c_field)
     if s:
         terms[key] = s
@@ -479,29 +478,31 @@ def _raw_unit(rank: int, scalar: Fraction, monomial: tuple[Vector, ...]) -> Unit
 # -- the operation surface ------------------------------------------------
 
 
-def as_unit(x: TensorElement | UnitElement, rank: int, legs: int, field: str) -> UnitElement:
-    """Certify x as an invertible element of k[Z^rank]^(x legs).
+def as_unit(x: TensorElement | UnitElement, rank: int | None, legs: int | None, field: str) -> UnitElement:
+    """Certify x as an invertible element of k[Z^rank]^(x legs); a rank or
+    leg count of None accepts x's own.
 
-    The rank is checked first, then the leg count, then that x has
-    exactly one term; the error (RankMismatch, LegMismatch or NotAUnit)
-    starts with ``field``.  A ``UnitElement`` of that shape is returned
-    unchanged.
-    """
-    if x.rank != rank:
+    That x is an element is checked first, then the rank, the leg count
+    and that x has exactly one term; the error (TypeError, RankMismatch,
+    LegMismatch or NotAUnit) starts with ``field``.  A ``UnitElement`` of
+    that shape is returned unchanged."""
+    if not isinstance(x, (TensorElement, UnitElement)):
+        raise TypeError(f"{field}: expected a TensorElement or UnitElement, got {type(x).__name__}")
+    if rank is not None and x.rank != rank:
         raise RankMismatch(f"{field}: element has rank {x.rank}, expected {rank}")
-    if x.legs != legs:
+    if legs is not None and x.legs != legs:
         raise LegMismatch(f"{field}: element has {x.legs} legs, expected {legs}")
     if isinstance(x, UnitElement):
         return x
     if len(x._terms) != 1:
         raise NotAUnit(f"{field}: element has {len(x._terms)} terms, units have exactly 1")
     ((key, c),) = x._terms.items()
-    return _raw_unit(rank, c, key)
+    return _raw_unit(x.rank, c, key)
 
 
 def invert_unit(x: TensorElement | UnitElement) -> UnitElement:
     """Inverse of an invertible element, as a unit; raises NotAUnit otherwise."""
-    return as_unit(x, x.rank, x.legs, "x").inverse()
+    return as_unit(x, None, None, "x").inverse()
 
 
 def tensor_concat(x: UnitElement, y: UnitElement) -> UnitElement:
@@ -546,12 +547,8 @@ class AlgebraMapSpec:
     def __post_init__(self, field):
         for name, error in (("rank", RankMismatch), ("target_legs", LegMismatch)):
             object.__setattr__(self, name, read_bounded(getattr(self, name), name, 1, error=error))
-        imgs = tuple(
-            as_unit(im, self.rank, self.target_legs, f"{field}[{i}]")
-            for i, im in enumerate(read_shape(self.images, "array", field))
-        )
-        if len(imgs) != self.rank:
-            raise RankMismatch(f"{field}: need {self.rank} generator images, got {len(imgs)}")
+        images = read_shape(self.images, "array", field, self.rank, RankMismatch)
+        imgs = tuple(as_unit(im, self.rank, self.target_legs, f"{field}[{i}]") for i, im in enumerate(images))
         object.__setattr__(self, "images", imgs)
 
     def image_of_vector(self, e: Vector) -> UnitElement:
@@ -579,10 +576,8 @@ class CounitSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "rank", read_bounded(self.rank, "rank", 1, error=RankMismatch))
-        values = read_shape(self.values, "array", "counit")
+        values = read_shape(self.values, "array", "counit", self.rank, RankMismatch)
         vals = tuple([read_rational(v, f"counit[{i}]") for i, v in enumerate(values)])
-        if len(vals) != self.rank:
-            raise RankMismatch(f"counit: need {self.rank} generator values, got {len(vals)}")
         if not all(vals):
             raise NotAUnit("counit values must be nonzero")
         object.__setattr__(self, "values", vals)

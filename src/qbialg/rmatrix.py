@@ -79,7 +79,7 @@ def twist_R(
     r_elem: TensorElement | UnitElement, alpha: TensorElement | UnitElement
 ) -> UnitElement:
     """Carry an R-matrix along a twist: flip(alpha) * R * alpha^-1, as a unit."""
-    r_elem = as_unit(r_elem, r_elem.rank, 2, "R")
+    r_elem = as_unit(r_elem, None, 2, "R")
     alpha = as_unit(alpha, r_elem.rank, 2, "alpha")
     return permute_legs(alpha, (2, 1)) * r_elem * alpha.inverse()
 

@@ -443,8 +443,17 @@ _SHAPE_ERRORS = [
     (
         "coproduct image count", "verify", _CANONICAL_DOC,
         _set(("coproduct",), _CANONICAL_DOC["coproduct"] * 2),
-        "coproduct: need 1 generator images, got 2",
+        "coproduct: expected length 1, got 2",
     ),
+    (
+        "term legs", "verify", _CANONICAL_DOC, _set(("phi", "terms", 0, "e"), [[1], [0]]),
+        "phi.terms[0].e: expected length 3, got 2",
+    ),
+    (
+        "vector length", "verify", _CANONICAL_DOC, _set(("phi", "terms", 0, "e", 0), [0, 0]),
+        "phi.terms[0].e: expected length 1, got 2",
+    ),
+    ("counit values", "verify", _CANONICAL_DOC, _set(("counit",), ["1", "1"]), "counit: expected length 1, got 2"),
     ("presentation", "verify", [1], None, "presentation: expected an object, got list"),
     ("missing rank", "verify", _CANONICAL_DOC, _drop(("rank",)), "rank: missing"),
     ("missing lambda", "verify", _CANONICAL_DOC, _drop(("lambda",)), "lambda: missing"),
@@ -459,6 +468,10 @@ _SHAPE_ERRORS = [
     (
         "cochain element, rank given", "boundary --rank 1", _COCHAIN_DOC, _set(("elements",), [[1], 5]),
         "elements[1]: expected an array, got int",
+    ),
+    (
+        "cochain element length", "boundary", _COCHAIN_DOC, _set(("elements",), [[1, 0], [2]]),
+        "elements[1]: expected length 2, got 1",
     ),
     ("cochain elements", "boundary", _COCHAIN_DOC, _set(("elements",), 5), "elements: expected an array, got int"),
     ("cochain", "boundary", [1], None, "cochain: expected an object, got list"),

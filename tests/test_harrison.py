@@ -176,11 +176,15 @@ def test_rank_one_coboundary_rank_closed_form():
 
 @pytest.fixture
 def fresh_memo():
-    """An empty memo of the invariant factors of D_n, emptied again at
-    teardown, so that what a test computes under a patch does not outlive it."""
-    harrison._rank_one_factors.cache_clear()
+    """Empty memos of the invariant factors of D_n and of the kernel of D_3,
+    emptied again at teardown, so that what a test computes under a patch
+    does not outlive it."""
+    memos = (harrison._rank_one_factors, harrison._degree_three_kernel)
+    for memo in memos:
+        memo.cache_clear()
     yield
-    harrison._rank_one_factors.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
 
 
 def test_rank_one_reduction_repeats_torsion(fresh_memo, monkeypatch):
@@ -289,10 +293,26 @@ def test_cocycle_classification():
     ],
     ids=["kernel rank", "middle slot", "outer slots"],
 )
-def test_cocycle_classify_checks_the_kernel_it_derives(monkeypatch, name, result, message):
+def test_cocycle_classify_checks_the_kernel_it_derives(fresh_memo, monkeypatch, name, result, message):
     monkeypatch.setattr(harrison, name, lambda *args: result)
     with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
         cocycle_classify(1)
+
+
+def test_cocycle_classify_derives_the_kernel_once(fresh_memo, monkeypatch):
+    calls = []
+    real = intlinalg.smith_normal_form
+
+    def counting(a):
+        calls.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    for rank in range(1, 5):
+        for _ in range(2):
+            assert cocycle_classify(rank).free_parameters() == 2 * rank
+    # the kernel basis of D_3 and the 2x2 outer-slot matrix, whatever the rank
+    assert len(calls) == 2
 
 
 def test_parameters_of_rejects_bad_elements():

@@ -924,7 +924,7 @@ def test_rational_sites_read_exact_rationals(field, build):
 REFUSALS = [
     ("TensorElement rank 0", lambda: TensorElement(0, 1), RankMismatch, "rank must be >= 1"),
     ("TensorElement legs 0", lambda: TensorElement(1, 0), LegMismatch, "legs must be >= 1"),
-    ("TensorElement term legs", lambda: TensorElement(1, 2, {((0,),): 1}), LegMismatch, "term ((0,),) has 1 legs"),
+    ("TensorElement term legs", lambda: TensorElement(1, 2, {((0,),): 1}), LegMismatch, "exponent: expected length 2, got 1"),
     ("TensorElement.single no legs", lambda: TensorElement.single(1, []), LegMismatch, "a tensor element needs"),
     ("TensorElement.generator", lambda: TensorElement.generator(1, 2), RankMismatch, "generator index 2 outside"),
     ("TensorElement.one text rank", lambda: TensorElement.one("2", 1), TypeError, "rank: expected an integer, got '2'"),
@@ -934,9 +934,9 @@ REFUSALS = [
     ("UnitElement * legs", lambda: _U1 * _U11, LegMismatch, "1 legs vs 2"),
     ("zero-leg to_tensor", lambda: UnitElement(1, 1, ()).to_tensor(), LegMismatch, "a zero-leg unit"),
     ("AlgebraMapSpec target_legs 0", lambda: AlgebraMapSpec(1, 0, ()), LegMismatch, "target_legs must be >= 1"),
-    ("AlgebraMapSpec images", lambda: AlgebraMapSpec(2, 1, (_U2,)), RankMismatch, "image: need 2 generator images"),
+    ("AlgebraMapSpec images", lambda: AlgebraMapSpec(2, 1, (_U2,)), RankMismatch, "image: expected length 2, got 1"),
     ("AlgebraMapSpec images not an array", lambda: AlgebraMapSpec(1, 1, 5), TypeError, "image: expected an array"),
-    ("CounitSpec values", lambda: CounitSpec(2, (1,)), RankMismatch, "counit: need 2 generator values"),
+    ("CounitSpec values", lambda: CounitSpec(2, (1,)), RankMismatch, "counit: expected length 2, got 1"),
     ("CounitSpec values not an array", lambda: CounitSpec(1, 5), TypeError, "counit: expected an array, got int"),
     ("UnitElement monomial not an array", lambda: UnitElement(1, 1, 5), TypeError, "monomial: expected an array"),
     ("TensorElement terms not an object", lambda: TensorElement(1, 1, 5), TypeError, "terms: expected an object, got int"),
@@ -967,6 +967,28 @@ REFUSALS = [
         TypeError,
         "braid_exp: expected an array, got int",
     ),
+    (
+        "StructureMaps two associator exponents",
+        lambda: StructureMaps((0, 0), 1, 0, 1, 0, (0, 0)),
+        ValueError,
+        "assoc_exp: expected length 3, got 2",
+    ),
+    (
+        "StructureMaps three braiding exponents",
+        lambda: StructureMaps((0, 0, 0), 1, 0, 1, 0, (0, 0, 0)),
+        ValueError,
+        "braid_exp: expected length 2, got 3",
+    ),
+    ("twist alpha not an element", lambda: twist(_ORD, [[1], [0]]), TypeError, "alpha: expected a TensorElement"),
+    ("verify_R R not an element", lambda: verify_R(_ORD, None), TypeError, "R: expected a TensorElement"),
+    ("twist_R R not an element", lambda: twist_R(None, _U11), TypeError, "R: expected a TensorElement"),
+    (
+        "AlgebraMapSpec image not an element",
+        lambda: AlgebraMapSpec(1, 2, ("x",)),
+        TypeError,
+        "image[0]: expected a TensorElement or UnitElement, got str",
+    ),
+    ("invert_unit not an element", lambda: invert_unit(3), TypeError, "x: expected a TensorElement or UnitElement, got int"),
     (
         "apply_algebra_map_on_leg rank",
         lambda: apply_algebra_map_on_leg(_DIAGONAL, _U2, 1),
