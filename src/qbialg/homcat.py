@@ -18,20 +18,26 @@ leg of X and of Y, and the braiding moves whole blocks of legs.  A test
 cross-checks every side against products of the public constraint
 matrices.  Every constraint and every composite of constraints is a
 scalar times a permutation of tensor legs times, on each leg, a word
-kept in normal form: one power f^e of the leg's source, then sampled
-intertwiners, each checked once by ``HomMorphism``.  An intertwiner
-m: X -> Y satisfies f_Y^k m = m f_X^k, so composing moves the outer
-word's power across the inner word's maps and adds the exponents.  Two
-sides are compared by the first of two routes that decides:
+kept in normal form: one power f^e of the leg's source, then
+intertwiners.  An intertwiner m: X -> Y satisfies f_Y^k m = m f_X^k, so
+composing moves the outer word's power across the inner word's maps and
+adds the exponents.  Two sides are compared by the first of two routes
+that decides:
 
 1. Normal forms, on exponents alone.  Equal permutations, equal scalars
    and, per leg, the same maps with the same exponent make the sides
-   equal for every choice of the objects, and no matrix is multiplied.
+   equal for every choice of the objects and of the maps, and no matrix
+   is multiplied.
 2. Exact matrices on the sampled objects, built when the normal forms
    differ (an automorphism of finite order, such as -I or a swap, can
    still make the sides equal): coherence builds both full Kronecker
    matrices, whose difference is a failure's witness; a comparison
    builds one, the ratio, from the two constraints' exponent differences.
+
+Coherence builds the naturality axioms on sampled intertwiners held as
+their RNG draws (``_MapToken``): a word identity on a token holds for
+every intertwiner.  A token is built, and certified by ``HomObject`` and
+``HomMorphism``, only when route 1 leaves its instance open.
 
 Flattening convention everywhere: row-major with the left tensor factor
 slowest.
@@ -241,9 +247,9 @@ class _LegMap:
     ``perm[i]`` is the output slot receiving input leg i; ``words[i]``
     is applied to leg i before the permutation.  Each word is kept in
     normal form (maps, X, e), standing for maps[0] ... maps[-1] . f_X^e:
-    intertwiners ``HomMorphism``, whose constructor checked them, after
-    one power of the leg's source X.  The leg matrices are multiplied
-    out only by ``to_matrix``.
+    intertwiners, each a ``HomMorphism`` or a ``_MapToken``, after one
+    power of the leg's source X.  The leg matrices are multiplied out
+    only by ``to_matrix``, which builds the tokens it meets.
     """
 
     __slots__ = ("scalar", "perm", "words")
@@ -575,13 +581,61 @@ def random_unimodular(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
     replayed on the rows of the identity and u^-1 their inverses
     replayed on its columns, so u^-1 comes without an elimination.
     """
+    n = read_bounded(n, "n", 1)
     ops = _elementary_ops(rng, n)
     return _apply_rows(ops, mat.identity(n)), _undo_columns(ops, mat.identity(n))
 
 
 def random_object(rng: random.Random, max_dim: int = 4) -> HomObject:
-    n = rng.randint(1, max_dim)
+    n = rng.randint(1, read_bounded(max_dim, "max_dim", 1))
     return HomObject(n, *random_unimodular(rng, n))
+
+
+class _MapToken:
+    """A sampled intertwiner out of ``source``, held as the draws of
+    ``random_morphism`` in its order: the elementary operations of u,
+    then the coefficients of p.  ``target`` is an ``_ObjectToken``, where
+    words through the map meet (by ``is``); ``materialize`` builds it."""
+
+    __slots__ = ("source", "target", "ops", "coeffs", "_morphism")
+
+    def __init__(self, rng: random.Random, x: HomObject):
+        self.source, self.target, self._morphism = x, _ObjectToken(self), None
+        self.ops = _elementary_ops(rng, x.dim)
+        self.coeffs = [rng.randint(-1, 1) for _ in range(3)]
+        if not any(self.coeffs):
+            self.coeffs[rng.randrange(3)] = 1
+
+    @property
+    def matrix(self) -> Matrix:
+        return self.materialize().matrix
+
+    def materialize(self) -> HomMorphism:
+        """u p(f) into u f u^-1, built once and certified by ``HomObject``
+        (its known inverse u f^-1 u^-1) and by ``HomMorphism``."""
+        if self._morphism is None:
+            x, ops, (c0, *cs) = self.source, self.ops, self.coeffs
+            poly = mat.scale(c0, mat.identity(x.dim))
+            for c, fp in zip(cs, (x.matrix, x.power(2))):
+                if c:
+                    poly = tuple(
+                        tuple(a + c * b for a, b in zip(ra, rb)) for ra, rb in zip(poly, fp)
+                    )
+            f, f_inv = [_undo_columns(ops, _apply_rows(ops, m)) for m in (x.matrix, x.power(-1))]
+            self._morphism = HomMorphism(x, HomObject(x.dim, f, f_inv), _apply_rows(ops, poly))
+        return self._morphism
+
+
+class _ObjectToken:
+    """The target of a ``_MapToken`` in words; asking for a power builds the map."""
+
+    __slots__ = ("map",)
+
+    def __init__(self, m: _MapToken):
+        self.map = m
+
+    def power(self, e: int) -> Matrix:
+        return self.map.materialize().target.power(e)
 
 
 def random_morphism(rng: random.Random, x: HomObject) -> tuple[HomObject, Matrix]:
@@ -590,30 +644,17 @@ def random_morphism(rng: random.Random, x: HomObject) -> tuple[HomObject, Matrix
     The target automorphism is a unimodular conjugate u f u^-1 of the
     source one and the map is u times a small polynomial p(f), which
     commutes with f; intertwining therefore holds by construction, and
-    ``check_coherence`` still has ``HomMorphism`` check it on every use
-    before any power is moved across the map.  u is never built: its
-    drawn elementary operations are replayed on the rows and their
-    inverses on the columns, O(draws n) per matrix instead of a dense
-    product.  f^2 and f^-1 come from the object's cache of powers, so
-    the target is built with its known inverse u f^-1 u^-1, which
-    ``HomObject`` certifies by one product instead of an elimination.
+    ``HomMorphism`` checks it.  u is never built: its drawn elementary
+    operations are replayed on the rows and their inverses on the
+    columns, O(draws n) per matrix instead of a dense product.  f^2 and
+    f^-1 come from the object's cache of powers, so the target is built
+    with its known inverse u f^-1 u^-1, which ``HomObject`` certifies by
+    one product instead of an elimination.  ``check_coherence`` keeps
+    the same draws as a ``_MapToken`` and builds the map only for an
+    instance its words leave open.
     """
-    n = x.dim
-    ops = _elementary_ops(rng, n)
-    f = x.matrix
-    coeffs = [rng.randint(-1, 1) for _ in range(3)]
-    if not any(coeffs):
-        coeffs[rng.randrange(3)] = 1
-    poly = mat.scale(coeffs[0], mat.identity(n))
-    for c, fp in zip(coeffs[1:], (f, x.power(2))):
-        if c:
-            poly = tuple(tuple(a + c * b for a, b in zip(ra, rb)) for ra, rb in zip(poly, fp))
-    target = HomObject(
-        n,
-        _undo_columns(ops, _apply_rows(ops, f)),
-        _undo_columns(ops, _apply_rows(ops, x.power(-1))),
-    )
-    return target, _apply_rows(ops, poly)
+    m = _MapToken(rng, x).materialize()
+    return m.target, m.matrix
 
 
 def _sample(rng: random.Random, pool, t: int, n: int, max_dim: int) -> tuple[HomObject, ...]:
@@ -631,6 +672,15 @@ def _sample(rng: random.Random, pool, t: int, n: int, max_dim: int) -> tuple[Hom
 def _sampling(seed, trials, max_dim) -> tuple[int, int, int]:
     """``seed``, and ``trials`` and ``max_dim`` each >= 1: no run passes having sampled nothing."""
     return read_integer(seed, "seed"), read_bounded(trials, "trials", 1), read_bounded(max_dim, "max_dim", 1)
+
+
+def _pool(objects) -> list:
+    """The pool to sample from: an array, each entry a ``HomObject``, refused by its index."""
+    pool = list(read_shape(objects, "array", "objects"))
+    for i, o in enumerate(pool):
+        if not isinstance(o, HomObject):
+            raise TypeError(f"objects[{i}]: expected a HomObject, got {type(o).__name__}")
+    return pool
 
 
 # -- reports ----------------------------------------------------------------
@@ -717,22 +767,24 @@ def check_coherence(
 
     Sampling is driven entirely by the seed, so reports are reproducible
     byte for byte.  User-supplied objects, when given, are cycled
-    through deterministically and mixed with random picks.
+    through deterministically and mixed with random picks.  Naturality
+    draws an intertwiner out of each object as ``random_morphism`` does,
+    kept as a ``_MapToken``: words that decide an instance prove it for
+    every intertwiner and build no map.  An instance they leave open
+    builds and certifies its maps and is decided on full matrices.
     """
     seed, trials, max_dim = _sampling(seed, trials, max_dim)
     s = structure_maps(p)
     rng = random.Random(seed)
-    pool = list(objects)
+    pool = _pool(objects)
     groups = []
     for axiom, arity, builders, natural in _AXIOMS:
         results = []
         for t in range(trials):
             objs = _sample(rng, pool, t, arity, max_dim)
             if natural:
-                mors = [random_morphism(rng, o) for o in objs]
-                targets = tuple(t for t, _ in mors)
-                maps = tuple(HomMorphism(o, t, m) for o, (t, m) in zip(objs, mors))
-                args = (objs, targets, maps)
+                maps = tuple([_MapToken(rng, o) for o in objs])
+                args = (objs, tuple([m.target for m in maps]), maps)
             else:
                 args = tuple((o,) for o in objs)
             dims = tuple(o.dim for o in objs)
@@ -814,7 +866,7 @@ def compare_structures(
     s1 = structure_maps(p1)
     s2 = structure_maps(p2)
     rng = random.Random(seed)
-    pool = list(objects)
+    pool = _pool(objects)
     entries = []
     for t in range(trials):
         objs = _sample(rng, pool, t, 3, max_dim)

@@ -316,8 +316,10 @@ def test_a_wrong_column_replay_is_caught_by_the_known_inverse(monkeypatch):
     the right.  The one-product certification refuses every such pair
     that is not a true inverse pair.  The pair is one only when f conjugates
     the transvection w^-1 E to its inverse, as a finite-order f such as
-    diag(-1, 1) can; such a target still differs from E f E^-1, which the
-    product-route oracle above catches."""
+    diag(-1, 1) can; ``HomMorphism`` then refuses the map E p(f) unless
+    (w^-1 E - I) p(f) = 0, which a singular p(f) allows.  Such a target
+    still differs from E f E^-1, which the product-route oracle above
+    catches."""
     from qbialg import homcat
 
     replay = homcat._undo_columns
@@ -326,7 +328,7 @@ def test_a_wrong_column_replay_is_caught_by_the_known_inverse(monkeypatch):
         first = next((k for k, op in enumerate(ops) if op[0] == 0), None)
         return replay(ops if first is None else ops[:first] + ops[first + 1:], m)
 
-    caught = slipped = 0
+    caught = refused = slipped = 0
     for seed in range(300):
         rng = random.Random(seed)
         x = random_object(rng, 4)
@@ -343,11 +345,17 @@ def test_a_wrong_column_replay_is_caught_by_the_known_inverse(monkeypatch):
                     random_morphism(rng, x)
                 caught += 1
             else:
-                y, _ = random_morphism(rng, x)
-                assert y.matrix == wrong[0] != mat.mul(mat.mul(e, x.matrix), mat.inverse(e))
-                slipped += 1
-    # seeds 0-299 give 165 draws with an addition: 148 refused, 17 true inverse pairs
-    assert (caught, slipped) == (148, 17)
+                try:
+                    y, _ = random_morphism(rng, x)
+                except ValueError as err:
+                    assert str(err) == "map does not intertwine the marked automorphisms"
+                    refused += 1
+                else:
+                    assert y.matrix == wrong[0] != mat.mul(mat.mul(e, x.matrix), mat.inverse(e))
+                    slipped += 1
+    # seeds 0-299 give 165 draws with an addition: 148 refused by the known
+    # inverse; of the 17 true inverse pairs, HomMorphism refuses 14
+    assert (caught, refused, slipped) == (148, 14, 3)
 
 
 def test_coherence_all_params():
@@ -761,14 +769,111 @@ def test_compare_zero_scalars():
     assert not entry.equal and entry.ratio == (("0",),)
 
 
-def test_sampled_maps_are_checked_before_an_instance_uses_them(monkeypatch):
+# outside the family: a nonzero middle associator exponent breaks the
+# pentagon, yet every naturality square still holds
+OUTSIDE = [
+    StructureMaps((1, 1, -1), Fraction(2), 1, Fraction(2), 1, (0, 0)),
+    StructureMaps((0, -2, 1), Fraction(-1, 3), -1, Fraction(-1, 3), 0, (1, -1)),
+]
+
+# infinite and finite order, and a random object of dimension 3
+TOKEN_POOL = [
+    obj([[2]]),
+    obj([[1, 1], [0, 1]]),
+    obj([[0, 1], [1, 0]]),
+    HomObject(3, *random_unimodular(random.Random(5), 3)),
+]
+
+
+def _recorded_tokens(patch):
+    """Patch the token class so that each token keeps the generator state
+    it was drawn from; returns the list the tokens are appended to."""
     from qbialg import homcat
 
-    shear = obj([[1, 1], [0, 1]])
-    # a sampler gone wrong: the swap does not commute with the shear
-    monkeypatch.setattr(homcat, "random_morphism", lambda rng, x: (x, frac_rows([[0, 1], [1, 0]])))
-    with pytest.raises(ValueError, match="intertwine"):
-        check_coherence(PARAM_SETS[2], [shear], trials=1, seed=0)
+    tokens = []
+
+    class Recorded(homcat._MapToken):
+        __slots__ = ("state",)
+
+        def __init__(self, rng, x):
+            self.state = rng.getstate()
+            super().__init__(rng, x)
+            tokens.append(self)
+
+    patch.setattr(homcat, "_MapToken", Recorded)
+    return tokens
+
+
+def test_every_token_materializes_to_the_map_random_morphism_samples(monkeypatch):
+    """The words decide every naturality instance, so a run builds none of
+    its maps; here each token of full runs is built afterwards, certified
+    by ``HomObject`` and ``HomMorphism``, and equals what random_morphism
+    samples from the same generator state."""
+    with monkeypatch.context() as patch:
+        tokens = _recorded_tokens(patch)
+        for s in (*PARAM_SETS, HTILDE_STRUCTURE, *OUTSIDE):
+            unpooled = check_coherence(s, trials=3, seed=8, max_dim=2 if s in OUTSIDE else 4)
+            pooled = check_coherence(s, TOKEN_POOL, trials=3, seed=8)
+            assert unpooled.ok is pooled.ok is (s not in OUTSIDE)
+    # 7 structures, 2 runs each, 3 trials of 3 + 1 + 2 naturality objects
+    assert len(tokens) == 7 * 2 * 3 * 6
+    assert all(t._morphism is None for t in tokens)
+    for token in tokens:
+        m = token.materialize()  # certified by HomObject and HomMorphism
+        assert token.materialize() is m and token.matrix is m.matrix
+        assert m.source is token.source and token.target.power(1) == m.target.matrix
+        assert m.target.power(-1) == mat.inverse(m.target.matrix)
+        rng = random.Random()
+        rng.setstate(token.state)
+        assert random_morphism(rng, token.source) == (m.target, m.matrix)
+
+
+def _sources_on_both_sides(constraint, s, sources, targets, maps):
+    """A broken naturality square, C_sources = (maps, moved) . C_sources: it
+    holds only for maps that act as the identity, and its words differ
+    from the other side's by the maps, so every instance is left open."""
+    from qbialg import homcat
+
+    before = constraint(s, *[(x,) for x in sources])
+    return before, homcat._maps_legs(homcat._permuted(before.perm, maps)).after(before)
+
+
+def _break_naturality(patch):
+    """_natural replaced by _sources_on_both_sides, also where _AXIOMS bound it."""
+    from qbialg import homcat
+
+    def rebind(build):
+        if isinstance(build, functools.partial) and build.func is homcat._natural:
+            return functools.partial(_sources_on_both_sides, *build.args, **build.keywords)
+        return build
+
+    axioms = tuple((name, n, tuple(map(rebind, builds)), nat) for name, n, builds, nat in homcat._AXIOMS)
+    patch.setattr(homcat, "_AXIOMS", axioms)
+    patch.setattr(homcat, "_natural", _sources_on_both_sides)
+
+
+def test_open_naturality_instances_are_decided_on_built_and_certified_maps(monkeypatch):
+    from qbialg import homcat
+
+    with monkeypatch.context() as patch:
+        _break_naturality(patch)
+        tokens = _recorded_tokens(patch)
+        report = check_coherence(PARAM_SETS[2], TOKEN_POOL, trials=4, seed=2)
+    groups = dict(report.axioms)
+    for name in ("naturality_associator", "naturality_unitors", "naturality_braiding"):
+        assert any(not inst.passed and inst.witness for inst in groups[name]), name
+    assert all(inst.passed for name in COHERENCE_AXIOMS[:5] for inst in groups[name])
+    # every token was built to decide its open instance, and certified
+    assert tokens and all(t._morphism is not None for t in tokens)
+
+    # a column replay that skips its first operation: the first wrong map
+    # an open instance builds is refused by its certification
+    replay = homcat._undo_columns
+    with monkeypatch.context() as patch:
+        _break_naturality(patch)
+        patch.setattr(homcat, "_undo_columns", lambda ops, m: replay(ops[1:], m))
+        with pytest.raises(ValueError, match="known_inverse|intertwine"):
+            check_coherence(PARAM_SETS[2], TOKEN_POOL, trials=4, seed=2)
 
 
 # -- the block rule against the public constraint matrices -------------------

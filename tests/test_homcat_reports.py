@@ -4,7 +4,8 @@ The goldens pin the seeded draw order of the sampler and every witness
 and ratio string, so a change to how instances are decided cannot move
 a single byte of a report.  Only public names are used.  To record the
 goldens again after a deliberate change of the reports, run this file
-as a script; it rewrites ``golden/homcat_reports.json``.
+as a script; it rewrites ``golden/homcat_reports.json`` and
+``golden/coherence_reports.json``.
 """
 
 import json
@@ -24,6 +25,7 @@ from qbialg.homcat import (
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "homcat_reports.json"
+COHERENCE_GOLDEN = GOLDEN.with_name("coherence_reports.json")
 
 # the four structures of acceptance criterion 6
 FAMILY = {
@@ -79,12 +81,33 @@ def reports() -> dict:
     return {key: report.to_dict() for key, report in out.items()}
 
 
+def coherence_reports() -> dict:
+    """check_coherence on every structure above, with a pool of three
+    objects and without one, at three seeds: a moved draw of the sampler
+    moves the objects or the maps of every later instance.  The outside
+    structures are sampled at dimension at most 2, so that their pentagon
+    witnesses stay 16 x 16."""
+    out = {}
+    for name, s in {**FAMILY, "htilde": HTILDE_STRUCTURE, **OUTSIDE}.items():
+        max_dim = 2 if name in OUTSIDE else 4
+        for seed in (0, 1, 2):
+            out[f"{name}/pool/{seed}"] = check_coherence(s, _small_pool(), trials=2, seed=seed)
+            out[f"{name}/sampled/{seed}"] = check_coherence(
+                s, trials=2, seed=seed, max_dim=max_dim
+            )
+    return {key: report.to_dict() for key, report in out.items()}
+
+
 def _text(data: dict) -> str:
     return json.dumps(data, indent=1) + "\n"
 
 
 def test_reports_are_byte_identical_to_golden():
     assert _text(reports()) == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_coherence_reports_are_byte_identical_to_golden():
+    assert _text(coherence_reports()) == COHERENCE_GOLDEN.read_text(encoding="utf-8")
 
 
 def test_goldens_cover_passes_failures_and_ratios():
@@ -100,7 +123,15 @@ def test_goldens_cover_passes_failures_and_ratios():
         assert data[f"coherence/{name}/sampled"]["ok"] and data[f"coherence/{name}/pool"]["ok"]
     assert data["compare/htilde_vs_q1_a1_b-1/sampled"]["identical"]
     assert any(e["ratio"] for e in data["compare/plain_vs_htilde/pool"]["entries"])
+    data = json.loads(COHERENCE_GOLDEN.read_text(encoding="utf-8"))
+    assert len(data) == 7 * 2 * 3
+    for key, report in data.items():
+        assert report["ok"] is (key.split("/")[0] not in OUTSIDE)
+        assert report["ok"] or any(
+            inst["witness"] for group in report["axioms"] for inst in group["instances"]
+        )
 
 
 if __name__ == "__main__":
     GOLDEN.write_text(_text(reports()), encoding="utf-8")
+    COHERENCE_GOLDEN.write_text(_text(coherence_reports()), encoding="utf-8")

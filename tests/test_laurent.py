@@ -30,6 +30,8 @@ from qbialg.homcat import (
     check_coherence,
     compare_structures,
     from_module_action,
+    random_object,
+    random_unimodular,
 )
 from qbialg.intlinalg import smith_normal_form
 from qbialg.matrices import NotInvertible
@@ -876,6 +878,8 @@ INTEGER_ARGUMENTS = [
         "max_dim",
         lambda v: compare_structures(PLAIN_STRUCTURE, PLAIN_STRUCTURE, trials=1, max_dim=v),
     ),
+    ("random_object max_dim", "max_dim", lambda v: random_object(random.Random(0), v)),
+    ("random_unimodular n", "n", lambda v: random_unimodular(random.Random(0), v)),
 ]
 
 
@@ -1096,6 +1100,28 @@ REFUSALS = [
         ValueError,
         "max_dim must be >= 1, got 0",
     ),
+    *[
+        (
+            f"{name} pool entry {kind}",
+            lambda run=run, bad=bad: run([HomObject(1, ((2,),)), bad]),
+            TypeError,
+            f"objects[1]: expected a HomObject, got {kind}",
+        )
+        for name, run in (
+            ("check_coherence", lambda pool: check_coherence(PLAIN_STRUCTURE, pool, trials=1)),
+            ("compare_structures", lambda pool: compare_structures(PLAIN_STRUCTURE, PLAIN_STRUCTURE, pool, trials=1)),
+        )
+        for bad, kind in ((((1,),), "tuple"), (None, "NoneType"), ("x", "str"))
+    ],
+    ("check_coherence objects int", lambda: check_coherence(PLAIN_STRUCTURE, 5), TypeError, "objects: expected an array, got int"),
+    (
+        "compare_structures objects None",
+        lambda: compare_structures(PLAIN_STRUCTURE, PLAIN_STRUCTURE, None),
+        TypeError,
+        "objects: expected an array, got NoneType",
+    ),
+    ("random_object max_dim 0", lambda: random_object(random.Random(0), 0), ValueError, "max_dim must be >= 1, got 0"),
+    ("random_unimodular n 0", lambda: random_unimodular(random.Random(0), 0), ValueError, "n must be >= 1, got 0"),
     ("HomObject dim 0", lambda: HomObject(0, ()), ValueError, "dim must be >= 1, got 0"),
     ("HomObject dim -1", lambda: HomObject(-1, ()), ValueError, "dim must be >= 1, got -1"),
     ("from_module_action empty", lambda: from_module_action([]), ValueError, "dim must be >= 1, got 0"),

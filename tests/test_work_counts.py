@@ -1,0 +1,70 @@
+"""Work counts as contracts: exact numbers of calls on fixed seeds.
+
+A count repeats exactly where a timing drifts, so a cost that comes back
+fails here even when no benchmark could tell it from noise.  Each count
+wraps a module global or a method with ``monkeypatch``.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from qbialg import homcat
+from qbialg import matrices as mat
+from qbialg.homcat import (
+    HTILDE_STRUCTURE,
+    HomObject,
+    MonoidalParams,
+    check_coherence,
+    compare_structures,
+)
+
+COHERENT = [MonoidalParams(Fraction(2), 1, 1), MonoidalParams(Fraction(1, 2), -2, 3), HTILDE_STRUCTURE]
+
+
+def _pool():
+    """Infinite and finite order, so that no count depends on the kind of object."""
+    return [
+        HomObject(1, ((2,),)),
+        HomObject(2, ((1, 1), (0, 1))),
+        HomObject(2, ((0, 1), (1, 0))),
+        HomObject(2, ((-1, 0), (0, -1))),
+    ]
+
+
+def _count(monkeypatch, owner, name) -> list:
+    """Count the calls of owner.name from now on; the count is calls[0]."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("s", COHERENT, ids=["q2_a1_b1", "q1/2_a-2_b3", "htilde"])
+@pytest.mark.parametrize("pooled", [False, True], ids=["sampled", "pool"])
+def test_coherence_builds_no_matrix_and_no_map(monkeypatch, s, pooled):
+    """The words decide every instance of a coherent structure: no side is
+    multiplied out and no sampled map is built.  The one product left is
+    each sampled object's known-inverse check."""
+    pool = _pool() if pooled else []
+    to_matrix = _count(monkeypatch, homcat._LegMap, "to_matrix")
+    morphisms = _count(monkeypatch, homcat.HomMorphism, "__post_init__")
+    muls = _count(monkeypatch, mat, "mul")
+    objects = _count(monkeypatch, homcat, "random_object")
+    assert check_coherence(s, pool, trials=5, seed=3).ok
+    # 5 trials of 4 + 2 + 3 + 3 + 2 + 3 + 1 + 2 objects, unless they come from the pool
+    assert objects[0] == (0 if pooled else 5 * 20)
+    assert (to_matrix[0], morphisms[0], muls[0]) == (0, 0, objects[0])
+
+
+def test_comparing_a_structure_with_itself_builds_no_matrix(monkeypatch):
+    to_matrix = _count(monkeypatch, homcat._LegMap, "to_matrix")
+    for s in COHERENT:
+        assert compare_structures(s, s, trials=5, seed=3).identical
+        assert compare_structures(s, s, _pool(), trials=5, seed=3).identical
+    assert to_matrix[0] == 0
