@@ -39,6 +39,7 @@ from .laurent import (
     as_unit,
     format_coefficient,
     read_bounded,
+    read_instance,
     read_key,
     read_shape,
 )
@@ -59,7 +60,7 @@ class HarrisonCochain:
 
     def __post_init__(self):
         object.__setattr__(self, "degree", read_bounded(self.degree, "degree", 0, error=DegreeMismatch))
-        if self.unit.legs != self.degree:
+        if read_instance(self.unit, UnitElement, "unit").legs != self.degree:
             raise DegreeMismatch(
                 f"unit has {self.unit.legs} legs but the cochain degree is {self.degree}"
             )
@@ -78,6 +79,8 @@ class HarrisonCochain:
         return cls(degree, UnitElement.identity(rank, degree))
 
     def __mul__(self, other: "HarrisonCochain") -> "HarrisonCochain":
+        if not isinstance(other, HarrisonCochain):
+            return NotImplemented
         if self.degree != other.degree:
             raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
         return HarrisonCochain(self.degree, self.unit * other.unit)
@@ -108,11 +111,16 @@ def coface(i: CofaceIndex, c: HarrisonCochain) -> HarrisonCochain:
     """The i-th coface: insert 1 at an end or duplicate the i-th slot.  With
     p = (1, x_1, ..., x_n, 1), it is p[1:i+1] + p[i:n+1]: slot i doubled,
     both pads dropped."""
-    n = c.degree
+    n = read_instance(c, HarrisonCochain, "c").degree
     i = read_bounded(i, "coface index", 0, n + 1, DegreeMismatch)
+    return HarrisonCochain(n + 1, _raw_unit(c.rank, c.unit.scalar, _coface_slots(i, c)))
+
+
+def _coface_slots(i: CofaceIndex, c: HarrisonCochain) -> tuple[Vector, ...]:
+    """The slots of coface i of c, for an index already in 0..n+1."""
     zero = ((0,) * c.rank,)
     p = zero + c.unit.monomial + zero
-    return HarrisonCochain(n + 1, _raw_unit(c.rank, c.unit.scalar, p[1 : i + 1] + p[i : n + 1]))
+    return p[1 : i + 1] + p[i : c.degree + 1]
 
 
 def boundary(c: HarrisonCochain) -> HarrisonCochain:
@@ -124,11 +132,11 @@ def boundary(c: HarrisonCochain) -> HarrisonCochain:
     (i odd) one flat list, which is cut back into n + 1 slots at the end.
     The scalar is raised once to the sum of the signs.
     """
-    rank = c.rank
+    rank = read_instance(c, HarrisonCochain, "c").rank
     flat = [0] * (rank * (c.degree + 1))
     signs = 0
     for i in range(c.degree + 2):
-        face = chain.from_iterable(coface(i, c).unit.monomial)
+        face = chain.from_iterable(_coface_slots(i, c))
         if i % 2 == 0:
             flat = list(map(operator.add, flat, face))
             signs += 1

@@ -27,16 +27,20 @@ that decides:
 1. Normal forms, on exponents alone.  Equal permutations, equal scalars
    and, per leg, the same maps with the same exponent make the sides
    equal for every choice of the objects and of the maps, and no matrix
-   is multiplied.
+   is multiplied.  Coherence takes this route once per structure, on
+   generic objects and intertwiners (``_proved``, memoised by
+   structure): an axiom it proves passes every sampled instance, which
+   builds no words.  Only an axiom it leaves open compares the words of
+   each sampled instance, then route 2.
 2. Exact matrices on the sampled objects, built when the normal forms
    differ (an automorphism of finite order, such as -I or a swap, can
    still make the sides equal): coherence builds both full Kronecker
    matrices, whose difference is a failure's witness; a comparison
    builds one, the ratio, from the two constraints' exponent differences.
 
-Coherence builds the naturality axioms on sampled intertwiners held as
-their RNG draws (``_MapToken``): a word identity on a token holds for
-every intertwiner.  A token is built, and certified by ``HomObject`` and
+Coherence draws the sampled intertwiners of the naturality axioms as
+their RNG draws (``_MapToken``), so that every report keeps its draw
+order.  A token is built, and certified by ``HomObject`` and
 ``HomMorphism``, only when route 1 leaves its instance open.
 
 Flattening convention everywhere: row-major with the left tensor factor
@@ -48,11 +52,18 @@ from __future__ import annotations
 import random
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import Sequence
 
 from . import matrices as mat
-from .laurent import format_coefficient, read_bounded, read_integer, read_rational, read_shape
+from .laurent import (
+    format_coefficient,
+    read_bounded,
+    read_instance,
+    read_integer,
+    read_rational,
+    read_shape,
+)
 from .matrices import Matrix, NotInvertible
 
 
@@ -676,11 +687,8 @@ def _sampling(seed, trials, max_dim) -> tuple[int, int, int]:
 
 def _pool(objects) -> list:
     """The pool to sample from: an array, each entry a ``HomObject``, refused by its index."""
-    pool = list(read_shape(objects, "array", "objects"))
-    for i, o in enumerate(pool):
-        if not isinstance(o, HomObject):
-            raise TypeError(f"objects[{i}]: expected a HomObject, got {type(o).__name__}")
-    return pool
+    pool = read_shape(objects, "array", "objects")
+    return [read_instance(o, HomObject, f"objects[{i}]") for i, o in enumerate(pool)]
 
 
 # -- reports ----------------------------------------------------------------
@@ -745,6 +753,48 @@ _AXIOMS = (
 COHERENCE_AXIOMS = tuple(name for name, *_ in _AXIOMS)
 
 
+class _GenericMap:
+    """An intertwiner variable out of ``source``: a fresh ``target``, both
+    compared by identity, and no matrix."""
+
+    __slots__ = ("source", "target")
+
+    def __init__(self, x):
+        self.source, self.target = x, object()
+
+
+def _arguments(objs: tuple, maps: tuple | None) -> tuple:
+    """A builder's arguments: one block per object, or for naturality the
+    sources, the maps' targets and the maps."""
+    if maps is None:
+        return tuple([(o,) for o in objs])
+    return objs, tuple([m.target for m in maps]), maps
+
+
+# structures whose proofs a process keeps: a CLI run checks one, and the
+# bound holds memory fixed in a process that checks many
+_PROOFS_KEPT = 16
+
+
+@lru_cache(maxsize=_PROOFS_KEPT)
+def _proved(s: StructureMaps) -> tuple[bool, ...]:
+    """One verdict per ``_AXIOMS`` row: whether the words prove it for s.
+
+    Each row's builders run once on generic arguments: objects that are
+    pairwise distinct and compared by identity, and for naturality a
+    ``_GenericMap`` out of each.  Equal words in distinct variables stay
+    equal under any substitution of objects and intertwiners, so True
+    proves the axiom for every instance; False leaves each instance to
+    ``_decide``.
+    """
+    verdicts = []
+    for _, arity, builders, natural in _AXIOMS:
+        objs = tuple([object() for _ in range(arity)])
+        args = _arguments(objs, tuple(map(_GenericMap, objs)) if natural else None)
+        verdicts.append(all(_same_matrix(*build(s, *args)) for build in builders))
+    return tuple(verdicts)
+
+
 def _decide(dims: tuple[int, ...], sides) -> InstanceResult:
     """Pass when every pair of sides agrees; else the first difference is the witness."""
     for lhs, rhs in sides:
@@ -769,26 +819,29 @@ def check_coherence(
     byte for byte.  User-supplied objects, when given, are cycled
     through deterministically and mixed with random picks.  Naturality
     draws an intertwiner out of each object as ``random_morphism`` does,
-    kept as a ``_MapToken``: words that decide an instance prove it for
-    every intertwiner and build no map.  An instance they leave open
-    builds and certifies its maps and is decided on full matrices.
+    kept as a ``_MapToken``.  Each axiom is first proved on words, once
+    per structure, on generic objects and intertwiners (``_proved``,
+    memoised by structure); a proved axiom passes every sampled instance
+    and builds nothing for it.  An axiom the proof leaves open is decided
+    per instance: on its words, then, where they differ, on full
+    matrices, which builds and certifies the instance's maps.
     """
     seed, trials, max_dim = _sampling(seed, trials, max_dim)
     s = structure_maps(p)
     rng = random.Random(seed)
     pool = _pool(objects)
     groups = []
-    for axiom, arity, builders, natural in _AXIOMS:
+    for (axiom, arity, builders, natural), proved in zip(_AXIOMS, _proved(s)):
         results = []
         for t in range(trials):
             objs = _sample(rng, pool, t, arity, max_dim)
-            if natural:
-                maps = tuple([_MapToken(rng, o) for o in objs])
-                args = (objs, tuple([m.target for m in maps]), maps)
+            maps = tuple([_MapToken(rng, o) for o in objs]) if natural else None
+            dims = tuple([o.dim for o in objs])
+            if proved:
+                results.append(InstanceResult(dims, True))
             else:
-                args = tuple((o,) for o in objs)
-            dims = tuple(o.dim for o in objs)
-            results.append(_decide(dims, (build(s, *args) for build in builders)))
+                args = _arguments(objs, maps)
+                results.append(_decide(dims, (build(s, *args) for build in builders)))
         groups.append((axiom, tuple(results)))
     params_desc = p.to_dict() if isinstance(p, MonoidalParams) else {
         "assoc_exp": list(s.assoc_exp),

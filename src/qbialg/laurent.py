@@ -124,6 +124,13 @@ def read_shape(value, kind: str, field: str, length: int | None = None, error=Va
     return value
 
 
+def read_instance(value, cls: type, field: str):
+    """``value`` if it is a ``cls``, else TypeError naming ``field``."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{field}: expected a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def read_key(record: Mapping, key: str, prefix: str = ""):
     """``record[key]``, the field ``{prefix}{key}``; a missing key raises
     ValueError naming that field."""
@@ -427,6 +434,8 @@ class UnitElement:
         return _raw_unit(self.rank, q if q == 1 else q ** n, tuple(_vscale(n, v) for v in self.monomial))
 
     def __mul__(self, other: "UnitElement") -> "UnitElement":
+        if not isinstance(other, UnitElement):
+            return NotImplemented
         if self.rank != other.rank:
             raise RankMismatch(f"rank {self.rank} vs {other.rank}")
         if self.legs != other.legs:
@@ -505,26 +514,39 @@ def invert_unit(x: TensorElement | UnitElement) -> UnitElement:
     return as_unit(x, None, None, "x").inverse()
 
 
-def tensor_concat(x: UnitElement, y: UnitElement) -> UnitElement:
-    """Place x and y side by side: legs concatenate, coefficients multiply."""
+def tensor_concat(x: TensorElement | UnitElement, y: TensorElement | UnitElement) -> UnitElement:
+    """Place x and y side by side: legs concatenate, coefficients multiply.
+
+    Here and in ``permute_legs`` and ``insert_unit_leg`` an operand that
+    is not a ``UnitElement`` is read by ``as_unit``: a one-term
+    ``TensorElement`` is taken as its unit, and anything else is refused
+    by the argument's name."""
+    if not isinstance(x, UnitElement):
+        x = as_unit(x, None, None, "x")
+    if not isinstance(y, UnitElement):
+        y = as_unit(y, None, None, "y")
     if x.rank != y.rank:
         raise RankMismatch(f"rank {x.rank} vs {y.rank}")
     return _raw_unit(x.rank, _times(x.scalar, y.scalar), x.monomial + y.monomial)
 
 
-def permute_legs(x: UnitElement, perm: tuple[int, ...]) -> UnitElement:
+def permute_legs(x: TensorElement | UnitElement, perm: tuple[int, ...]) -> UnitElement:
     """Reorder legs: new leg k is old leg perm[k] (1-based source list).
 
     permute_legs(x, (2, 3, 1)) realizes x^(2) (x) x^(3) (x) x^(1).
     """
+    if not isinstance(x, UnitElement):
+        x = as_unit(x, None, None, "x")
     perm = tuple([read_integer(p, "perm") for p in read_shape(perm, "array", "perm")])
     if sorted(perm) != list(range(1, x.legs + 1)):
         raise LegOutOfRange(f"{perm} is not a permutation of 1..{x.legs}")
     return _raw_unit(x.rank, x.scalar, tuple(x.monomial[p - 1] for p in perm))
 
 
-def insert_unit_leg(x: UnitElement, position: int) -> UnitElement:
+def insert_unit_leg(x: TensorElement | UnitElement, position: int) -> UnitElement:
     """Insert an identity leg so that it becomes leg ``position`` (1-based)."""
+    if not isinstance(x, UnitElement):
+        x = as_unit(x, None, None, "x")
     position = read_bounded(position, "position", 1, x.legs + 1, LegOutOfRange)
     z = (_zero_vector(x.rank),)
     return _raw_unit(x.rank, x.scalar, x.monomial[: position - 1] + z + x.monomial[position - 1 :])

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import random
 from fractions import Fraction
 
@@ -839,7 +840,12 @@ def _sources_on_both_sides(constraint, s, sources, targets, maps):
 
 
 def _break_naturality(patch):
-    """_natural replaced by _sources_on_both_sides, also where _AXIOMS bound it."""
+    """_natural replaced by _sources_on_both_sides, also where _AXIOMS bound it.
+
+    The proofs memo is swapped for a fresh one too: it is keyed by the
+    structure alone, so without the swap a proof of the real builders
+    would answer for the broken ones, and a verdict on the broken ones
+    would outlive the patch."""
     from qbialg import homcat
 
     def rebind(build):
@@ -850,6 +856,7 @@ def _break_naturality(patch):
     axioms = tuple((name, n, tuple(map(rebind, builds)), nat) for name, n, builds, nat in homcat._AXIOMS)
     patch.setattr(homcat, "_AXIOMS", axioms)
     patch.setattr(homcat, "_natural", _sources_on_both_sides)
+    patch.setattr(homcat, "_proved", functools.lru_cache(homcat._proved.__wrapped__))
 
 
 def test_open_naturality_instances_are_decided_on_built_and_certified_maps(monkeypatch):
@@ -874,6 +881,68 @@ def test_open_naturality_instances_are_decided_on_built_and_certified_maps(monke
         patch.setattr(homcat, "_undo_columns", lambda ops, m: replay(ops[1:], m))
         with pytest.raises(ValueError, match="known_inverse|intertwine"):
             check_coherence(PARAM_SETS[2], TOKEN_POOL, trials=4, seed=2)
+
+
+@pytest.mark.parametrize("broken_first", [True, False], ids=["broken_first", "real_first"])
+def test_a_broken_builder_and_the_real_ones_keep_their_own_verdicts(monkeypatch, broken_first):
+    """The negative control and the real check on one structure, in either
+    order, each get their own outcome, and the memo the real check reads
+    ends holding the real proof alone."""
+    from qbialg import homcat
+
+    monkeypatch.setattr(homcat, "_proved", functools.lru_cache(homcat._proved.__wrapped__))
+
+    def broken():
+        with monkeypatch.context() as patch:
+            _break_naturality(patch)
+            return check_coherence(PARAM_SETS[2], TOKEN_POOL, trials=4, seed=2)
+
+    def real():
+        return check_coherence(PARAM_SETS[2], TOKEN_POOL, trials=4, seed=2)
+
+    reports = {run: run() for run in ((broken, real) if broken_first else (real, broken))}
+    groups = dict(reports[broken].axioms)
+    for name in ("naturality_associator", "naturality_unitors", "naturality_braiding"):
+        assert any(not inst.passed for inst in groups[name]), name
+    assert reports[real].ok
+    assert homcat._proved(structure_maps(PARAM_SETS[2])) == (True,) * len(COHERENCE_AXIOMS)
+    assert homcat._proved.cache_info().currsize == 1
+
+
+ZERO_UNITOR = dataclasses.replace(PLAIN_STRUCTURE, left_scalar=Fraction(0))
+ROUTE_STRUCTURES = [*PARAM_SETS, HTILDE_STRUCTURE, PLAIN_STRUCTURE, *OUTSIDE, ZERO_UNITOR]
+
+
+@pytest.mark.parametrize("s", ROUTE_STRUCTURES)
+@pytest.mark.parametrize("pooled", [False, True], ids=["sampled", "pool"])
+def test_a_proof_gives_the_report_of_the_per_instance_route(monkeypatch, s, pooled):
+    """A second route: with the proofs memo proving nothing, every instance
+    is decided on its own words, then matrices.  The reports are
+    byte-identical, and every sampled instance of a row the memo proves
+    agrees by its words."""
+    from qbialg import homcat
+
+    coherent = s not in OUTSIDE and s is not ZERO_UNITOR
+    where = {"objects": TOKEN_POOL} if pooled else {"max_dim": 4 if coherent else 2}
+    proved = homcat._proved(structure_maps(s))
+    assert all(proved) is coherent
+    memoised = [json.dumps(check_coherence(s, trials=3, seed=seed, **where).to_dict()) for seed in range(5)]
+
+    decide, sides = homcat._decide, []
+
+    def recording(dims, pairs):
+        sides.append(list(pairs))
+        return decide(dims, sides[-1])
+
+    monkeypatch.setattr(homcat, "_proved", lambda s: (False,) * len(COHERENCE_AXIOMS))
+    monkeypatch.setattr(homcat, "_decide", recording)
+    for seed, report in enumerate(memoised):
+        assert json.dumps(check_coherence(s, trials=3, seed=seed, **where).to_dict()) == report
+    # 5 seeds of the eight axioms, 3 trials each, in that order
+    assert len(sides) == 5 * len(COHERENCE_AXIOMS) * 3
+    for i, pairs in enumerate(sides):
+        if proved[i // 3 % len(COHERENCE_AXIOMS)]:
+            assert all(_same_matrix(lhs, rhs) for lhs, rhs in pairs)
 
 
 # -- the block rule against the public constraint matrices -------------------

@@ -18,6 +18,7 @@ from qbialg.harrison import (
     DegreeMismatch,
     HarrisonCochain,
     coboundary_matrix,
+    boundary,
     cocycle_classify,
     coface,
     cohomology,
@@ -1051,6 +1052,28 @@ REFUSALS = [
     ("permute_legs perm not an array", lambda: permute_legs(_U11, 5), TypeError, "perm: expected an array, got int"),
     ("insert_unit_leg position", lambda: insert_unit_leg(_U11, 4), LegOutOfRange, "position 4 outside 1..3"),
     ("coface index", lambda: coface(4, HarrisonCochain.identity(1, 2)), DegreeMismatch, "coface index 4 outside 0..3"),
+    # a wrong-type operand is refused by name, or left to Python by __mul__
+    ("UnitElement * int", lambda: _U11 * 3, TypeError, "unsupported operand type(s) for *: 'UnitElement' and 'int'"),
+    (
+        "HarrisonCochain * int",
+        lambda: HarrisonCochain(2, _U11) * 3,
+        TypeError,
+        "unsupported operand type(s) for *: 'HarrisonCochain' and 'int'",
+    ),
+    ("tensor_concat x None", lambda: tensor_concat(None, _U11), TypeError, "x: expected a TensorElement or UnitElement, got NoneType"),
+    ("tensor_concat y None", lambda: tensor_concat(_U11, None), TypeError, "y: expected a TensorElement or UnitElement, got NoneType"),
+    ("permute_legs None", lambda: permute_legs(None, (1,)), TypeError, "x: expected a TensorElement or UnitElement, got NoneType"),
+    ("insert_unit_leg None", lambda: insert_unit_leg(None, 1), TypeError, "x: expected a TensorElement or UnitElement, got NoneType"),
+    (
+        "insert_unit_leg two terms",
+        lambda: insert_unit_leg(TensorElement.single(2, [(1,), (0,)]) + TensorElement.one(1, 2), 1),
+        NotAUnit,
+        "x: element has 2 terms, units have exactly 1",
+    ),
+    ("HarrisonCochain unit None", lambda: HarrisonCochain(1, None), TypeError, "unit: expected a UnitElement, got NoneType"),
+    ("coface None", lambda: coface(0, None), TypeError, "c: expected a HarrisonCochain, got NoneType"),
+    ("boundary None", lambda: boundary(None), TypeError, "c: expected a HarrisonCochain, got NoneType"),
+    ("boundary unit", lambda: boundary(_U11), TypeError, "c: expected a HarrisonCochain, got UnitElement"),
     ("coboundary_matrix rank", lambda: coboundary_matrix(0, 1), RankMismatch, "rank must be >= 1, got 0"),
     (
         "AbelianGroupDescriptor free_rank",

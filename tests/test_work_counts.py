@@ -5,6 +5,8 @@ fails here even when no benchmark could tell it from noise.  Each count
 wraps a module global or a method with ``monkeypatch``.
 """
 
+import dataclasses
+import functools
 from fractions import Fraction
 
 import pytest
@@ -15,11 +17,14 @@ from qbialg.homcat import (
     HTILDE_STRUCTURE,
     HomObject,
     MonoidalParams,
+    StructureMaps,
     check_coherence,
     compare_structures,
 )
 
 COHERENT = [MonoidalParams(Fraction(2), 1, 1), MonoidalParams(Fraction(1, 2), -2, 3), HTILDE_STRUCTURE]
+# outside the family: a nonzero middle associator exponent breaks the pentagon
+OUTSIDE = StructureMaps((1, 1, -1), Fraction(2), 1, Fraction(2), 1, (0, 0))
 
 
 def _pool():
@@ -68,3 +73,56 @@ def test_comparing_a_structure_with_itself_builds_no_matrix(monkeypatch):
         assert compare_structures(s, s, trials=5, seed=3).identical
         assert compare_structures(s, s, _pool(), trials=5, seed=3).identical
     assert to_matrix[0] == 0
+
+
+def _count_builders(monkeypatch) -> dict:
+    """A fresh proofs memo, and every builder of ``_AXIOMS`` counted, in the
+    table and in the memo alike; returns, by builder name, its calls on
+    generic objects and on sampled ones."""
+    monkeypatch.setattr(homcat, "_proved", functools.lru_cache(homcat._proved.__wrapped__))
+    calls = {}
+
+    def counting(name, build):
+        def counted(s, *args, **kwargs):
+            # args[0] is a block of one object, or for naturality the sources
+            calls[name][isinstance(args[0][0], HomObject)] += 1
+            return build(s, *args, **kwargs)
+
+        calls[name] = [0, 0]
+        return counted
+
+    axioms = tuple(
+        (axiom, n, tuple(counting(f"{axiom}[{i}]", b) for i, b in enumerate(builds)), natural)
+        for axiom, n, builds, natural in homcat._AXIOMS
+    )
+    monkeypatch.setattr(homcat, "_AXIOMS", axioms)
+    return calls
+
+
+@pytest.mark.parametrize("trials", [1, 5, 25])
+@pytest.mark.parametrize("s", COHERENT, ids=["q2_a1_b1", "q1/2_a-2_b3", "htilde"])
+def test_a_coherent_structure_is_proved_once_and_builds_no_instance(monkeypatch, s, trials):
+    """Each builder runs once on generic objects and never on sampled ones."""
+    calls = _count_builders(monkeypatch)
+    assert check_coherence(s, trials=trials, seed=3).ok
+    assert len(calls) == 9 and all(n == [1, 0] for n in calls.values())
+
+
+@pytest.mark.parametrize("s", COHERENT, ids=["q2_a1_b1", "q1/2_a-2_b3", "htilde"])
+def test_an_equal_structure_reuses_the_proof(monkeypatch, s):
+    calls = _count_builders(monkeypatch)
+    assert check_coherence(s, trials=5, seed=3).ok
+    again = dataclasses.replace(s)
+    assert again == s and again is not s
+    assert check_coherence(again, _pool(), trials=5, seed=4).ok
+    assert all(n == [1, 0] for n in calls.values())
+
+
+@pytest.mark.parametrize("trials", [1, 5])
+def test_an_open_axiom_is_built_once_generically_and_once_per_instance(monkeypatch, trials):
+    calls = _count_builders(monkeypatch)
+    report = check_coherence(OUTSIDE, _pool(), trials=trials, seed=3)
+    assert not dict(report.axioms)["pentagon"][0].passed
+    assert calls["pentagon[0]"] == [1, trials]
+    # the naturality squares hold outside the family too, and are proved once
+    assert [n for name, n in calls.items() if name.startswith("naturality")] == [[1, 0]] * 4
