@@ -38,10 +38,10 @@ that decides:
    matrices, whose difference is a failure's witness; a comparison
    builds one, the ratio, from the two constraints' exponent differences.
 
-Coherence draws the sampled intertwiners of the naturality axioms as
-their RNG draws (``_MapToken``), so that every report keeps its draw
-order.  A token is built, and certified by ``HomObject`` and
-``HomMorphism``, only when route 1 leaves its instance open.
+Coherence makes the draws of a sampled intertwiner for every instance
+of a naturality axiom, so that every report keeps its draw order, but
+builds the map, certified by ``HomObject`` and ``HomMorphism``, only
+when route 1 leaves its axiom open.
 
 Flattening convention everywhere: row-major with the left tensor factor
 slowest.
@@ -139,6 +139,8 @@ class HomMorphism:
     matrix: Matrix
 
     def __post_init__(self):
+        read_instance(self.source, HomObject, "source")
+        read_instance(self.target, HomObject, "target")
         m = mat.from_rows(self.matrix)
         if mat.shape(m) != (self.target.dim, self.source.dim):
             raise ValueError(
@@ -159,6 +161,7 @@ def unit_object() -> HomObject:
 
 def tensor_obj(x: HomObject, y: HomObject) -> HomObject:
     """Tensor product: dimensions multiply, automorphisms Kronecker."""
+    x, y = read_instance(x, HomObject, "x"), read_instance(y, HomObject, "y")
     return HomObject(x.dim * y.dim, mat.kron(x.matrix, y.matrix))
 
 
@@ -258,9 +261,9 @@ class _LegMap:
     ``perm[i]`` is the output slot receiving input leg i; ``words[i]``
     is applied to leg i before the permutation.  Each word is kept in
     normal form (maps, X, e), standing for maps[0] ... maps[-1] . f_X^e:
-    intertwiners, each a ``HomMorphism`` or a ``_MapToken``, after one
-    power of the leg's source X.  The leg matrices are multiplied out
-    only by ``to_matrix``, which builds the tokens it meets.
+    intertwiners, each a ``HomMorphism`` or a proof's ``_GenericMap``,
+    after one power of the leg's source X.  The leg matrices are
+    multiplied out only by ``to_matrix``.
     """
 
     __slots__ = ("scalar", "perm", "words")
@@ -602,51 +605,27 @@ def random_object(rng: random.Random, max_dim: int = 4) -> HomObject:
     return HomObject(n, *random_unimodular(rng, n))
 
 
-class _MapToken:
-    """A sampled intertwiner out of ``source``, held as the draws of
-    ``random_morphism`` in its order: the elementary operations of u,
-    then the coefficients of p.  ``target`` is an ``_ObjectToken``, where
-    words through the map meet (by ``is``); ``materialize`` builds it."""
-
-    __slots__ = ("source", "target", "ops", "coeffs", "_morphism")
-
-    def __init__(self, rng: random.Random, x: HomObject):
-        self.source, self.target, self._morphism = x, _ObjectToken(self), None
-        self.ops = _elementary_ops(rng, x.dim)
-        self.coeffs = [rng.randint(-1, 1) for _ in range(3)]
-        if not any(self.coeffs):
-            self.coeffs[rng.randrange(3)] = 1
-
-    @property
-    def matrix(self) -> Matrix:
-        return self.materialize().matrix
-
-    def materialize(self) -> HomMorphism:
-        """u p(f) into u f u^-1, built once and certified by ``HomObject``
-        (its known inverse u f^-1 u^-1) and by ``HomMorphism``."""
-        if self._morphism is None:
-            x, ops, (c0, *cs) = self.source, self.ops, self.coeffs
-            poly = mat.scale(c0, mat.identity(x.dim))
-            for c, fp in zip(cs, (x.matrix, x.power(2))):
-                if c:
-                    poly = tuple(
-                        tuple(a + c * b for a, b in zip(ra, rb)) for ra, rb in zip(poly, fp)
-                    )
-            f, f_inv = [_undo_columns(ops, _apply_rows(ops, m)) for m in (x.matrix, x.power(-1))]
-            self._morphism = HomMorphism(x, HomObject(x.dim, f, f_inv), _apply_rows(ops, poly))
-        return self._morphism
+def _draw_map(rng: random.Random, x: HomObject) -> tuple[list, list[int]]:
+    """The draws of one sampled intertwiner out of x, in order: the
+    elementary operations of u, then the coefficients (c0, c1, c2) of
+    p(f) = c0 + c1 f + c2 f^2, one drawn at random set to 1 when all are 0."""
+    ops = _elementary_ops(rng, x.dim)
+    coeffs = [rng.randint(-1, 1) for _ in range(3)]
+    if not any(coeffs):
+        coeffs[rng.randrange(3)] = 1
+    return ops, coeffs
 
 
-class _ObjectToken:
-    """The target of a ``_MapToken`` in words; asking for a power builds the map."""
-
-    __slots__ = ("map",)
-
-    def __init__(self, m: _MapToken):
-        self.map = m
-
-    def power(self, e: int) -> Matrix:
-        return self.map.materialize().target.power(e)
+def _build_map(x: HomObject, draws: tuple[list, list[int]]) -> HomMorphism:
+    """u p(f) into u f u^-1, certified by ``HomObject`` (its known inverse
+    u f^-1 u^-1) and by ``HomMorphism``."""
+    ops, (c0, *cs) = draws
+    poly = mat.scale(c0, mat.identity(x.dim))
+    for c, fp in zip(cs, (x.matrix, x.power(2))):
+        if c:
+            poly = tuple(tuple(a + c * b for a, b in zip(ra, rb)) for ra, rb in zip(poly, fp))
+    f, f_inv = [_undo_columns(ops, _apply_rows(ops, m)) for m in (x.matrix, x.power(-1))]
+    return HomMorphism(x, HomObject(x.dim, f, f_inv), _apply_rows(ops, poly))
 
 
 def random_morphism(rng: random.Random, x: HomObject) -> tuple[HomObject, Matrix]:
@@ -660,11 +639,12 @@ def random_morphism(rng: random.Random, x: HomObject) -> tuple[HomObject, Matrix
     columns, O(draws n) per matrix instead of a dense product.  f^2 and
     f^-1 come from the object's cache of powers, so the target is built
     with its known inverse u f^-1 u^-1, which ``HomObject`` certifies by
-    one product instead of an elimination.  ``check_coherence`` keeps
-    the same draws as a ``_MapToken`` and builds the map only for an
-    instance its words leave open.
+    one product instead of an elimination.  ``check_coherence`` makes
+    the same draws and builds the map only for an axiom its proof
+    leaves open.
     """
-    m = _MapToken(rng, x).materialize()
+    x = read_instance(x, HomObject, "x")
+    m = _build_map(x, _draw_map(rng, x))
     return m.target, m.matrix
 
 
@@ -818,13 +798,13 @@ def check_coherence(
     Sampling is driven entirely by the seed, so reports are reproducible
     byte for byte.  User-supplied objects, when given, are cycled
     through deterministically and mixed with random picks.  Naturality
-    draws an intertwiner out of each object as ``random_morphism`` does,
-    kept as a ``_MapToken``.  Each axiom is first proved on words, once
-    per structure, on generic objects and intertwiners (``_proved``,
-    memoised by structure); a proved axiom passes every sampled instance
-    and builds nothing for it.  An axiom the proof leaves open is decided
-    per instance: on its words, then, where they differ, on full
-    matrices, which builds and certifies the instance's maps.
+    makes the draws of ``random_morphism`` for an intertwiner out of each
+    object.  Each axiom is first proved on words, once per structure, on
+    generic objects and intertwiners (``_proved``, memoised by
+    structure); a proved axiom passes every sampled instance and builds
+    nothing for it, not even its maps.  An axiom the proof leaves open
+    builds and certifies each instance's maps and decides the instance
+    on its words, then, where they differ, on full matrices.
     """
     seed, trials, max_dim = _sampling(seed, trials, max_dim)
     s = structure_maps(p)
@@ -835,12 +815,12 @@ def check_coherence(
         results = []
         for t in range(trials):
             objs = _sample(rng, pool, t, arity, max_dim)
-            maps = tuple([_MapToken(rng, o) for o in objs]) if natural else None
+            draws = [_draw_map(rng, o) for o in objs] if natural else None
             dims = tuple([o.dim for o in objs])
             if proved:
                 results.append(InstanceResult(dims, True))
             else:
-                args = _arguments(objs, maps)
+                args = _arguments(objs, tuple(map(_build_map, objs, draws)) if natural else None)
                 results.append(_decide(dims, (build(s, *args) for build in builders)))
         groups.append((axiom, tuple(results)))
     params_desc = p.to_dict() if isinstance(p, MonoidalParams) else {

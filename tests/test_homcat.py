@@ -3,6 +3,7 @@ import functools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,30 @@ def test_morphism_validation():
         HomMorphism(a, a, ((1, 0), (0,)))
     with pytest.raises(ValueError, match=r"^matrix: ragged rows$"):
         HomObject(2, ((1, 0), (1,)))
+
+
+# the four constraints refuse an object where they tensor their objects,
+# so the field named is tensor_obj's: left_unitor's x is the y of I (x) X
+@pytest.mark.parametrize(
+    "call, field, got",
+    [
+        (lambda x: tensor_obj(x, None), "y", "NoneType"),
+        (lambda x: HomMorphism(None, x, ((1,),)), "source", "NoneType"),
+        (lambda x: HomMorphism(x, 2, ((1,),)), "target", "int"),
+        (lambda x: associator(PLAIN_STRUCTURE, x, x, "y"), "y", "str"),
+        (lambda x: braiding(PLAIN_STRUCTURE, x, 3), "y", "int"),
+        (lambda x: left_unitor(PLAIN_STRUCTURE, None), "y", "NoneType"),
+        (lambda x: right_unitor(PLAIN_STRUCTURE, None), "x", "NoneType"),
+        (lambda x: random_morphism(random.Random(0), None), "x", "NoneType"),
+    ],
+    ids=[
+        "tensor_obj", "morphism_source", "morphism_target", "associator",
+        "braiding", "left_unitor", "right_unitor", "random_morphism",
+    ],
+)
+def test_a_wrong_type_operand_is_refused_by_its_field(call, field, got):
+    with pytest.raises(TypeError, match=rf"^{field}: expected a HomObject, got {got}$"):
+        call(obj([[2]]))
 
 
 def test_params_validation():
@@ -699,11 +724,11 @@ def test_a_power_moves_only_across_a_map_into_its_object():
 
 
 @st.composite
-def structures(draw):
+def structures(draw, scalars=(Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))):
     """Any StructureMaps, inside the family or not: a nonzero middle
     associator exponent leaves it."""
     exponent = st.integers(-3, 3)
-    scalar = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])
+    scalar = st.sampled_from(scalars)
     return StructureMaps(
         (draw(exponent), draw(exponent), draw(exponent)),
         draw(scalar),
@@ -786,47 +811,59 @@ TOKEN_POOL = [
 ]
 
 
-def _recorded_tokens(patch):
-    """Patch the token class so that each token keeps the generator state
-    it was drawn from; returns the list the tokens are appended to."""
+def _recorded_draws(patch):
+    """Patch the draw function so that each call keeps the generator state
+    it drew from, its source and its draws; returns the list the calls
+    are appended to."""
     from qbialg import homcat
 
-    tokens = []
+    calls, draw = [], homcat._draw_map
 
-    class Recorded(homcat._MapToken):
-        __slots__ = ("state",)
+    def recording(rng, x):
+        state = rng.getstate()
+        drawn = draw(rng, x)
+        calls.append((state, x, drawn))
+        return drawn
 
-        def __init__(self, rng, x):
-            self.state = rng.getstate()
-            super().__init__(rng, x)
-            tokens.append(self)
-
-    patch.setattr(homcat, "_MapToken", Recorded)
-    return tokens
+    patch.setattr(homcat, "_draw_map", recording)
+    return calls
 
 
-def test_every_token_materializes_to_the_map_random_morphism_samples(monkeypatch):
-    """The words decide every naturality instance, so a run builds none of
-    its maps; here each token of full runs is built afterwards, certified
-    by ``HomObject`` and ``HomMorphism``, and equals what random_morphism
-    samples from the same generator state."""
+def _counted_morphisms(patch) -> list:
+    """Count the ``HomMorphism`` built, each certified, from now on; the count is calls[0]."""
+    calls, init = [0], HomMorphism.__post_init__
+
+    def counting(self):
+        calls[0] += 1
+        init(self)
+
+    patch.setattr(HomMorphism, "__post_init__", counting)
+    return calls
+
+
+def test_every_draw_builds_the_map_random_morphism_samples(monkeypatch):
+    """The words prove every naturality axiom, so a run makes the draws of
+    its maps and builds none of them; here each recorded draw is built
+    afterwards, certified by ``HomObject`` and ``HomMorphism``, and equals
+    what random_morphism samples from the same generator state."""
+    from qbialg import homcat
+
     with monkeypatch.context() as patch:
-        tokens = _recorded_tokens(patch)
+        draws = _recorded_draws(patch)
+        morphisms = _counted_morphisms(patch)
         for s in (*PARAM_SETS, HTILDE_STRUCTURE, *OUTSIDE):
             unpooled = check_coherence(s, trials=3, seed=8, max_dim=2 if s in OUTSIDE else 4)
             pooled = check_coherence(s, TOKEN_POOL, trials=3, seed=8)
             assert unpooled.ok is pooled.ok is (s not in OUTSIDE)
     # 7 structures, 2 runs each, 3 trials of 3 + 1 + 2 naturality objects
-    assert len(tokens) == 7 * 2 * 3 * 6
-    assert all(t._morphism is None for t in tokens)
-    for token in tokens:
-        m = token.materialize()  # certified by HomObject and HomMorphism
-        assert token.materialize() is m and token.matrix is m.matrix
-        assert m.source is token.source and token.target.power(1) == m.target.matrix
-        assert m.target.power(-1) == mat.inverse(m.target.matrix)
+    assert len(draws) == 7 * 2 * 3 * 6
+    assert morphisms[0] == 0
+    for state, x, drawn in draws:
+        m = homcat._build_map(x, drawn)  # certified by HomObject and HomMorphism
+        assert m.source is x and m.target.power(-1) == mat.inverse(m.target.matrix)
         rng = random.Random()
-        rng.setstate(token.state)
-        assert random_morphism(rng, token.source) == (m.target, m.matrix)
+        rng.setstate(state)
+        assert random_morphism(rng, x) == (m.target, m.matrix)
 
 
 def _sources_on_both_sides(constraint, s, sources, targets, maps):
@@ -864,14 +901,16 @@ def test_open_naturality_instances_are_decided_on_built_and_certified_maps(monke
 
     with monkeypatch.context() as patch:
         _break_naturality(patch)
-        tokens = _recorded_tokens(patch)
+        draws = _recorded_draws(patch)
+        morphisms = _counted_morphisms(patch)
         report = check_coherence(PARAM_SETS[2], TOKEN_POOL, trials=4, seed=2)
     groups = dict(report.axioms)
     for name in ("naturality_associator", "naturality_unitors", "naturality_braiding"):
         assert any(not inst.passed and inst.witness for inst in groups[name]), name
     assert all(inst.passed for name in COHERENCE_AXIOMS[:5] for inst in groups[name])
-    # every token was built to decide its open instance, and certified
-    assert tokens and all(t._morphism is not None for t in tokens)
+    # 4 trials of 3 + 1 + 2 naturality objects: every drawn map was built
+    # to decide its open instance, and certified
+    assert len(draws) == morphisms[0] == 4 * 6
 
     # a column replay that skips its first operation: the first wrong map
     # an open instance builds is refused by its certification
@@ -881,6 +920,24 @@ def test_open_naturality_instances_are_decided_on_built_and_certified_maps(monke
         patch.setattr(homcat, "_undo_columns", lambda ops, m: replay(ops[1:], m))
         with pytest.raises(ValueError, match="known_inverse|intertwine"):
             check_coherence(PARAM_SETS[2], TOKEN_POOL, trials=4, seed=2)
+
+
+OPEN_GOLDEN = Path(__file__).resolve().parent / "golden" / "open_naturality_reports.json"
+
+
+def test_open_naturality_reports_are_byte_identical_to_golden(monkeypatch):
+    """The negative control's reports, pooled and sampled, byte for byte: the
+    one route on which coherence builds its sampled maps, so the golden
+    pins their draw order and the witnesses their matrices give."""
+    with monkeypatch.context() as patch:
+        _break_naturality(patch)
+        reports = {
+            "pool": check_coherence(PARAM_SETS[2], TOKEN_POOL, trials=4, seed=2),
+            "sampled": check_coherence(PARAM_SETS[2], trials=4, seed=2, max_dim=2),
+        }
+    text = json.dumps({key: r.to_dict() for key, r in reports.items()}, indent=1) + "\n"
+    assert text == OPEN_GOLDEN.read_text(encoding="utf-8")
+    assert not any(r.ok for r in reports.values())
 
 
 @pytest.mark.parametrize("broken_first", [True, False], ids=["broken_first", "real_first"])
@@ -907,6 +964,19 @@ def test_a_broken_builder_and_the_real_ones_keep_their_own_verdicts(monkeypatch,
     assert reports[real].ok
     assert homcat._proved(structure_maps(PARAM_SETS[2])) == (True,) * len(COHERENCE_AXIOMS)
     assert homcat._proved.cache_info().currsize == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(structures(scalars=(Fraction(0), Fraction(-1), Fraction(-2, 3), Fraction(1), Fraction(3))))
+def test_the_words_prove_every_naturality_square(s):
+    """Both sides of a naturality square carry the same scalar, permutation
+    and per-leg word ((m,), source, e), whatever the exponents and the
+    scalars, a zero one too: coherence never builds the maps it samples
+    for a naturality axiom of a real structure."""
+    from qbialg import homcat
+
+    verdicts = dict(zip(COHERENCE_AXIOMS, homcat._proved.__wrapped__(s)))
+    assert [verdicts[name] for name in COHERENCE_AXIOMS if name.startswith("naturality")] == [True] * 3
 
 
 ZERO_UNITOR = dataclasses.replace(PLAIN_STRUCTURE, left_scalar=Fraction(0))

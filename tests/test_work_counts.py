@@ -126,3 +126,16 @@ def test_an_open_axiom_is_built_once_generically_and_once_per_instance(monkeypat
     assert calls["pentagon[0]"] == [1, trials]
     # the naturality squares hold outside the family too, and are proved once
     assert [n for name, n in calls.items() if name.startswith("naturality")] == [[1, 0]] * 4
+
+
+@pytest.mark.parametrize("trials", [1, 5])
+def test_an_open_axiom_builds_no_map_and_draws_each_naturality_map_once(monkeypatch, trials):
+    """Outside the family the pentagon is open and decided on matrices, yet
+    no sampled map is built: the naturality squares are proved, so each of
+    their objects only makes the draws of its map, once."""
+    morphisms = _count(monkeypatch, homcat.HomMorphism, "__post_init__")
+    draws = _count(monkeypatch, homcat, "_draw_map")
+    report = check_coherence(OUTSIDE, _pool(), trials=trials, seed=3)
+    assert not dict(report.axioms)["pentagon"][0].passed
+    # 3 + 1 + 2 naturality objects per trial
+    assert (morphisms[0], draws[0]) == (0, 6 * trials)
