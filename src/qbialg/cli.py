@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import homcat
 from .harrison import HarrisonCochain, boundary, cohomology
-from .laurent import INTEGER_TEXT, TensorElement, UnitElement, as_unit, read_rational
+from .laurent import INTEGER_TEXT, TensorElement, UnitElement, as_unit, read_nonzero
 from .quasibialgebra import (
     CanonicalTriple,
     NoMonomialTwist,
@@ -146,12 +146,9 @@ def _bounded(lo: int | None = None, hi: int | None = None):
 def _fraction(text: str) -> Fraction:
     """The type of a --q flag: a nonzero rational."""
     try:
-        q = read_rational(text, "scalar")
+        return read_nonzero(text, "scalar")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if not q:
-        raise argparse.ArgumentTypeError(f"scalar: must be nonzero, got {text!r}")
-    return q
 
 
 def _int_csv(text: str) -> tuple[int, ...]:

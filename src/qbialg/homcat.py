@@ -61,7 +61,7 @@ from .laurent import (
     read_bounded,
     read_instance,
     read_integer,
-    read_rational,
+    read_nonzero,
     read_shape,
 )
 from .matrices import Matrix, NotInvertible
@@ -76,9 +76,7 @@ class MonoidalParams:
     b: int
 
     def __post_init__(self):
-        object.__setattr__(self, "q", read_rational(self.q, "q"))
-        if not self.q:
-            raise ValueError("the unit constraint scalar q must be nonzero")
+        object.__setattr__(self, "q", read_nonzero(self.q, "q"))
         object.__setattr__(self, "a", read_integer(self.a, "a"))
         object.__setattr__(self, "b", read_integer(self.b, "b"))
 
@@ -183,11 +181,11 @@ def from_module_action(matrix) -> HomObject:
 class StructureMaps:
     """Evaluation data of one monoidal structure in the family.
 
-    Constraints are powers of the object automorphisms: the associator
-    applies ``assoc_exp`` across the three factors, each unitor is a
-    scalar times a power, and the braiding applies ``braid_exp`` before
-    the flip.  Both the parameterized structures and the directly
-    defined modified structure fit this shape.
+    Constraints are isomorphisms, powers of the object automorphisms:
+    the associator applies ``assoc_exp`` across the three factors, each
+    unitor is a nonzero scalar (zero raises ``NotAUnit``) times a power,
+    and the braiding applies ``braid_exp`` before the flip.  The
+    parameterized structures and the modified one both fit this shape.
     """
 
     assoc_exp: tuple[int, int, int]
@@ -198,9 +196,8 @@ class StructureMaps:
     braid_exp: tuple[int, int]
 
     def __post_init__(self):
-        # a zero scalar is allowed, and makes its constraint singular
         for name in ("left_scalar", "right_scalar"):
-            object.__setattr__(self, name, read_rational(getattr(self, name), name))
+            object.__setattr__(self, name, read_nonzero(getattr(self, name), name))
         for name in ("left_exp", "right_exp"):
             object.__setattr__(self, name, read_integer(getattr(self, name), name))
         for name, length in (("assoc_exp", 3), ("braid_exp", 2)):
@@ -338,12 +335,10 @@ def _morphism(legs: _LegMap) -> HomMorphism:
 def _ratio(first: _LegMap, second: _LegMap) -> _LegMap:
     """second . first^-1, for two constraints on the same objects and permutation.
 
-    Each is s P (x) f_i^e_i, one power per leg, so with P the common
-    permutation the ratio is (s2/s1) P ((x) f_i^(e2_i - e1_i)) P^-1:
-    the identity permutation with f_i^(e2_i - e1_i) in slot perm[i].
+    Each is s P (x) f_i^e_i with s != 0, one power per leg, so with P
+    the common permutation the ratio is (s2/s1) P ((x) f_i^(e2_i - e1_i))
+    P^-1: the identity permutation with f_i^(e2_i - e1_i) in slot perm[i].
     """
-    if not first.scalar:
-        raise NotInvertible("matrix is singular")
     pairs = zip(first.words, second.words)
     words = tuple([((), x, e2 - e1) for (_, x, e1), (_, _, e2) in pairs])
     return _LegMap(
@@ -400,20 +395,25 @@ def _braid(s: StructureMaps, x: tuple, y: tuple) -> _LegMap:
     return _blocks((x, y), s.braid_exp, perm=(*range(m, m + n), *range(m)))
 
 
+def _operands(**objs: HomObject) -> tuple:
+    """Each object as a one-object block, refused by its parameter name."""
+    return tuple([(read_instance(x, HomObject, name),) for name, x in objs.items()])
+
+
 def associator(p, x: HomObject, y: HomObject, z: HomObject) -> HomMorphism:
-    return _morphism(_assoc(structure_maps(p), (x,), (y,), (z,)))
+    return _morphism(_assoc(structure_maps(p), *_operands(x=x, y=y, z=z)))
 
 
 def left_unitor(p, x: HomObject) -> HomMorphism:
-    return _morphism(_lunit(structure_maps(p), (x,)))
+    return _morphism(_lunit(structure_maps(p), *_operands(x=x)))
 
 
 def right_unitor(p, x: HomObject) -> HomMorphism:
-    return _morphism(_runit(structure_maps(p), (x,)))
+    return _morphism(_runit(structure_maps(p), *_operands(x=x)))
 
 
 def braiding(p, x: HomObject, y: HomObject) -> HomMorphism:
-    return _morphism(_braid(structure_maps(p), (x,), (y,)))
+    return _morphism(_braid(structure_maps(p), *_operands(x=x, y=y)))
 
 
 # -- the coherence axioms, one pair of sides each ---------------------------
@@ -893,7 +893,7 @@ def compare_structures(
     morphism by construction; the public constraint functions check
     that in full through ``HomMorphism``.  An instance the normal forms
     leave open builds one matrix, the ratio: the constraints are equal
-    exactly when it is the identity, or when both scalars are zero.
+    exactly when it is the identity.
     """
     seed, trials, max_dim = _sampling(seed, trials, max_dim)
     s1 = structure_maps(p1)
@@ -907,7 +907,7 @@ def compare_structures(
         for name, arity, build in _CONSTRAINTS:
             first, second = build(s1, *blocks[:arity]), build(s2, *blocks[:arity])
             dims = tuple(o.dim for o in objs[:arity])
-            equal = _same_matrix(first, second) or not (first.scalar or second.scalar)
+            equal = _same_matrix(first, second)
             if not equal:
                 ratio = _ratio(first, second).to_matrix()
                 equal = ratio == mat.identity(len(ratio))

@@ -10,10 +10,11 @@ Every exact number coming in from a file or a Python caller is read by
 one of the readers here, which name the field they refuse:
 ``read_integer`` takes an int that is not a bool, ``read_rational`` such
 an int, a ``Fraction`` or text such as "-3/2", and neither a float;
-``read_bounded`` reads a rank, degree, count or index as an integer in
-its range.  ``read_shape`` reads every array and record around them the
-same way, and an array's length where that is fixed; ``read_key`` reads
-every key of a record.
+``read_nonzero`` a rational that must be invertible, zero raising
+``NotAUnit``; ``read_bounded`` a rank, degree, count or index as an
+integer in its range.  ``read_shape`` reads every array and record
+around them the same way, and an array's length where that is fixed;
+``read_key`` reads every key of a record.
 
 Group-like monomials q * g^(v_1) (x) ... (x) g^(v_m) with q != 0 are
 exactly the invertible elements of the tensor power.  ``as_unit`` is the
@@ -109,6 +110,14 @@ def read_rational(value, field: str) -> Fraction:
         return Fraction(value)
     except ValueError as exc:  # more digits than int() converts
         raise ValueError(f"{field}: {exc}") from None
+
+
+def read_nonzero(value, field: str) -> Fraction:
+    """``value`` read by ``read_rational`` as ``field``; zero raises NotAUnit naming it."""
+    q = read_rational(value, field)
+    if not q:
+        raise NotAUnit(f"{field}: must be nonzero, got {value!r}")
+    return q
 
 
 _SHAPES = {"array": (list, tuple), "object": dict}
@@ -464,9 +473,7 @@ class UnitElement:
 def _read_unit(rank, scalar, vectors, field: str) -> tuple[int, Fraction, tuple[Vector, ...]]:
     """(rank, scalar, monomial) of a unit, read once; vector j as ``field[j]``."""
     rank = read_bounded(rank, "rank", 1, error=RankMismatch)
-    scalar = read_rational(scalar, "scalar")
-    if not scalar:
-        raise NotAUnit("scalar part of a unit must be nonzero")
+    scalar = read_nonzero(scalar, "scalar")
     vectors = read_shape(vectors, "array", field)
     return rank, scalar, tuple([_as_vector(v, rank, f"{field}[{j}]") for j, v in enumerate(vectors)])
 
@@ -599,9 +606,7 @@ class CounitSpec:
     def __post_init__(self):
         object.__setattr__(self, "rank", read_bounded(self.rank, "rank", 1, error=RankMismatch))
         values = read_shape(self.values, "array", "counit", self.rank, RankMismatch)
-        vals = tuple([read_rational(v, f"counit[{i}]") for i, v in enumerate(values)])
-        if not all(vals):
-            raise NotAUnit("counit values must be nonzero")
+        vals = tuple([read_nonzero(v, f"counit[{i}]") for i, v in enumerate(values)])
         object.__setattr__(self, "values", vals)
 
     def value_of_vector(self, e: Vector) -> Fraction:

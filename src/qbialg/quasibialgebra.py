@@ -23,7 +23,6 @@ from .laurent import (
     AlgebraMapSpec,
     CounitSpec,
     LegMismatch,
-    NotAUnit,
     RankMismatch,
     TensorElement,
     UnitElement,
@@ -34,7 +33,7 @@ from .laurent import (
     insert_unit_leg,
     read_integer,
     read_key,
-    read_rational,
+    read_nonzero,
     read_shape,
     tensor_concat,
 )
@@ -111,9 +110,7 @@ class CanonicalTriple:
     g: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "q", read_rational(self.q, "q"))
-        if not self.q:
-            raise NotAUnit("the scalar q of a canonical triple must be nonzero")
+        object.__setattr__(self, "q", read_nonzero(self.q, "q"))
         for name in ("h", "g"):
             exps = read_shape(getattr(self, name), "array", name)
             object.__setattr__(self, name, tuple([read_integer(c, name) for c in exps]))

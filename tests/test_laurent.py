@@ -832,34 +832,40 @@ INTEGER_SITES = [
     ("smith_normal_form", "matrix entry", lambda v: smith_normal_form([[v]])[0][0][0]),
 ]
 
+# (site, field, build, invertible): build as above; an invertible site
+# holds a scalar that must be a unit, so it refuses zero as well
 RATIONAL_SITES = [
-    ("TensorElement.from_dict coefficient", "terms[0].c", lambda v: _tensor_doc(c=v).terms()[0][1]),
-    ("TensorElement coefficient", "coefficient", lambda v: TensorElement(1, 1, {((0,),): v}).terms()[0][1]),
-    ("TensorElement.single", "coefficient", lambda v: TensorElement.single(v, [(0,)]).terms()[0][1]),
-    ("UnitElement scalar", "scalar", lambda v: UnitElement(1, v, ((0,),)).scalar),
-    ("CounitSpec", "counit[0]", lambda v: CounitSpec(1, (v,)).values[0]),
+    ("TensorElement.from_dict coefficient", "terms[0].c", lambda v: _tensor_doc(c=v).terms()[0][1], False),
+    ("TensorElement coefficient", "coefficient", lambda v: TensorElement(1, 1, {((0,),): v}).terms()[0][1], False),
+    ("TensorElement.single", "coefficient", lambda v: TensorElement.single(v, [(0,)]).terms()[0][1], False),
+    ("UnitElement scalar", "scalar", lambda v: UnitElement(1, v, ((0,),)).scalar, True),
+    ("CounitSpec", "counit[0]", lambda v: CounitSpec(1, (v,)).values[0], True),
+    ("CounitSpec second value", "counit[1]", lambda v: CounitSpec(2, (1, v)).values[1], True),
     (
         "QuasiBialgebraPresentation.from_dict counit",
         "counit[0]",
         lambda v: _presentation(("counit", 0), v).counit.values[0],
+        True,
     ),
     (
         "QuasiBialgebraPresentation.from_dict coproduct",
         "coproduct[0].terms[0].c",
         lambda v: _presentation(("coproduct", 0, "terms", 0, "c"), v).coproduct.images[0].scalar,
+        False,
     ),
-    ("CanonicalTriple q", "q", lambda v: CanonicalTriple(v, (1,), (1,)).q),
-    ("HarrisonCochain.from_data scalar", "scalar", lambda v: HarrisonCochain.from_data(1, v, [[1]]).unit.scalar),
+    ("CanonicalTriple q", "q", lambda v: CanonicalTriple(v, (1,), (1,)).q, True),
+    ("HarrisonCochain.from_data scalar", "scalar", lambda v: HarrisonCochain.from_data(1, v, [[1]]).unit.scalar, True),
     (
         "HarrisonCochain.from_dict scalar",
         "scalar",
         lambda v: HarrisonCochain.from_dict({"scalar": v, "elements": [[1]]}).unit.scalar,
+        True,
     ),
-    ("MonoidalParams q", "q", lambda v: MonoidalParams(v, 0, 0).q),
-    ("StructureMaps left_scalar", "left_scalar", lambda v: StructureMaps((0, 0, 0), v, 0, 1, 0, (0, 0)).left_scalar),
-    ("StructureMaps right_scalar", "right_scalar", lambda v: StructureMaps((0, 0, 0), 1, 0, v, 0, (0, 0)).right_scalar),
-    ("from_rows", "matrix entry", lambda v: mat.from_rows([[v]])[0][0]),
-    ("HomObject matrix", "matrix entry", lambda v: HomObject(1, ((v,),)).matrix[0][0]),
+    ("MonoidalParams q", "q", lambda v: MonoidalParams(v, 0, 0).q, True),
+    ("StructureMaps left_scalar", "left_scalar", lambda v: StructureMaps((0, 0, 0), v, 0, 1, 0, (0, 0)).left_scalar, True),
+    ("StructureMaps right_scalar", "right_scalar", lambda v: StructureMaps((0, 0, 0), 1, 0, v, 0, (0, 0)).right_scalar, True),
+    ("from_rows", "matrix entry", lambda v: mat.from_rows([[v]])[0][0], False),
+    ("HomObject matrix", "matrix entry", lambda v: HomObject(1, ((v,),)).matrix[0][0], False),
 ]
 
 
@@ -905,8 +911,8 @@ def test_integer_arguments_read_exact_integers(field, call):
     _refuses_all_but_integers(field, call)
 
 
-@pytest.mark.parametrize("field, build", [s[1:] for s in RATIONAL_SITES], ids=[s[0] for s in RATIONAL_SITES])
-def test_rational_sites_read_exact_rationals(field, build):
+@pytest.mark.parametrize("field, build, invertible", [s[1:] for s in RATIONAL_SITES], ids=[s[0] for s in RATIONAL_SITES])
+def test_rational_sites_read_exact_rationals(field, build, invertible):
     # 0.5 is a binary float, True a bool, "1e3" exponent notation
     for bad, error in ((0.5, TypeError), (True, TypeError), ("1e3", ValueError)):
         with pytest.raises(error, match=rf"^{re.escape(field)}: "):
@@ -922,6 +928,10 @@ def test_rational_sites_read_exact_rationals(field, build):
     ):
         stored = build(value)
         assert stored == expected and type(stored) is kind
+    # zero, however it is spelt, is no unit
+    for zero in (0, Fraction(0), "0/7", "-0.0") if invertible else ():
+        with pytest.raises(NotAUnit, match=rf"^{re.escape(field)}: must be nonzero"):
+            build(zero)
 
 
 # -- library refusals, each with its exception and message ---------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from qbialg import homcat
+from qbialg import homcat, laurent
 from qbialg import matrices as mat
 from qbialg.homcat import (
     HTILDE_STRUCTURE,
@@ -21,6 +21,9 @@ from qbialg.homcat import (
     check_coherence,
     compare_structures,
 )
+from qbialg.laurent import TensorElement, UnitElement
+from qbialg.quasibialgebra import CanonicalTriple, canonical, verify
+from qbialg.rmatrix import solve_R, verify_R
 
 COHERENT = [MonoidalParams(Fraction(2), 1, 1), MonoidalParams(Fraction(1, 2), -2, 3), HTILDE_STRUCTURE]
 # outside the family: a nonzero middle associator exponent breaks the pentagon
@@ -139,3 +142,22 @@ def test_an_open_axiom_builds_no_map_and_draws_each_naturality_map_once(monkeypa
     assert not dict(report.axioms)["pentagon"][0].passed
     # 3 + 1 + 2 naturality objects per trial
     assert (morphisms[0], draws[0]) == (0, 6 * trials)
+
+
+@pytest.mark.parametrize(
+    "h, g", [((1,), (2,)), ((1, -1), (0, 2)), ((1, 0, 2), (-1, 3, 1))], ids=["rank1", "rank2", "rank3"]
+)
+def test_the_presentation_checks_multiply_units_a_fixed_number_of_times(monkeypatch, h, g):
+    """``verify`` multiplies units only in the 3-cocycle identity (one product
+    on the left, two on the right) and ``verify_R`` only in its two coproduct
+    identities (four each), whatever the rank: every other axiom compares
+    leg operations.  Neither builds a ``TensorElement``."""
+    p = canonical(CanonicalTriple(2, h, g))
+    r_elem = solve_R(p)[0]
+    products = _count(monkeypatch, UnitElement, "__mul__")
+    tensors = _count(monkeypatch, TensorElement, "__init__")
+    raw = _count(monkeypatch, laurent, "_raw")
+    assert verify(p).ok
+    assert (products[0], tensors[0], raw[0]) == (3, 0, 0)
+    assert verify_R(p, r_elem).ok
+    assert (products[0], tensors[0], raw[0]) == (3 + 8, 0, 0)
