@@ -38,10 +38,14 @@ that decides:
    matrices, whose difference is a failure's witness; a comparison
    builds one, the ratio, from the two constraints' exponent differences.
 
-Coherence makes the draws of a sampled intertwiner for every instance
-of a naturality axiom, so that every report keeps its draw order, but
-builds the map, certified by ``HomObject`` and ``HomMorphism``, only
-when route 1 leaves its axiom open.
+Coherence makes the draws of every sampled object, and of a sampled
+intertwiner out of each object of a naturality axiom, so that every
+report keeps its draw order, but builds them, certified by
+``HomObject`` and ``HomMorphism``, only when route 1 leaves their axiom
+open: a proved axiom keeps only the drawn dimensions.  Each draw is the
+rejection step of ``random.Random``'s ``randrange``, ``randint`` and
+``choice``, read straight from ``rng.getrandbits`` (``_below``), so a
+seed draws what those public calls would.
 
 Flattening convention everywhere: row-major with the left tensor factor
 slowest.
@@ -206,10 +210,19 @@ class StructureMaps:
 
 
 def structure_maps(p) -> StructureMaps:
+    """The structure p stands for: p itself, or the family member of a
+    ``MonoidalParams``.
+
+    A ``MonoidalParams`` is already read, so its structure is built
+    without the readers, as ``laurent._raw_unit`` builds a unit computed
+    from valid ones; it equals, and hashes as, the same ``StructureMaps``
+    built through them.
+    """
     if isinstance(p, StructureMaps):
         return p
     if isinstance(p, MonoidalParams):
-        return StructureMaps(
+        s = object.__new__(StructureMaps)
+        vars(s).update(
             assoc_exp=(p.a, 0, p.b),
             left_scalar=p.q,
             left_exp=-p.b,
@@ -217,6 +230,7 @@ def structure_maps(p) -> StructureMaps:
             right_exp=p.a,
             braid_exp=(p.a + p.b, -(p.a + p.b)),
         )
+        return s
     raise TypeError(f"expected MonoidalParams or StructureMaps, got {type(p).__name__}")
 
 
@@ -532,9 +546,24 @@ def naturality_braiding_sides(p, sources, targets, maps) -> tuple[Matrix, Matrix
 
 
 # -- random sampling, all through one seeded generator ----------------------
+#
+# Every draw is the rejection step that random.Random's randrange, randint
+# and choice make on Python 3.10 to 3.13 (``_randbelow_with_getrandbits``):
+# with k = n.bit_length(), take r = getrandbits(k) until r < n.  Written
+# out here, a draw reads only ``rng.getrandbits``, and a seed gives the
+# values, and leaves the state, of the public calls it stands for.
 
 # elementary operations drawn for each unimodular matrix
 _UNIMODULAR_DRAWS = 6
+
+
+def _below(bits, n: int) -> int:
+    """randrange(n) of the generator whose ``getrandbits`` is bits."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 def _elementary_ops(rng: random.Random, n: int) -> list[tuple[int, int, int, int]]:
@@ -542,15 +571,28 @@ def _elementary_ops(rng: random.Random, n: int) -> list[tuple[int, int, int, int
 
     Each is (kind, i, j, c): kind 0 adds c times row j to row i, kind 1
     swaps rows i and j, kind 2 negates row i.  A draw whose i == j would
-    make kind 0 or 1 the identity is drawn and dropped.
+    make kind 0 or 1 the identity is drawn and dropped.  Each operation
+    draws kind = randrange(3), i and j = randrange(n) and, for kind 0,
+    c = choice((-1, 1)), as ``_below`` does but inlined: this loop makes
+    most of a run's draws.
     """
+    bits, k = rng.getrandbits, n.bit_length()
     ops = []
     for _ in range(_UNIMODULAR_DRAWS):
-        kind = rng.randrange(3)
-        i = rng.randrange(n)
-        j = rng.randrange(n)
+        kind = bits(2)
+        while kind == 3:
+            kind = bits(2)
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
+        j = bits(k)
+        while j >= n:
+            j = bits(k)
         if kind == 0 and i != j:
-            ops.append((0, i, j, rng.choice((-1, 1))))
+            c = bits(2)
+            while c >= 2:
+                c = bits(2)
+            ops.append((0, i, j, 2 * c - 1))
         elif kind == 1 and i != j:
             ops.append((1, i, j, 0))
         elif kind == 2:
@@ -588,31 +630,57 @@ def _undo_columns(ops, m: Matrix) -> Matrix:
     return tuple(zip(*cols))
 
 
+def _unimodular(n: int, ops) -> tuple[Matrix, Matrix]:
+    """(u, u^-1): the drawn operations replayed on the rows of the
+    identity, and their inverses on its columns."""
+    return _apply_rows(ops, mat.identity(n)), _undo_columns(ops, mat.identity(n))
+
+
 def random_unimodular(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
     """(u, u^-1) for u a product of elementary integer matrices.
 
     Every power of u is exact and integral.  u is the drawn operations
     replayed on the rows of the identity and u^-1 their inverses
-    replayed on its columns, so u^-1 comes without an elimination.
+    replayed on its columns, so u^-1 comes without an elimination.  The
+    draws read only ``rng.getrandbits``.
     """
     n = read_bounded(n, "n", 1)
-    ops = _elementary_ops(rng, n)
-    return _apply_rows(ops, mat.identity(n)), _undo_columns(ops, mat.identity(n))
+    return _unimodular(n, _elementary_ops(rng, n))
+
+
+def _draw_object(rng: random.Random, max_dim: int) -> tuple[int, list]:
+    """The draws of one random object, in order: its dimension
+    n = randint(1, max_dim), then the elementary operations of its
+    automorphism.  ``random_object`` builds the object from them."""
+    n = 1 + _below(rng.getrandbits, max_dim)
+    return n, _elementary_ops(rng, n)
+
+
+def _object(n: int, ops) -> HomObject:
+    """The object (k^n, u) of drawn operations, certified with its known inverse."""
+    return HomObject(n, *_unimodular(n, ops))
 
 
 def random_object(rng: random.Random, max_dim: int = 4) -> HomObject:
-    n = rng.randint(1, read_bounded(max_dim, "max_dim", 1))
-    return HomObject(n, *random_unimodular(rng, n))
+    """A random object of dimension 1..max_dim with a unimodular automorphism.
+
+    The draws read only ``rng.getrandbits``.  ``check_coherence`` makes
+    the same draws for every sampled object, and builds the object only
+    for an axiom its proof leaves open.
+    """
+    return _object(*_draw_object(rng, read_bounded(max_dim, "max_dim", 1)))
 
 
-def _draw_map(rng: random.Random, x: HomObject) -> tuple[list, list[int]]:
-    """The draws of one sampled intertwiner out of x, in order: the
-    elementary operations of u, then the coefficients (c0, c1, c2) of
-    p(f) = c0 + c1 f + c2 f^2, one drawn at random set to 1 when all are 0."""
-    ops = _elementary_ops(rng, x.dim)
-    coeffs = [rng.randint(-1, 1) for _ in range(3)]
+def _draw_map(rng: random.Random, n: int) -> tuple[list, list[int]]:
+    """The draws of one sampled intertwiner out of an object of dimension
+    n, in order: the elementary operations of u, then the coefficients
+    (c0, c1, c2) of p(f) = c0 + c1 f + c2 f^2, each randint(-1, 1), one
+    drawn at random set to 1 when all are 0."""
+    ops = _elementary_ops(rng, n)
+    bits = rng.getrandbits
+    coeffs = [_below(bits, 3) - 1 for _ in range(3)]
     if not any(coeffs):
-        coeffs[rng.randrange(3)] = 1
+        coeffs[_below(bits, 3)] = 1
     return ops, coeffs
 
 
@@ -639,25 +707,30 @@ def random_morphism(rng: random.Random, x: HomObject) -> tuple[HomObject, Matrix
     columns, O(draws n) per matrix instead of a dense product.  f^2 and
     f^-1 come from the object's cache of powers, so the target is built
     with its known inverse u f^-1 u^-1, which ``HomObject`` certifies by
-    one product instead of an elimination.  ``check_coherence`` makes
-    the same draws and builds the map only for an axiom its proof
-    leaves open.
+    one product instead of an elimination.  The draws depend on x's
+    dimension alone and read only ``rng.getrandbits``.
+    ``check_coherence`` makes the same draws and builds the map only for
+    an axiom its proof leaves open.
     """
     x = read_instance(x, HomObject, "x")
-    m = _build_map(x, _draw_map(rng, x))
+    m = _build_map(x, _draw_map(rng, x.dim))
     return m.target, m.matrix
 
 
-def _sample(rng: random.Random, pool, t: int, n: int, max_dim: int) -> tuple[HomObject, ...]:
-    """The n objects of trial t.
+def _sample(rng: random.Random, pool, t: int, n: int, max_dim: int) -> tuple[tuple[int, ...], tuple]:
+    """The dimensions of trial t's n objects, and the objects or their draws.
 
-    From a pool, slot 0 cycles through it deterministically and the
-    other slots are drawn at random; without one, every slot is a fresh
-    random object.
+    From a pool, slot 0 cycles through it deterministically, the other
+    slots are drawn at random, and the objects are the pool's own;
+    without one, every slot is a fresh random object, given by its
+    draws (``_draw_object``), which ``_object`` builds.
     """
     if not pool:
-        return tuple(random_object(rng, max_dim) for _ in range(n))
-    return (pool[t % len(pool)],) + tuple(rng.choice(pool) for _ in range(n - 1))
+        drawn = tuple([_draw_object(rng, max_dim) for _ in range(n)])
+        return tuple([d for d, _ in drawn]), drawn
+    bits = rng.getrandbits
+    objs = (pool[t % len(pool)],) + tuple([pool[_below(bits, len(pool))] for _ in range(n - 1)])
+    return tuple([o.dim for o in objs]), objs
 
 
 def _sampling(seed, trials, max_dim) -> tuple[int, int, int]:
@@ -797,14 +870,17 @@ def check_coherence(
 
     Sampling is driven entirely by the seed, so reports are reproducible
     byte for byte.  User-supplied objects, when given, are cycled
-    through deterministically and mixed with random picks.  Naturality
+    through deterministically and mixed with random picks; otherwise
+    every object is drawn as ``random_object`` draws it.  Naturality
     makes the draws of ``random_morphism`` for an intertwiner out of each
-    object.  Each axiom is first proved on words, once per structure, on
-    generic objects and intertwiners (``_proved``, memoised by
-    structure); a proved axiom passes every sampled instance and builds
-    nothing for it, not even its maps.  An axiom the proof leaves open
-    builds and certifies each instance's maps and decides the instance
-    on its words, then, where they differ, on full matrices.
+    object.  Every draw reads only ``rng.getrandbits``.  Each axiom is
+    first proved on words, once per structure, on generic objects and
+    intertwiners (``_proved``, memoised by structure); a proved axiom
+    passes every sampled instance and builds nothing for it: it keeps
+    the drawn dimensions and builds neither the objects nor their maps.
+    An axiom the proof leaves open builds and certifies each instance's
+    objects and maps and decides the instance on its words, then, where
+    they differ, on full matrices.
     """
     seed, trials, max_dim = _sampling(seed, trials, max_dim)
     s = structure_maps(p)
@@ -814,14 +890,14 @@ def check_coherence(
     for (axiom, arity, builders, natural), proved in zip(_AXIOMS, _proved(s)):
         results = []
         for t in range(trials):
-            objs = _sample(rng, pool, t, arity, max_dim)
-            draws = [_draw_map(rng, o) for o in objs] if natural else None
-            dims = tuple([o.dim for o in objs])
+            dims, objs = _sample(rng, pool, t, arity, max_dim)
+            draws = [_draw_map(rng, n) for n in dims] if natural else None
             if proved:
                 results.append(InstanceResult(dims, True))
-            else:
-                args = _arguments(objs, tuple(map(_build_map, objs, draws)) if natural else None)
-                results.append(_decide(dims, (build(s, *args) for build in builders)))
+                continue
+            objs = objs if pool else tuple([_object(*d) for d in objs])
+            args = _arguments(objs, tuple(map(_build_map, objs, draws)) if natural else None)
+            results.append(_decide(dims, (build(s, *args) for build in builders)))
         groups.append((axiom, tuple(results)))
     params_desc = p.to_dict() if isinstance(p, MonoidalParams) else {
         "assoc_exp": list(s.assoc_exp),
@@ -902,16 +978,15 @@ def compare_structures(
     pool = _pool(objects)
     entries = []
     for t in range(trials):
-        objs = _sample(rng, pool, t, 3, max_dim)
-        blocks = tuple([(o,) for o in objs])
+        dims, objs = _sample(rng, pool, t, 3, max_dim)
+        blocks = tuple([(o if pool else _object(*o),) for o in objs])
         for name, arity, build in _CONSTRAINTS:
             first, second = build(s1, *blocks[:arity]), build(s2, *blocks[:arity])
-            dims = tuple(o.dim for o in objs[:arity])
             equal = _same_matrix(first, second)
             if not equal:
                 ratio = _ratio(first, second).to_matrix()
                 equal = ratio == mat.identity(len(ratio))
             entries.append(
-                ConstraintComparison(name, dims, equal, None if equal else _strings(ratio))
+                ConstraintComparison(name, dims[:arity], equal, None if equal else _strings(ratio))
             )
     return ComparisonReport(seed, trials, tuple(entries))

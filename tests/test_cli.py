@@ -869,3 +869,14 @@ def test_empty_dims_asks_for_no_pool(capsys):
     assert out == (GOLDEN / "homcheck_no_pool.json").read_text()
     assert main(argv) == 0
     assert capsys.readouterr().out == out
+
+
+def test_a_long_run_with_no_pool_keeps_its_draws(capsys):
+    """25 trials drawn from the seed alone: every object and map of every
+    instance is drawn, in the order the golden pins, though the proved
+    rows build none of them."""
+    from qbialg.cli import main
+
+    argv = ["homcheck", "--q", "2", "--a", "1", "--b", "1", "--dims", "", "--trials", "25", "--seed", "7"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "homcheck_no_pool_25.json").read_text()

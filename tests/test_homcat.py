@@ -39,7 +39,10 @@ from qbialg.homcat import (
     tensor_obj,
     triangle_sides,
     unit_object,
+    _below,
     _decide,
+    _draw_map,
+    _elementary_ops,
     _LegMap,
     _blocks,
     _maps_legs,
@@ -225,22 +228,105 @@ def test_structure_maps_coercion():
         structure_maps(42)
 
 
-def _elementary_draws(rng, n, ops=6):
-    """u alone, drawn by the sampler's loop of elementary row operations;
-    the sampler must make these very calls on the generator."""
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(ops):
+@settings(max_examples=100, deadline=None)
+@given(
+    st.fractions(max_denominator=1000).filter(bool) | st.integers(-9, 9).filter(bool) | st.just("-3/7"),
+    st.integers(-100, 100),
+    st.integers(-100, 100),
+)
+def test_a_family_structure_built_without_the_readers_is_the_read_one(q, a, b):
+    """structure_maps builds a family member from already read parameters
+    without the readers; it is the StructureMaps the readers build, field
+    for field and type for type, and the proofs memo keeps one entry for both."""
+    from qbialg import homcat
+
+    p = MonoidalParams(q, a, b)
+    raw = structure_maps(p)
+    read = StructureMaps((a, 0, b), q, -b, q, a, (a + b, -(a + b)))
+    assert raw == read and hash(raw) == hash(read)
+    assert vars(raw) == vars(read) and repr(raw) == repr(read)
+    homcat._proved(raw)
+    hits = homcat._proved.cache_info().hits
+    assert homcat._proved(read) is homcat._proved(raw)
+    assert homcat._proved.cache_info().hits == hits + 2
+
+
+# -- the draws against the public calls of random.Random ---------------------
+#
+# The sampler draws through the stdlib's rejection step on getrandbits.  The
+# public calls it stands for stay here, as the oracle: the sampler written
+# through randrange, randint and choice.
+
+
+def _public_ops(rng, n):
+    """The elementary operations of one unimodular draw, by the public calls."""
+    ops = []
+    for _ in range(6):
         kind = rng.randrange(3)
         i = rng.randrange(n)
         j = rng.randrange(n)
         if kind == 0 and i != j:
-            c = rng.choice((-1, 1))
-            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            ops.append((0, i, j, rng.choice((-1, 1))))
         elif kind == 1 and i != j:
-            rows[i], rows[j] = rows[j], rows[i]
+            ops.append((1, i, j, 0))
         elif kind == 2:
+            ops.append((2, i, j, 0))
+    return ops
+
+
+def _public_draw_map(rng, n):
+    """The draws of one intertwiner out of an object of dimension n, by the public calls."""
+    ops = _public_ops(rng, n)
+    coeffs = [rng.randint(-1, 1) for _ in range(3)]
+    if not any(coeffs):
+        coeffs[rng.randrange(3)] = 1
+    return ops, coeffs
+
+
+def _unimodular_of(ops, n):
+    """u alone: the operations applied in turn to the rows of the identity, on lists."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for kind, i, j, c in ops:
+        if kind == 0:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        elif kind == 1:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
             rows[i] = [-x for x in rows[i]]
     return tuple(tuple(r) for r in rows)
+
+
+def test_the_kernel_draws_what_the_public_calls_draw():
+    """On this Python, the rejection step on getrandbits gives what
+    randrange(n), randint(-1, 1), randint(1, n) and choice give, value for
+    value, and leaves the generator in the same state."""
+    for seed in range(200):
+        rng, copy = random.Random(seed), random.Random(seed)
+        bits = rng.getrandbits
+        for n in range(1, 10):
+            seq = tuple(range(10, 10 + n))
+            assert _below(bits, n) == copy.randrange(n)
+            assert _below(bits, 3) - 1 == copy.randint(-1, 1)
+            assert 1 + _below(bits, n) == copy.randint(1, n)
+            assert seq[_below(bits, n)] == copy.choice(seq)
+            assert _elementary_ops(rng, n) == _public_ops(copy, n)
+        assert rng.getstate() == copy.getstate()
+
+
+def test_the_samplers_draw_what_the_public_calls_draw():
+    for seed in range(200):
+        rng, copy = random.Random(seed), random.Random(seed)
+        for n in range(1, 10):
+            assert _draw_map(rng, n) == _public_draw_map(copy, n)
+            assert random_unimodular(rng, n)[0] == _unimodular_of(_public_ops(copy, n), n)
+        for max_dim in range(1, 5):
+            x = random_object(rng, max_dim)
+            n = copy.randint(1, max_dim)
+            assert x == HomObject(n, _unimodular_of(_public_ops(copy, n), n))
+            y, m = random_morphism(rng, x)
+            target, _, expected = _product_route(copy, x)
+            assert (y.matrix, m) == (target, expected)
+        assert rng.getstate() == copy.getstate()
 
 
 def test_random_unimodular_has_unimodular_inverse():
@@ -249,7 +335,7 @@ def test_random_unimodular_has_unimodular_inverse():
         for seed in range(60):
             rng, copy = random.Random(seed), random.Random(seed)
             u, inv = random_unimodular(rng, n)
-            assert u == _elementary_draws(copy, n)
+            assert u == _unimodular_of(_public_ops(copy, n), n)
             assert rng.getstate() == copy.getstate()
             assert inv == mat.inverse(u)
             assert mat.mul(u, inv) == mat.identity(n) == mat.mul(inv, u)
@@ -302,13 +388,11 @@ _ORACLE_OBJECTS = [obj([[c]]) for c in (Fraction(1, 2), Fraction(-1, 3), 3, -1, 
 
 def _product_route(rng, x):
     """random_morphism's target, its inverse and its map by dense products
-    with u and u^-1, from the very calls the sampler makes on the generator."""
+    with u and u^-1, from the public calls the sampler's draws stand for."""
     n = x.dim
-    u = _elementary_draws(rng, n)
+    ops, coeffs = _public_draw_map(rng, n)
+    u = _unimodular_of(ops, n)
     u_inv = mat.inverse(u)
-    coeffs = [rng.randint(-1, 1) for _ in range(3)]
-    if not any(coeffs):
-        coeffs[rng.randrange(3)] = 1
     f = x.matrix
     terms = [mat.scale(c, m) for c, m in zip(coeffs, (mat.identity(n), f, mat.mul(f, f)))]
     poly = functools.reduce(lambda a, b: mat.sub(a, mat.scale(-1, b)), terms)
@@ -363,7 +447,7 @@ def test_a_wrong_column_replay_is_caught_by_the_known_inverse(monkeypatch):
         ops = homcat._elementary_ops(_copy(rng), x.dim)
         if not any(op[0] == 0 for op in ops):
             continue
-        e = _elementary_draws(_copy(rng), x.dim)
+        e = _unimodular_of(_public_ops(_copy(rng), x.dim), x.dim)
         w_inv = skip_first_addition(ops, mat.identity(x.dim))
         wrong = [mat.mul(mat.mul(e, m), w_inv) for m in (x.matrix, x.power(-1))]
         with monkeypatch.context() as patch:
@@ -794,16 +878,16 @@ TOKEN_POOL = [
 
 def _recorded_draws(patch):
     """Patch the draw function so that each call keeps the generator state
-    it drew from, its source and its draws; returns the list the calls
-    are appended to."""
+    it drew from, its source's dimension and its draws; returns the list
+    the calls are appended to."""
     from qbialg import homcat
 
     calls, draw = [], homcat._draw_map
 
-    def recording(rng, x):
+    def recording(rng, n):
         state = rng.getstate()
-        drawn = draw(rng, x)
-        calls.append((state, x, drawn))
+        drawn = draw(rng, n)
+        calls.append((state, n, drawn))
         return drawn
 
     patch.setattr(homcat, "_draw_map", recording)
@@ -825,8 +909,9 @@ def _counted_morphisms(patch) -> list:
 def test_every_draw_builds_the_map_random_morphism_samples(monkeypatch):
     """The words prove every naturality axiom, so a run makes the draws of
     its maps and builds none of them; here each recorded draw is built
-    afterwards, certified by ``HomObject`` and ``HomMorphism``, and equals
-    what random_morphism samples from the same generator state."""
+    afterwards, out of an object of its dimension, certified by
+    ``HomObject`` and ``HomMorphism``, and equals what random_morphism
+    samples out of that object from the same generator state."""
     from qbialg import homcat
 
     with monkeypatch.context() as patch:
@@ -839,7 +924,9 @@ def test_every_draw_builds_the_map_random_morphism_samples(monkeypatch):
     # 7 structures, 2 runs each, 3 trials of 3 + 1 + 2 naturality objects
     assert len(draws) == 7 * 2 * 3 * 6
     assert morphisms[0] == 0
-    for state, x, drawn in draws:
+    sources = {n: HomObject(n, *random_unimodular(random.Random(n), n)) for n in range(1, 5)}
+    for state, n, drawn in draws:
+        x = sources[n]
         m = homcat._build_map(x, drawn)  # certified by HomObject and HomMorphism
         assert m.source is x and m.target.power(-1) == mat.inverse(m.target.matrix)
         rng = random.Random()

@@ -7,6 +7,7 @@ wraps a module global or a method with ``monkeypatch``.
 
 import dataclasses
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -57,17 +58,35 @@ def _count(monkeypatch, owner, name) -> list:
 @pytest.mark.parametrize("pooled", [False, True], ids=["sampled", "pool"])
 def test_coherence_builds_no_matrix_and_no_map(monkeypatch, s, pooled):
     """The words decide every instance of a coherent structure: no side is
-    multiplied out and no sampled map is built.  The one product left is
-    each sampled object's known-inverse check."""
+    multiplied out, and no sampled object or map is built, so not one
+    product is made.  A sampled object is only drawn, once per slot."""
     pool = _pool() if pooled else []
     to_matrix = _count(monkeypatch, homcat._LegMap, "to_matrix")
     morphisms = _count(monkeypatch, homcat.HomMorphism, "__post_init__")
+    objects = _count(monkeypatch, homcat.HomObject, "__post_init__")
     muls = _count(monkeypatch, mat, "mul")
-    objects = _count(monkeypatch, homcat, "random_object")
+    drawn = _count(monkeypatch, homcat, "_draw_object")
     assert check_coherence(s, pool, trials=5, seed=3).ok
+    assert (to_matrix[0], morphisms[0], objects[0], muls[0]) == (0, 0, 0, 0)
     # 5 trials of 4 + 2 + 3 + 3 + 2 + 3 + 1 + 2 objects, unless they come from the pool
-    assert objects[0] == (0 if pooled else 5 * 20)
-    assert (to_matrix[0], morphisms[0], muls[0]) == (0, 0, objects[0])
+    assert drawn[0] == (0 if pooled else 5 * 20)
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["sampled", "pool"])
+def test_sampling_makes_no_public_draw(monkeypatch, pooled):
+    """Every draw is ``homcat``'s rejection step on ``getrandbits``: neither
+    check makes a ``randrange``, ``randint`` or ``choice`` call, a Python
+    frame or three per draw, on a coherent structure, on one it leaves
+    open, or in a comparison."""
+    pool = _pool() if pooled else []
+    public = [_count(monkeypatch, random.Random, name) for name in ("randrange", "randint", "choice")]
+    words = _count(monkeypatch, random.Random, "getrandbits")
+    for s in COHERENT:
+        assert check_coherence(s, pool, trials=5, seed=3, max_dim=3).ok
+    assert not check_coherence(OUTSIDE, pool, trials=2, seed=3, max_dim=2).ok
+    assert not compare_structures(COHERENT[0], COHERENT[1], pool, trials=5, seed=3, max_dim=3).identical
+    assert [n[0] for n in public] == [0, 0, 0]
+    assert words[0] > 0
 
 
 def test_comparing_a_structure_with_itself_builds_no_matrix(monkeypatch):
