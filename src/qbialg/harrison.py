@@ -25,7 +25,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from itertools import chain
 from typing import Mapping
 
@@ -34,6 +33,7 @@ from .laurent import (
     RankMismatch,
     UnitElement,
     Vector,
+    _ONE,
     _raw_unit,
     _read_unit,
     as_unit,
@@ -83,10 +83,10 @@ class HarrisonCochain:
             return NotImplemented
         if self.degree != other.degree:
             raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
-        return HarrisonCochain(self.degree, self.unit * other.unit)
+        return _raw_cochain(self.degree, self.unit * other.unit)
 
     def inverse(self) -> "HarrisonCochain":
-        return HarrisonCochain(self.degree, self.unit.inverse())
+        return _raw_cochain(self.degree, self.unit.inverse())
 
     def to_dict(self) -> dict:
         return {
@@ -107,13 +107,22 @@ class HarrisonCochain:
         return cls.from_data(rank, read_key(data, "scalar"), elements)
 
 
+def _raw_cochain(degree: int, unit: UnitElement) -> HarrisonCochain:
+    """Internal constructor that skips validation, as ``laurent._raw_unit``
+    does, for a cochain computed from valid ones: ``unit`` is a valid unit
+    with ``degree`` legs."""
+    c = object.__new__(HarrisonCochain)
+    vars(c).update(degree=degree, unit=unit)
+    return c
+
+
 def coface(i: CofaceIndex, c: HarrisonCochain) -> HarrisonCochain:
     """The i-th coface: insert 1 at an end or duplicate the i-th slot.  With
     p = (1, x_1, ..., x_n, 1), it is p[1:i+1] + p[i:n+1]: slot i doubled,
     both pads dropped."""
     n = read_instance(c, HarrisonCochain, "c").degree
     i = read_bounded(i, "coface index", 0, n + 1, DegreeMismatch)
-    return HarrisonCochain(n + 1, _raw_unit(c.rank, c.unit.scalar, _coface_slots(i, c)))
+    return _raw_cochain(n + 1, _raw_unit(c.rank, c.unit.scalar, _coface_slots(i, c)))
 
 
 def _coface_slots(i: CofaceIndex, c: HarrisonCochain) -> tuple[Vector, ...]:
@@ -144,8 +153,7 @@ def boundary(c: HarrisonCochain) -> HarrisonCochain:
             flat = list(map(operator.sub, flat, face))
             signs -= 1
     slots = tuple(map(tuple, zip(*[iter(flat)] * rank)))
-    unit = _raw_unit(rank, c.unit.scalar ** signs, slots)
-    return HarrisonCochain(c.degree + 1, unit)
+    return _raw_cochain(c.degree + 1, _raw_unit(rank, c.unit.scalar ** signs, slots))
 
 
 def boundary_closed_form(c: HarrisonCochain) -> HarrisonCochain:
@@ -158,27 +166,25 @@ def boundary_closed_form(c: HarrisonCochain) -> HarrisonCochain:
     identity.  Degree 0 maps everything to the identity.  Both routes
     are kept callable so they can be played against each other.
     """
-    n = c.degree
+    n = read_instance(c, HarrisonCochain, "c").degree
     rank = c.rank
     zero = (0,) * rank
     x = c.unit.monomial
-    if n == 0:
-        return HarrisonCochain.identity(rank, 1)
     slots = [zero] * (n + 1)
-    if n % 2 == 0:
-        m = n // 2
-        slots[0] = tuple(-v for v in x[0])
-        for j in range(1, m):
-            slots[2 * j] = tuple(p - q for p, q in zip(x[2 * j - 1], x[2 * j]))
-        slots[2 * m] = x[2 * m - 1]
-        scalar = Fraction(1)
-    else:
+    scalar = _ONE
+    if n % 2:
         m = (n - 1) // 2
         for j in range(1, m + 1):
             slots[2 * j - 1] = x[2 * j - 1]
             slots[2 * j] = x[2 * j - 1]
         scalar = c.unit.scalar
-    return HarrisonCochain(n + 1, UnitElement(rank, scalar, tuple(slots)))
+    elif n:
+        m = n // 2
+        slots[0] = tuple([-v for v in x[0]])
+        for j in range(1, m):
+            slots[2 * j] = tuple([p - q for p, q in zip(x[2 * j - 1], x[2 * j])])
+        slots[2 * m] = x[2 * m - 1]
+    return _raw_cochain(n + 1, _raw_unit(rank, scalar, tuple(slots)))
 
 
 def coboundary_matrix(rank: int, degree: int) -> list[list[int]]:

@@ -969,7 +969,10 @@ def compare_structures(
     morphism by construction; the public constraint functions check
     that in full through ``HomMorphism``.  An instance the normal forms
     leave open builds one matrix, the ratio: the constraints are equal
-    exactly when it is the identity.
+    exactly when it is the identity.  Without a pool, a trial's objects
+    are drawn, and built and certified only when one of its entries is
+    left open, as ``check_coherence`` builds only for an open row: a
+    structure compared with itself builds no object at all.
     """
     seed, trials, max_dim = _sampling(seed, trials, max_dim)
     s1 = structure_maps(p1)
@@ -979,11 +982,18 @@ def compare_structures(
     entries = []
     for t in range(trials):
         dims, objs = _sample(rng, pool, t, 3, max_dim)
-        blocks = tuple([(o if pool else _object(*o),) for o in objs])
+        # without a pool the draws stand in for the objects: both structures
+        # put the same stand-in on each leg, so their words agree on the
+        # draws exactly when they agree on the objects
+        blocks = tuple([(o,) for o in objs])
+        drawn = not pool
         for name, arity, build in _CONSTRAINTS:
             first, second = build(s1, *blocks[:arity]), build(s2, *blocks[:arity])
             equal = _same_matrix(first, second)
             if not equal:
+                if drawn:  # the first entry left open builds the trial's objects
+                    blocks, drawn = tuple([(_object(*o),) for o in objs]), False
+                    first, second = build(s1, *blocks[:arity]), build(s2, *blocks[:arity])
                 ratio = _ratio(first, second).to_matrix()
                 equal = ratio == mat.identity(len(ratio))
             entries.append(

@@ -36,7 +36,7 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field as _field
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Iterable, Mapping
@@ -547,7 +547,14 @@ def permute_legs(x: TensorElement | UnitElement, perm: tuple[int, ...]) -> UnitE
     perm = tuple([read_integer(p, "perm") for p in read_shape(perm, "array", "perm")])
     if sorted(perm) != list(range(1, x.legs + 1)):
         raise LegOutOfRange(f"{perm} is not a permutation of 1..{x.legs}")
-    return _raw_unit(x.rank, x.scalar, tuple(x.monomial[p - 1] for p in perm))
+    return _permuted(x, perm)
+
+
+def _permuted(x: UnitElement, perm: tuple[int, ...]) -> UnitElement:
+    """``permute_legs`` without the reads, for a unit and a permutation of its
+    legs that are already known valid, such as a constant leg order."""
+    mono = x.monomial
+    return _raw_unit(x.rank, x.scalar, tuple([mono[p - 1] for p in perm]))
 
 
 def insert_unit_leg(x: TensorElement | UnitElement, position: int) -> UnitElement:
@@ -566,11 +573,18 @@ class AlgebraMapSpec:
     Each generator must land on an invertible element, so the whole map
     is determined by exact unit arithmetic: g^e goes to the product of
     the images raised to the matching exponents.
+
+    The map is group-like when every image is c_i * g_i (x) ... (x) g_i,
+    the shape of every ordinary and forced-form coproduct and of every
+    ``BialgebraIso``.  That is recorded once, when the map is built, as
+    ``_copies``: the generators whose c_i is not 1, each with its c_i,
+    or None for a map of any other shape.
     """
 
     rank: int
     target_legs: int
     images: tuple[UnitElement, ...]
+    _copies: tuple[tuple[int, Fraction], ...] | None = _field(init=False, repr=False, compare=False)
     field: InitVar[str] = "image"  # the images' name in errors
 
     def __post_init__(self, field):
@@ -579,12 +593,33 @@ class AlgebraMapSpec:
         images = read_shape(self.images, "array", field, self.rank, RankMismatch)
         imgs = tuple(as_unit(im, self.rank, self.target_legs, f"{field}[{i}]") for i, im in enumerate(images))
         object.__setattr__(self, "images", imgs)
+        zero = _zero_vector(self.rank)
+        diagonal = all(
+            im.monomial == (zero[:i] + (1,) + zero[i + 1 :],) * self.target_legs for i, im in enumerate(imgs)
+        )
+        copies = tuple([(i, im.scalar) for i, im in enumerate(imgs) if im.scalar != 1])
+        object.__setattr__(self, "_copies", copies if diagonal else None)
 
     def image_of_vector(self, e: Vector) -> UnitElement:
-        """Image of the monomial g^e, as a unit of the target power.  An
-        image whose scalar is 1 adds nothing to the scalar, so its power is
-        not taken."""
+        """Image of the monomial g^e, as a unit of the target power; an ``e``
+        that is not ``rank`` long raises RankMismatch naming it.
+
+        A group-like map copies e into every leg, and its scalar is the
+        product of c_i^(e_i) over the generators whose c_i is not 1: no
+        scalar arithmetic at all when every c_i is 1.  Any other map
+        multiplies out the images' powers leg by leg; an image whose
+        scalar is 1 adds nothing to the scalar, so its power is not taken.
+        """
+        if len(e) != self.rank:
+            raise RankMismatch(f"e: expected length {self.rank}, got {len(e)}")
         scalar = _ONE
+        copies = self._copies
+        if copies is not None:
+            for j, c in copies:
+                if e[j]:
+                    scalar = _times(scalar, c ** e[j])
+            leg = e if type(e) is tuple else tuple(e)  # a leg is a tuple, as the loop below makes it
+            return _raw_unit(self.rank, scalar, (leg,) * self.target_legs)
         legs = [_zero_vector(self.rank)] * self.target_legs
         for j, c in enumerate(e):
             if not c:
@@ -610,6 +645,10 @@ class CounitSpec:
         object.__setattr__(self, "values", vals)
 
     def value_of_vector(self, e: Vector) -> Fraction:
+        """The counit of g^e; an ``e`` that is not ``rank`` long raises
+        RankMismatch naming it."""
+        if len(e) != self.rank:
+            raise RankMismatch(f"e: expected length {self.rank}, got {len(e)}")
         out = _ONE
         for v, c in zip(self.values, e):
             if c and v != 1:

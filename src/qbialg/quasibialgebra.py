@@ -13,7 +13,6 @@ maps that holds on each g_i holds everywhere.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,11 +25,15 @@ from .laurent import (
     RankMismatch,
     TensorElement,
     UnitElement,
+    _ONE,
+    _raw_unit,
+    _zero_vector,
     apply_algebra_map_on_leg,
     apply_counit_on_leg,
     as_unit,
     format_coefficient,
     insert_unit_leg,
+    read_instance,
     read_integer,
     read_key,
     read_nonzero,
@@ -101,6 +104,24 @@ class QuasiBialgebraPresentation:
         )
 
 
+def _raw_presentation(
+    rank: int,
+    coproduct: AlgebraMapSpec,
+    counit: CounitSpec,
+    phi: UnitElement,
+    lam: UnitElement,
+    rho: UnitElement,
+) -> QuasiBialgebraPresentation:
+    """Internal constructor that skips validation, as ``laurent._raw_unit``
+    does, for a presentation computed from valid ones: the coalgebra part
+    of a presentation of ``rank``, and constraints that are units of that
+    rank with 3, 1 and 1 legs.  It equals, and hashes as, the same
+    presentation built through ``QuasiBialgebraPresentation(...)``."""
+    p = object.__new__(QuasiBialgebraPresentation)
+    vars(p).update(rank=rank, coproduct=coproduct, counit=counit, phi=phi, lam=lam, rho=rho)
+    return p
+
+
 @dataclass(frozen=True)
 class CanonicalTriple:
     """Parameters (q, h, g) of a canonical quasi-bialgebra structure."""
@@ -164,14 +185,19 @@ def canonical(triple: CanonicalTriple) -> QuasiBialgebraPresentation:
 
     The coalgebra part stays ordinary; only the constraints move.  These
     are exactly the presentations that exhaust, up to twisting, all
-    quasi-bialgebra structures available on k[Z^r].
+    quasi-bialgebra structures available on k[Z^r].  The triple is
+    already read, so its constraints are built without the readers.
     """
-    r = triple.rank
-    return dataclasses.replace(
-        ordinary(r),
-        phi=UnitElement(r, Fraction(1), (triple.h, (0,) * r, triple.g)),
-        lam=UnitElement(r, triple.q, (tuple(-c for c in triple.g),)),
-        rho=UnitElement(r, triple.q, (triple.h,)),
+    r = read_instance(triple, CanonicalTriple, "triple").rank
+    q, h, g = triple.q, triple.h, triple.g
+    base = ordinary(r)
+    return _raw_presentation(
+        r,
+        base.coproduct,
+        base.counit,
+        _raw_unit(r, _ONE, (h, _zero_vector(r), g)),
+        _raw_unit(r, q, (tuple([-c for c in g]),)),
+        _raw_unit(r, q, (h,)),
     )
 
 
@@ -212,7 +238,7 @@ def verify(p: QuasiBialgebraPresentation) -> VerificationReport:
     )
 
     for i in range(r):
-        gen = UnitElement(r, Fraction(1), (_basis_vector(r, i),))
+        gen = _raw_unit(r, _ONE, (_basis_vector(r, i),))
         d = delta.images[i]
 
         # (iii) coassociativity up to conjugation by phi, which is the
@@ -241,8 +267,11 @@ def twist(
     the commutative k[Z^r]^(x2), so it is kept as it is.  The constraint
     phi picks up the usual boundary-like correction, and lambda, rho
     absorb the counit of the inverse.  Twisting by alpha and then by its
-    inverse is the identity.
+    inverse is the identity.  The result is built from the valid p and
+    alpha without the readers; a ``p`` that is not a presentation raises
+    TypeError naming it.
     """
+    p = read_instance(p, QuasiBialgebraPresentation, "p")
     alpha = as_unit(alpha, p.rank, 2, "alpha")
     alpha_inv = alpha.inverse()
     delta = p.coproduct
@@ -255,7 +284,7 @@ def twist(
     )
     new_lam = p.lam * apply_counit_on_leg(p.counit, alpha_inv, 1)
     new_rho = p.rho * apply_counit_on_leg(p.counit, alpha_inv, 2)
-    return dataclasses.replace(p, phi=new_phi, lam=new_lam, rho=new_rho)
+    return _raw_presentation(p.rank, delta, p.counit, new_phi, new_lam, new_rho)
 
 
 def normalize(p: QuasiBialgebraPresentation) -> tuple[BialgebraIso, QuasiBialgebraPresentation]:
@@ -264,9 +293,11 @@ def normalize(p: QuasiBialgebraPresentation) -> tuple[BialgebraIso, QuasiBialgeb
     Group-likeness forces the coproduct of each generator to be
     (1 / counit(g_i)) * g_i (x) g_i; anything else raises NotForcedForm.
     The returned automorphism sends g_i to counit(g_i) * g_i and the
-    returned presentation carries the constraints across it.
+    returned presentation carries the constraints across it, built
+    without the readers; a ``p`` that is not a presentation raises
+    TypeError naming it.
     """
-    r = p.rank
+    r = read_instance(p, QuasiBialgebraPresentation, "p").rank
     images = []
     for i in range(r):
         e = _basis_vector(r, i)
@@ -276,10 +307,11 @@ def normalize(p: QuasiBialgebraPresentation) -> tuple[BialgebraIso, QuasiBialgeb
             raise NotForcedForm(
                 f"coproduct of g{i + 1} is not (1/counit) * g{i + 1} (x) g{i + 1}"
             )
-        images.append(UnitElement(r, v, (e,)))
+        images.append(_raw_unit(r, v, (e,)))
     iso = BialgebraIso(r, tuple(images))
-    result = dataclasses.replace(
-        ordinary(r), phi=iso.apply(p.phi), lam=iso.apply(p.lam), rho=iso.apply(p.rho)
+    base = ordinary(r)
+    result = _raw_presentation(
+        r, base.coproduct, base.counit, iso.apply(p.phi), iso.apply(p.lam), iso.apply(p.rho)
     )
     return iso, result
 
@@ -294,11 +326,28 @@ def find_trivializing_twist(p: QuasiBialgebraPresentation) -> UnitElement:
     lambda.  Because every invertible element of the two-fold tensor
     power is such a monomial, failure of the candidate proves there is
     no twist at all.  The twist is returned as the unit it is.
+
+    A ``p`` that is not a presentation raises TypeError naming it.  The
+    twist is derived once per presentation: the last ``_TWISTS_KEPT``
+    are memoised by equality, so ``solve_R(p)`` and ``classify`` reuse
+    the twist their caller just found.  A refusal is not memoised; it is
+    raised again on every call.
     """
+    return _trivializing_twist(read_instance(p, QuasiBialgebraPresentation, "p"))
+
+
+# each entry is one small unit, and is asked for again soon after it is
+# made: solve_R and classify follow the call that found it
+_TWISTS_KEPT = 16
+
+
+@functools.lru_cache(maxsize=_TWISTS_KEPT)
+def _trivializing_twist(p: QuasiBialgebraPresentation) -> UnitElement:
+    """``find_trivializing_twist`` of a presentation, memoised."""
     if not is_ordinary_coalgebra(p):
         raise NotForcedForm("coalgebra part must be ordinary; run normalize first")
     first, _middle, third = p.phi.monomial
-    candidate = UnitElement(p.rank, p.lam.scalar, (first, tuple(-c for c in third)))
+    candidate = _raw_unit(p.rank, p.lam.scalar, (first, tuple([-c for c in third])))
     if twist(p, candidate) != ordinary(p.rank):
         raise NoMonomialTwist(
             "no invertible monomial twist carries this presentation to the ordinary one"

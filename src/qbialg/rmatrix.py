@@ -12,10 +12,10 @@ from __future__ import annotations
 from .laurent import (
     TensorElement,
     UnitElement,
+    _permuted,
     apply_algebra_map_on_leg,
     as_unit,
     insert_unit_leg,
-    permute_legs,
 )
 from .quasibialgebra import QuasiBialgebraPresentation, find_trivializing_twist
 from .reports import AxiomCheck, VerificationReport, compare
@@ -37,6 +37,8 @@ def verify_R(
     the opposite-coproduct identity is checked on each generator.
     k[Z^r] is commutative, so R * Delta(g) * R^-1 is Delta(g) itself and
     that identity compares the flipped coproduct with the coproduct.
+    Every leg order here is a constant permutation of units the
+    presentation and ``check_rmatrix_shape`` certified, so none is read.
     """
     r_elem = check_rmatrix_shape(r_elem, p.rank)
     delta = p.coproduct
@@ -46,9 +48,9 @@ def verify_R(
     # (1) coproduct on the first leg of R
     lhs = apply_algebra_map_on_leg(delta, r_elem, 1)
     rhs = (
-        permute_legs(phi, (2, 3, 1))
+        _permuted(phi, (2, 3, 1))
         * insert_unit_leg(r_elem, 2)
-        * permute_legs(phi, (1, 3, 2)).inverse()
+        * _permuted(phi, (1, 3, 2)).inverse()
         * insert_unit_leg(r_elem, 1)
         * phi
     )
@@ -57,9 +59,9 @@ def verify_R(
     # (2) coproduct on the second leg of R
     lhs = apply_algebra_map_on_leg(delta, r_elem, 2)
     rhs = (
-        permute_legs(phi, (3, 1, 2)).inverse()
+        _permuted(phi, (3, 1, 2)).inverse()
         * insert_unit_leg(r_elem, 2)
-        * permute_legs(phi, (2, 1, 3))
+        * _permuted(phi, (2, 1, 3))
         * insert_unit_leg(r_elem, 3)
         * phi.inverse()
     )
@@ -68,10 +70,10 @@ def verify_R(
     # (3) R conjugates the coproduct to its opposite, generator by generator;
     # the conjugation is the identity, so the coproduct must be cocommutative
     for i, d in enumerate(delta.images):
-        checks.append(compare(f"opposite_coproduct[g{i + 1}]", permute_legs(d, (2, 1)), d))
+        checks.append(compare(f"opposite_coproduct[g{i + 1}]", _permuted(d, (2, 1)), d))
 
     # (4) triangularity: the flip of R is its inverse
-    checks.append(compare("triangularity", permute_legs(r_elem, (2, 1)), r_elem.inverse()))
+    checks.append(compare("triangularity", _permuted(r_elem, (2, 1)), r_elem.inverse()))
     return VerificationReport(tuple(checks))
 
 
@@ -81,7 +83,7 @@ def twist_R(
     """Carry an R-matrix along a twist: flip(alpha) * R * alpha^-1, as a unit."""
     r_elem = as_unit(r_elem, None, 2, "R")
     alpha = as_unit(alpha, r_elem.rank, 2, "alpha")
-    return permute_legs(alpha, (2, 1)) * r_elem * alpha.inverse()
+    return _permuted(alpha, (2, 1)) * r_elem * alpha.inverse()
 
 
 def solve_R(p: QuasiBialgebraPresentation) -> list[UnitElement]:
@@ -95,7 +97,10 @@ def solve_R(p: QuasiBialgebraPresentation) -> list[UnitElement]:
     to the ordinary one by its trivializing twist, and solutions are
     carried back; twisting is a bijection on R-matrices, so the list is
     complete.  ``find_trivializing_twist`` refuses a coalgebra part that
-    is not ordinary.  The solutions are returned as units.
+    is not ordinary, and a ``p`` that is not a presentation.  It keeps
+    the twists it derived, so the twist a caller just found for p, or
+    for an equal presentation, is reused, not derived again.  The
+    solutions are returned as units.
     """
     back = find_trivializing_twist(p).inverse()
     return [twist_R(UnitElement.identity(p.rank, 2), back)]

@@ -880,3 +880,17 @@ def test_a_long_run_with_no_pool_keeps_its_draws(capsys):
     argv = ["homcheck", "--q", "2", "--a", "1", "--b", "1", "--dims", "", "--trials", "25", "--seed", "7"]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / "homcheck_no_pool_25.json").read_text()
+
+
+def test_a_comparison_with_no_pool_keeps_its_draws(capsys):
+    """Two different family structures, every object drawn from the seed:
+    an entry the words leave open builds its trial's objects, and the
+    ratio it prints is taken on them, in the order the golden pins."""
+    from qbialg.cli import main
+
+    argv = [
+        "compare-hom", "--q1", "2", "--a1", "1", "--b1", "1",
+        "--q2", "1/2", "--a2", "-2", "--b2", "3", "--dims", "", "--trials", "5", "--seed", "3",
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (GOLDEN / "compare_hom_no_pool.json").read_text()

@@ -429,9 +429,13 @@ def test_coboundary_matrix_matches_boundary(c):
 @settings(max_examples=100, deadline=None)
 @given(cochains(max_degree=8))
 def test_cofaces_and_boundary_are_valid_units(c):
-    results = [coface(i, c).unit for i in range(c.degree + 2)]
-    results += [boundary(c).unit, c.inverse().unit, (c * c).unit]
-    assert all(is_valid_unit(u) for u in results)
+    results = [coface(i, c) for i in range(c.degree + 2)]
+    results += [boundary(c), boundary_closed_form(c), c.inverse(), c * c]
+    assert all(is_valid_unit(d.unit) for d in results)
+    # each cochain is built without the readers, and is the one they build
+    for d in results:
+        read = HarrisonCochain(d.degree, d.unit)
+        assert d == read and hash(d) == hash(read) and repr(d) == repr(read)
 
 
 @settings(max_examples=100, deadline=None)

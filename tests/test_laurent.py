@@ -19,6 +19,7 @@ from qbialg.harrison import (
     HarrisonCochain,
     coboundary_matrix,
     boundary,
+    boundary_closed_form,
     cocycle_classify,
     coface,
     cohomology,
@@ -60,6 +61,7 @@ from qbialg.quasibialgebra import (
     QuasiBialgebraPresentation,
     canonical,
     find_trivializing_twist,
+    normalize,
     ordinary,
     twist,
     verify,
@@ -532,20 +534,32 @@ def test_unit_power_needs_an_integer_exponent():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 2), st.data())
-def test_image_of_vector_is_a_valid_unit(rank, legs, data):
-    images = [
-        UnitElement(
-            rank,
-            data.draw(scalars),
-            [[data.draw(st.integers(-3, 3)) for _ in range(rank)] for _ in range(legs)],
-        )
-        for _ in range(rank)
-    ]
+@given(st.integers(1, 3), st.integers(1, 2), st.booleans(), st.data())
+def test_image_of_vector_is_a_valid_unit(rank, legs, group_like, data):
+    """Half the maps are group-like, g_i to c_i g_i (x) ... (x) g_i, and copy
+    the exponents; the other half multiply out their images.  Both meet the
+    product of the images' powers."""
+    if group_like:
+        images = [
+            UnitElement(rank, data.draw(scalars), [[int(j == i) for j in range(rank)]] * legs)
+            for i in range(rank)
+        ]
+    else:
+        images = [
+            UnitElement(
+                rank,
+                data.draw(scalars),
+                [[data.draw(st.integers(-3, 3)) for _ in range(rank)] for _ in range(legs)],
+            )
+            for _ in range(rank)
+        ]
     amap = AlgebraMapSpec(rank, legs, tuple(images))
+    if group_like:
+        assert amap._copies == tuple((i, im.scalar) for i, im in enumerate(images) if im.scalar != 1)
     e = tuple(data.draw(st.integers(-3, 3)) for _ in range(rank))
     image = amap.image_of_vector(e)
     assert rebuilt(image)
+    assert rebuilt(amap.image_of_vector(list(e))) and amap.image_of_vector(list(e)) == image
     expect = UnitElement.identity(rank, legs)
     for im, c in zip(images, e):
         expect = expect * im.power(c)
@@ -755,7 +769,9 @@ _U1 = UnitElement(1, 1, ((0,),))
 _U2 = UnitElement(2, 1, ((0, 0),))
 _U11 = UnitElement(1, 1, ((0,), (0,)))
 _DIAGONAL = AlgebraMapSpec(1, 2, (UnitElement(1, 1, ((1,), (1,))),))
+_SQUARING = AlgebraMapSpec(1, 2, (UnitElement(1, 1, ((1,), (2,))),))  # g to g (x) g^2: not group-like
 _ORD = ordinary(1)
+_ORD2 = ordinary(2)
 # a one-dimensional object, so that a sampled run stays small
 _POOL = (HomObject(1, ((1,),)),)
 
@@ -1084,6 +1100,29 @@ REFUSALS = [
     ("coface None", lambda: coface(0, None), TypeError, "c: expected a HarrisonCochain, got NoneType"),
     ("boundary None", lambda: boundary(None), TypeError, "c: expected a HarrisonCochain, got NoneType"),
     ("boundary unit", lambda: boundary(_U11), TypeError, "c: expected a HarrisonCochain, got UnitElement"),
+    (
+        "boundary_closed_form unit",
+        lambda: boundary_closed_form(_U11),
+        TypeError,
+        "c: expected a HarrisonCochain, got UnitElement",
+    ),
+    # a vector of the wrong length is refused, not cut short, padded or read past its end
+    ("image_of_vector short", lambda: _ORD2.coproduct.image_of_vector((1,)), RankMismatch, "e: expected length 2, got 1"),
+    ("image_of_vector long", lambda: _ORD2.coproduct.image_of_vector((1, 2, 0)), RankMismatch, "e: expected length 2, got 3"),
+    ("image_of_vector too long", lambda: _ORD2.coproduct.image_of_vector((1, 2, 3)), RankMismatch, "e: expected length 2"),
+    ("image_of_vector not group-like", lambda: _SQUARING.image_of_vector((1, 2)), RankMismatch, "e: expected length 1"),
+    ("value_of_vector short", lambda: _ORD2.counit.value_of_vector((5,)), RankMismatch, "e: expected length 2, got 1"),
+    ("value_of_vector long", lambda: CounitSpec(1, (2,)).value_of_vector((1, 1)), RankMismatch, "e: expected length 1"),
+    ("canonical not a triple", lambda: canonical((2, (1,), (1,))), TypeError, "triple: expected a CanonicalTriple"),
+    (
+        "find_trivializing_twist not a presentation",
+        lambda: find_trivializing_twist(_ORD.to_dict()),
+        TypeError,
+        "p: expected a QuasiBialgebraPresentation, got dict",
+    ),
+    ("solve_R not a presentation", lambda: solve_R(None), TypeError, "p: expected a QuasiBialgebraPresentation, got NoneType"),
+    ("twist not a presentation", lambda: twist(None, _U11), TypeError, "p: expected a QuasiBialgebraPresentation, got NoneType"),
+    ("normalize not a presentation", lambda: normalize(_ORD.to_dict()), TypeError, "p: expected a QuasiBialgebraPresentation, got dict"),
     ("coboundary_matrix rank", lambda: coboundary_matrix(0, 1), RankMismatch, "rank must be >= 1, got 0"),
     (
         "AbelianGroupDescriptor free_rank",

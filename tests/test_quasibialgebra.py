@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbialg import quasibialgebra as qb
 from qbialg.laurent import (
     AlgebraMapSpec,
     CounitSpec,
@@ -464,3 +465,73 @@ def test_checks_match_the_textbook_conjugations(case):
         assert verify_R(q, r_elem).to_list() == textbook_verify_R(q, r_elem)
     conjugated = tuple(_conjugate(alpha, d) for d in p.coproduct.images)
     assert twisted.coproduct == AlgebraMapSpec(p.rank, 2, conjugated)
+
+
+# -- values computed without the readers, and the memoised twist ---------------
+
+
+def read_back(p):
+    """``p`` built again through the readers: its presentation and its units."""
+    units = (UnitElement(u.rank, u.scalar, u.monomial) for u in (p.phi, p.lam, p.rho))
+    return QuasiBialgebraPresentation(p.rank, p.coproduct, p.counit, *units)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_presentations_built_without_the_readers_are_the_read_ones(rank, data):
+    """canonical, twist and normalize build their results from values already
+    read, without the readers; each is the presentation the readers build,
+    field for field and type for type, and the twist memo keeps one entry
+    for both."""
+    vector = st.tuples(*[exponents] * rank)
+    q, h, g = data.draw(nonzero_scalars), data.draw(vector), data.draw(vector)
+    alpha = UnitElement(rank, data.draw(nonzero_scalars), (data.draw(vector), data.draw(vector)))
+    eps = [data.draw(nonzero_scalars) for _ in range(rank)]
+    p = canonical(CanonicalTriple(q, h, g))
+    base = ordinary(rank)
+    constraints = (
+        UnitElement(rank, 1, (h, (0,) * rank, g)),
+        UnitElement(rank, q, (tuple(-c for c in g),)),
+        UnitElement(rank, q, (h,)),
+    )
+    twisted = twist(p, alpha)
+    _, back = normalize(_scaled_copy(p, eps))
+    pairs = (
+        (p, QuasiBialgebraPresentation(rank, base.coproduct, base.counit, *constraints)),
+        (twisted, read_back(twisted)),
+        (back, read_back(back)),
+    )
+    for raw, read in pairs:
+        assert raw == read and hash(raw) == hash(read)
+        assert vars(raw) == vars(read) and repr(raw) == repr(read)
+    alpha = find_trivializing_twist(p)
+    hits = qb._trivializing_twist.cache_info().hits
+    assert find_trivializing_twist(pairs[0][1]) is alpha
+    assert find_trivializing_twist(back) is alpha
+    assert qb._trivializing_twist.cache_info().hits == hits + 2
+
+
+def test_the_memoised_twist_is_the_derived_one():
+    """The memo returns what the uncached derivation returns, and refuses
+    what it refuses on every call: a refusal is never memoised."""
+    derive = qb._trivializing_twist.__wrapped__
+    rng = random.Random(27)
+    for _ in range(40):
+        p = canonical(random_triple(rng))
+        alpha = find_trivializing_twist(p)
+        assert alpha == derive(p) and twist(p, alpha) == ordinary(p.rank)
+        assert find_trivializing_twist(through_json(p)) is alpha
+    base = ordinary(1)
+    non_cocycle = dataclasses.replace(base, phi=UnitElement(1, 1, ((1,), (1,), (1,))))
+    scaled = dataclasses.replace(
+        base,
+        coproduct=AlgebraMapSpec(1, 2, (UnitElement(1, Fraction(1, 2), ((1,), (1,))),)),
+        counit=CounitSpec(1, (Fraction(2),)),
+    )
+    for p, error in ((non_cocycle, NoMonomialTwist), (scaled, NotForcedForm)):
+        for call in (find_trivializing_twist, find_trivializing_twist, derive, solve_R):
+            with pytest.raises(error):
+                call(p)
+    for p in (None, base.to_dict(), base.phi):
+        with pytest.raises(TypeError, match=rf"^p: expected a QuasiBialgebraPresentation, got {type(p).__name__}$"):
+            find_trivializing_twist(p)

@@ -12,8 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from qbialg import homcat, laurent
+from qbialg import harrison, homcat, laurent
 from qbialg import matrices as mat
+from qbialg import quasibialgebra as qb
+from qbialg.harrison import HarrisonCochain, boundary, boundary_closed_form
 from qbialg.homcat import (
     HTILDE_STRUCTURE,
     HomObject,
@@ -22,8 +24,16 @@ from qbialg.homcat import (
     check_coherence,
     compare_structures,
 )
-from qbialg.laurent import TensorElement, UnitElement
-from qbialg.quasibialgebra import CanonicalTriple, canonical, verify
+from qbialg.laurent import AlgebraMapSpec, TensorElement, UnitElement, apply_algebra_map_on_leg
+from qbialg.quasibialgebra import (
+    CanonicalTriple,
+    QuasiBialgebraPresentation,
+    canonical,
+    find_trivializing_twist,
+    ordinary,
+    twist,
+    verify,
+)
 from qbialg.rmatrix import solve_R, verify_R
 
 COHERENT = [MonoidalParams(Fraction(2), 1, 1), MonoidalParams(Fraction(1, 2), -2, 3), HTILDE_STRUCTURE]
@@ -90,11 +100,16 @@ def test_sampling_makes_no_public_draw(monkeypatch, pooled):
 
 
 def test_comparing_a_structure_with_itself_builds_no_matrix(monkeypatch):
+    """Every entry is equal by its words, so neither route builds a matrix
+    or makes a product, and without a pool no drawn object is built."""
+    pool = _pool()
     to_matrix = _count(monkeypatch, homcat._LegMap, "to_matrix")
+    muls = _count(monkeypatch, mat, "mul")
+    objects = _count(monkeypatch, homcat.HomObject, "__post_init__")
     for s in COHERENT:
         assert compare_structures(s, s, trials=5, seed=3).identical
-        assert compare_structures(s, s, _pool(), trials=5, seed=3).identical
-    assert to_matrix[0] == 0
+        assert compare_structures(s, s, pool, trials=5, seed=3).identical
+    assert (to_matrix[0], muls[0], objects[0]) == (0, 0, 0)
 
 
 def _count_builders(monkeypatch) -> dict:
@@ -163,9 +178,12 @@ def test_an_open_axiom_builds_no_map_and_draws_each_naturality_map_once(monkeypa
     assert (morphisms[0], draws[0]) == (0, 6 * trials)
 
 
-@pytest.mark.parametrize(
+CANONICAL = pytest.mark.parametrize(
     "h, g", [((1,), (2,)), ((1, -1), (0, 2)), ((1, 0, 2), (-1, 3, 1))], ids=["rank1", "rank2", "rank3"]
 )
+
+
+@CANONICAL
 def test_the_presentation_checks_multiply_units_a_fixed_number_of_times(monkeypatch, h, g):
     """``verify`` multiplies units only in the 3-cocycle identity (one product
     on the left, two on the right) and ``verify_R`` only in its two coproduct
@@ -180,3 +198,63 @@ def test_the_presentation_checks_multiply_units_a_fixed_number_of_times(monkeypa
     assert (products[0], tensors[0], raw[0]) == (3, 0, 0)
     assert verify_R(p, r_elem).ok
     assert (products[0], tensors[0], raw[0]) == (3 + 8, 0, 0)
+
+
+@CANONICAL
+def test_a_group_like_coproduct_copies_exponents(monkeypatch, h, g):
+    """A canonical coproduct is group-like, so each of its images in
+    ``verify``, ``twist`` and ``verify_R`` copies an exponent vector into
+    both legs: not one vector is scaled, whatever the rank."""
+    p = canonical(CanonicalTriple(2, h, g))
+    trivializer = find_trivializing_twist(p)
+    r_elem = solve_R(p)[0]
+    alpha = UnitElement(p.rank, Fraction(3, 2), (g, h))
+    scaled = _count(monkeypatch, laurent, "_vscale")
+    assert verify(p).ok
+    assert twist(p, trivializer) == ordinary(p.rank)
+    assert verify(twist(p, alpha)).ok
+    assert verify_R(p, r_elem).ok
+    assert scaled[0] == 0
+
+
+def test_a_map_that_is_not_group_like_multiplies_out_its_images(monkeypatch):
+    """g to g (x) g^2 is no copy: its image of g^2 scales the image's two legs."""
+    squaring = AlgebraMapSpec(1, 2, (UnitElement(1, 1, ((1,), (2,))),))
+    scaled = _count(monkeypatch, laurent, "_vscale")
+    image = apply_algebra_map_on_leg(squaring, UnitElement(1, 3, ((2,),)), 1)
+    assert image == UnitElement(1, 3, ((2,), (4,)))
+    assert scaled[0] == 2
+
+
+@pytest.mark.parametrize("route", [boundary, boundary_closed_form], ids=["boundary", "closed_form"])
+def test_a_computed_cochain_reads_no_more_at_a_higher_degree(monkeypatch, route):
+    """The boundary of a cochain is built from valid ones, so it calls
+    ``read_bounded`` as often at degree 24 as at degree 1, and never reads
+    a unit."""
+    cochains = [HarrisonCochain.from_data(2, Fraction(3, 2), [[k, 1 - k] for k in range(n)]) for n in (1, 8, 24)]
+    bounded = [_count(monkeypatch, m, "read_bounded") for m in (laurent, harrison)]
+    units = [_count(monkeypatch, m, "_read_unit") for m in (laurent, harrison)]
+    reads = []
+    for c in cochains:
+        before = sum(n[0] for n in bounded)
+        route(c)
+        reads.append(sum(n[0] for n in bounded) - before)
+    assert reads == [reads[0]] * 3
+    assert sum(n[0] for n in units) == 0
+
+
+def test_the_trivializing_twist_is_derived_once_per_presentation(monkeypatch):
+    """``solve_R`` reuses the twist its caller just found, and so does an
+    equal presentation built separately, through the readers or not."""
+    monkeypatch.setattr(qb, "_trivializing_twist", functools.lru_cache(maxsize=16)(qb._trivializing_twist.__wrapped__))
+    twists = _count(monkeypatch, qb, "twist")
+    p = canonical(CanonicalTriple(2, (1, -1), (0, 2)))
+    alpha = find_trivializing_twist(p)
+    (r_elem,) = solve_R(p)
+    assert twists[0] == 1
+    for again in (canonical(CanonicalTriple(2, (1, -1), (0, 2))), QuasiBialgebraPresentation.from_dict(p.to_dict())):
+        assert again == p and again is not p
+        assert find_trivializing_twist(again) is alpha
+        assert solve_R(again) == [r_elem]
+    assert twists[0] == 1
+    assert qb._trivializing_twist.cache_info()[:2] == (5, 1)  # hits, misses
