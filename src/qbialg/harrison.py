@@ -2,7 +2,10 @@
 
 Cochains of degree n are invertible elements of the n-fold tensor
 power: a nonzero scalar together with n exponent vectors.  The
-coboundary is the alternating product of the n + 2 coface maps.  The
+coboundary is the alternating product of the n + 2 coface maps,
+computed from that definition on one flattened copy of the padded
+cochain: each coface is a lazy run over it, and the exponents are
+summed column by column, so no coface is held whole.  The
 scalar part and the exponent part never mix, so cohomology splits into
 a two-case parity analysis for the scalar and the cohomology of a
 complex of free Z-modules for the exponents.  The latter is read off
@@ -25,7 +28,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from typing import Mapping
 
 from .intlinalg import invariant_factors, kernel_basis
@@ -116,44 +119,54 @@ def _raw_cochain(degree: int, unit: UnitElement) -> HarrisonCochain:
     return c
 
 
+def _padded(c: HarrisonCochain) -> tuple[int, ...]:
+    """The exponents of p = (1, x_1, ..., x_n, 1), flattened to r(n + 2) ints."""
+    zero = (0,) * c.rank
+    return (*zero, *chain.from_iterable(c.unit.monomial), *zero)
+
+
+def _coface_flat(i: CofaceIndex, p: tuple[int, ...], rank: int, n: int) -> chain:
+    """Coface i, for an index already in 0..n+1, as a lazy flat iterator over
+    the padded exponents p: slots p[1:i+1] + p[i:n+1], slot i doubled and
+    both pads dropped, r(n + 1) ints in all."""
+    return chain(islice(p, rank, rank * (i + 1)), islice(p, rank * i, rank * (n + 1)))
+
+
+def _slots(flat, rank: int) -> tuple[Vector, ...]:
+    """A flat run of exponents cut back into slots of ``rank``."""
+    return tuple(map(tuple, zip(*[iter(flat)] * rank)))
+
+
 def coface(i: CofaceIndex, c: HarrisonCochain) -> HarrisonCochain:
     """The i-th coface: insert 1 at an end or duplicate the i-th slot.  With
     p = (1, x_1, ..., x_n, 1), it is p[1:i+1] + p[i:n+1]: slot i doubled,
     both pads dropped."""
     n = read_instance(c, HarrisonCochain, "c").degree
     i = read_bounded(i, "coface index", 0, n + 1, DegreeMismatch)
-    return _raw_cochain(n + 1, _raw_unit(c.rank, c.unit.scalar, _coface_slots(i, c)))
-
-
-def _coface_slots(i: CofaceIndex, c: HarrisonCochain) -> tuple[Vector, ...]:
-    """The slots of coface i of c, for an index already in 0..n+1."""
-    zero = ((0,) * c.rank,)
-    p = zero + c.unit.monomial + zero
-    return p[1 : i + 1] + p[i : c.degree + 1]
+    rank = c.rank
+    slots = _slots(_coface_flat(i, _padded(c), rank, n), rank)
+    return _raw_cochain(n + 1, _raw_unit(rank, c.unit.scalar, slots))
 
 
 def boundary(c: HarrisonCochain) -> HarrisonCochain:
     """Alternating product of all cofaces, computed from the definition.
 
     Multiplying units adds exponent vectors slot by slot, so the exponent
-    part is a signed running sum: the n + 2 coface monomials, each
-    flattened to r(n + 1) ints, are added to (i even) or subtracted from
-    (i odd) one flat list, which is cut back into n + 1 slots at the end.
-    The scalar is raised once to the sum of the signs.
+    part is a signed sum of the n + 2 coface monomials.  The padded
+    cochain is flattened once, each coface is the lazy flat iterator
+    ``coface`` regroups, and the sum is taken column by column: each of
+    the r(n + 1) target ints is the sum over the even faces minus the sum
+    over the odd ones.  No face is held whole.  The scalar is raised once
+    to the number of even faces less the number of odd ones.
     """
     rank = read_instance(c, HarrisonCochain, "c").rank
-    flat = [0] * (rank * (c.degree + 1))
-    signs = 0
-    for i in range(c.degree + 2):
-        face = chain.from_iterable(_coface_slots(i, c))
-        if i % 2 == 0:
-            flat = list(map(operator.add, flat, face))
-            signs += 1
-        else:
-            flat = list(map(operator.sub, flat, face))
-            signs -= 1
-    slots = tuple(map(tuple, zip(*[iter(flat)] * rank)))
-    return _raw_cochain(c.degree + 1, _raw_unit(rank, c.unit.scalar ** signs, slots))
+    n = c.degree
+    p = _padded(c)
+    faces = [_coface_flat(i, p, rank, n) for i in range(n + 2)]
+    even, odd = faces[0::2], faces[1::2]
+    flat = map(operator.sub, map(sum, zip(*even)), map(sum, zip(*odd)))
+    scalar = c.unit.scalar ** (len(even) - len(odd))
+    return _raw_cochain(n + 1, _raw_unit(rank, scalar, _slots(flat, rank)))
 
 
 def boundary_closed_form(c: HarrisonCochain) -> HarrisonCochain:

@@ -14,7 +14,7 @@ maps that holds on each g_i holds everywhere.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from typing import Mapping
 
@@ -145,17 +145,25 @@ class CanonicalTriple:
 
 @dataclass(frozen=True)
 class BialgebraIso:
-    """An algebra automorphism of k[Z^r] scaling each generator."""
+    """An algebra automorphism of k[Z^r] scaling each generator.
+
+    Its ``AlgebraMapSpec`` is built once, with the iso, and kept as
+    ``_map``; ``apply`` reads no map.
+    """
 
     rank: int
     generator_images: tuple[UnitElement, ...]
+    _map: AlgebraMapSpec = _field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_map", AlgebraMapSpec(self.rank, 1, self.generator_images))
 
     def as_map(self) -> AlgebraMapSpec:
-        return AlgebraMapSpec(self.rank, 1, self.generator_images)
+        return self._map
 
     def apply(self, x: UnitElement) -> UnitElement:
         """Apply the automorphism to every leg of x."""
-        amap = self.as_map()
+        amap = self._map
         for leg in range(1, x.legs + 1):
             x = apply_algebra_map_on_leg(amap, x, leg)
         return x
@@ -202,8 +210,9 @@ def canonical(triple: CanonicalTriple) -> QuasiBialgebraPresentation:
 
 
 def is_ordinary_coalgebra(p: QuasiBialgebraPresentation) -> bool:
-    """True when the coproduct is diagonal and the counit is constant 1."""
-    base = ordinary(p.rank)
+    """True when the coproduct is diagonal and the counit is constant 1; a
+    ``p`` that is not a presentation raises TypeError naming it."""
+    base = ordinary(read_instance(p, QuasiBialgebraPresentation, "p").rank)
     return p.coproduct == base.coproduct and p.counit == base.counit
 
 
@@ -212,12 +221,15 @@ def verify(p: QuasiBialgebraPresentation) -> VerificationReport:
 
     k[Z^r] is commutative, so each conjugation by a unit in the textbook
     axioms is the identity and the conjugated side is compared as it is.
+    The per-generator rows (quasi-coassociativity and both counit laws)
+    read only the coalgebra part, which every canonical presentation of a
+    rank shares with ``ordinary``, so they are derived once per coalgebra:
+    the last ``_COALGEBRAS_KEPT`` are memoised by equality.  A ``p`` that
+    is not a presentation raises TypeError naming it.
     """
-    r = p.rank
+    p = read_instance(p, QuasiBialgebraPresentation, "p")
     delta = p.coproduct
-    eps = p.counit
     phi, lam, rho = p.phi, p.lam, p.rho
-    checks: list[AxiomCheck] = []
 
     # (i) the 3-cocycle identity for phi in four legs
     lhs = apply_algebra_map_on_leg(delta, phi, 3) * apply_algebra_map_on_leg(delta, phi, 1)
@@ -226,17 +238,32 @@ def verify(p: QuasiBialgebraPresentation) -> VerificationReport:
         * apply_algebra_map_on_leg(delta, phi, 2)
         * insert_unit_leg(phi, 4)
     )
-    checks.append(compare("cocycle", lhs, rhs))
+    cocycle = compare("cocycle", lhs, rhs)
 
     # (ii) counit applied to the middle leg of phi matches the unit constraints
-    checks.append(
-        compare(
-            "counital",
-            apply_counit_on_leg(eps, phi, 2),
-            tensor_concat(rho, lam.inverse()),
-        )
+    counital = compare(
+        "counital",
+        apply_counit_on_leg(p.counit, phi, 2),
+        tensor_concat(rho, lam.inverse()),
     )
 
+    # (v) the constraints are invertible; construction already enforces
+    # this, so the entry documents the fact rather than re-deriving it.
+    return VerificationReport(
+        (cocycle, counital, *_coalgebra_checks(delta, p.counit), AxiomCheck("invertibility", True))
+    )
+
+
+# each entry is 3r small checks; canonical presentations of one rank all
+# share one coalgebra, so a handful of ranks fill it
+_COALGEBRAS_KEPT = 16
+
+
+@functools.lru_cache(maxsize=_COALGEBRAS_KEPT)
+def _coalgebra_checks(delta: AlgebraMapSpec, eps: CounitSpec) -> tuple[AxiomCheck, ...]:
+    """``verify``'s rows (iii) and (iv) for each generator, memoised."""
+    r = delta.rank
+    checks: list[AxiomCheck] = []
     for i in range(r):
         gen = _raw_unit(r, _ONE, (_basis_vector(r, i),))
         d = delta.images[i]
@@ -251,11 +278,7 @@ def verify(p: QuasiBialgebraPresentation) -> VerificationReport:
         # leaves it unchanged
         checks.append(compare(f"counit_left[g{i + 1}]", apply_counit_on_leg(eps, d, 1), gen))
         checks.append(compare(f"counit_right[g{i + 1}]", apply_counit_on_leg(eps, d, 2), gen))
-
-    # (v) the constraints are invertible; construction already enforces
-    # this, so the entry documents the fact rather than re-deriving it.
-    checks.append(AxiomCheck("invertibility", True))
-    return VerificationReport(tuple(checks))
+    return tuple(checks)
 
 
 def twist(

@@ -16,6 +16,7 @@ from .laurent import (
     apply_algebra_map_on_leg,
     as_unit,
     insert_unit_leg,
+    read_instance,
 )
 from .quasibialgebra import QuasiBialgebraPresentation, find_trivializing_twist
 from .reports import AxiomCheck, VerificationReport, compare
@@ -39,7 +40,9 @@ def verify_R(
     that identity compares the flipped coproduct with the coproduct.
     Every leg order here is a constant permutation of units the
     presentation and ``check_rmatrix_shape`` certified, so none is read.
+    A ``p`` that is not a presentation raises TypeError naming it.
     """
+    p = read_instance(p, QuasiBialgebraPresentation, "p")
     r_elem = check_rmatrix_shape(r_elem, p.rank)
     delta = p.coproduct
     phi = p.phi

@@ -61,6 +61,7 @@ from qbialg.quasibialgebra import (
     QuasiBialgebraPresentation,
     canonical,
     find_trivializing_twist,
+    is_ordinary_coalgebra,
     normalize,
     ordinary,
     twist,
@@ -1012,6 +1013,14 @@ REFUSALS = [
     ),
     ("twist alpha not an element", lambda: twist(_ORD, [[1], [0]]), TypeError, "alpha: expected a TensorElement"),
     ("verify_R R not an element", lambda: verify_R(_ORD, None), TypeError, "R: expected a TensorElement"),
+    ("verify p not a presentation", lambda: verify(None), TypeError, "p: expected a QuasiBialgebraPresentation, got NoneType"),
+    ("verify_R p not a presentation", lambda: verify_R(None, _U11), TypeError, "p: expected a QuasiBialgebraPresentation, got NoneType"),
+    (
+        "is_ordinary_coalgebra p not a presentation",
+        lambda: is_ordinary_coalgebra(None),
+        TypeError,
+        "p: expected a QuasiBialgebraPresentation, got NoneType",
+    ),
     ("twist_R R not an element", lambda: twist_R(None, _U11), TypeError, "R: expected a TensorElement"),
     (
         "AlgebraMapSpec image not an element",

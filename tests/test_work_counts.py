@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbialg import harrison, homcat, laurent
 from qbialg import matrices as mat
@@ -30,6 +32,7 @@ from qbialg.quasibialgebra import (
     QuasiBialgebraPresentation,
     canonical,
     find_trivializing_twist,
+    normalize,
     ordinary,
     twist,
     verify,
@@ -258,3 +261,73 @@ def test_the_trivializing_twist_is_derived_once_per_presentation(monkeypatch):
         assert solve_R(again) == [r_elem]
     assert twists[0] == 1
     assert qb._trivializing_twist.cache_info()[:2] == (5, 1)  # hits, misses
+
+
+@CANONICAL
+def test_an_equal_coalgebra_reuses_its_rows(monkeypatch, h, g):
+    """``verify``'s per-generator rows read only the coalgebra part, so a
+    second presentation with an equal coalgebra, rebuilt through
+    ``from_dict``, applies only the counital row's counit and the cocycle
+    row's three maps: 1 and 3 calls, not 1 + 2r and 3 + 2r."""
+    monkeypatch.setattr(qb, "_coalgebra_checks", functools.lru_cache(maxsize=16)(qb._coalgebra_checks.__wrapped__))
+    p = canonical(CanonicalTriple(2, h, g))
+    again = QuasiBialgebraPresentation.from_dict(p.to_dict())
+    assert again == p and again.coproduct is not p.coproduct and again.counit is not p.counit
+    counits = _count(monkeypatch, qb, "apply_counit_on_leg")
+    maps = _count(monkeypatch, qb, "apply_algebra_map_on_leg")
+    report = verify(p)
+    assert report.ok and (counits[0], maps[0]) == (1 + 2 * p.rank, 3 + 2 * p.rank)
+    assert verify(again) == report
+    assert (counits[0], maps[0]) == (2 + 2 * p.rank, 6 + 2 * p.rank)
+    assert qb._coalgebra_checks.cache_info()[:2] == (1, 1)  # hits, misses
+
+
+_SCALARS = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1), Fraction(-1, 3)])
+
+
+@st.composite
+def forced_forms(draw):
+    """Two to four presentations of one rank, each with coproduct
+    c_i g_i (x) g_i and a counit drawn apart from it: a counit law fails,
+    with its witnesses, unless c_i ε_i = 1.  The scalars are few, so two
+    presentations often share a coproduct or a counit but not both."""
+    rank = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(-2, 2)] * rank)
+    basis = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    out = []
+    for _ in range(draw(st.integers(2, 4))):
+        base = canonical(CanonicalTriple(draw(_SCALARS), draw(vector), draw(vector)))
+        coproduct = AlgebraMapSpec(rank, 2, tuple(UnitElement(rank, draw(_SCALARS), (e, e)) for e in basis))
+        counit = laurent.CounitSpec(rank, tuple(draw(_SCALARS) for _ in basis))
+        out.append(dataclasses.replace(base, coproduct=coproduct, counit=counit))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(forced_forms())
+def test_a_warm_memo_reports_what_a_cold_one_does(ps):
+    """Rows served from the coalgebra memo, filled by every presentation of
+    the draw, equal the rows derived after ``cache_clear``, witnesses too."""
+    for p in ps:
+        verify(p)
+    warm = [verify(p) for p in ps]
+    cold = []
+    for p in ps:
+        qb._coalgebra_checks.cache_clear()
+        cold.append(verify(p))
+    assert warm == cold and [r.to_list() for r in warm] == [r.to_list() for r in cold]
+    assert all(c.lhs is not None and c.rhs is not None for r in cold for c in r.failed())
+
+
+def test_normalize_builds_one_map(monkeypatch):
+    """A ``BialgebraIso`` builds its map once, with the iso, so ``normalize``
+    reads one ``AlgebraMapSpec`` for φ, λ and ρ together, not one each."""
+    base = canonical(CanonicalTriple(2, (1, -1), (0, 2)))  # builds ordinary(2) before the count
+    eps = (Fraction(2), Fraction(-1, 3))
+    coproduct = AlgebraMapSpec(2, 2, tuple(UnitElement(2, 1 / e, (v, v)) for e, v in zip(eps, ((1, 0), (0, 1)))))
+    p = dataclasses.replace(base, coproduct=coproduct, counit=laurent.CounitSpec(2, eps))
+    maps = _count(monkeypatch, laurent.AlgebraMapSpec, "__post_init__")
+    iso, flat = normalize(p)
+    assert maps[0] == 1
+    assert [u.scalar for u in iso.generator_images] == list(eps)
+    assert iso.as_map() is iso.as_map() and flat.coproduct is ordinary(2).coproduct
