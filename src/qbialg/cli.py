@@ -27,6 +27,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import homcat
 from .harrison import HarrisonCochain, boundary, cohomology
@@ -172,8 +173,41 @@ def _dims(text: str) -> tuple[int, ...]:
     return sizes
 
 
+def _json(obj, indent: str = "\n") -> str:
+    """obj as ``json.dumps(obj, indent=2)`` writes it, ``indent`` being the
+    newline and spaces that end its line.
+
+    A report holds only strings, ints, booleans, None, lists, tuples and
+    dicts with string keys.  Given an indent, ``json`` falls back to its
+    pure-Python encoder; this writer is that encoder cut down to those
+    exact types, and any other type raises TypeError.
+    """
+    t = type(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(x, inner) for x in obj]) + indent + "]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    sys.stdout.write(_json(obj) + "\n")
 
 
 # -- subcommand handlers -----------------------------------------------------

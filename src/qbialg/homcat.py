@@ -29,14 +29,21 @@ that decides:
    equal for every choice of the objects and of the maps, and no matrix
    is multiplied.  Coherence takes this route once per structure, on
    generic objects and intertwiners (``_proved``, memoised by
-   structure): an axiom it proves passes every sampled instance, which
-   builds no words.  Only an axiom it leaves open compares the words of
-   each sampled instance, then route 2.
+   structure, which keeps the generic sides it built): an axiom it
+   proves passes every sampled instance, which builds no words.  An
+   axiom it leaves open substitutes each sampled instance's objects and
+   maps into those sides, by identity, which gives the words the
+   builders would give on them, compares them, then takes route 2.
 2. Exact matrices on the sampled objects, built when the normal forms
    differ (an automorphism of finite order, such as -I or a swap, can
-   still make the sides equal): coherence builds both full Kronecker
-   matrices, whose difference is a failure's witness; a comparison
-   builds one, the ratio, from the two constraints' exponent differences.
+   still make the sides equal).  Each side is one rational scale times
+   an integer Kronecker matrix: a 1 x 1 leg folds into the scale, and a
+   larger one contributes its power with denominators cleared, cached
+   by its object.  Coherence compares the two sides on cross-multiplied
+   integers, whose difference over the common denominator is a
+   failure's witness; a comparison builds one matrix, the ratio, from
+   the two constraints' exponent differences.  A ``Fraction`` is formed
+   only to write a non-integral entry.
 
 Coherence makes the draws of every sampled object, and of a sampled
 intertwiner out of each object of a naturality axiom, so that every
@@ -57,7 +64,7 @@ import random
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import matrices as mat
 from .laurent import (
@@ -104,8 +111,10 @@ class HomObject:
     dim: int
     matrix: Matrix
     known_inverse: InitVar[Matrix | None] = None
-    # f^e by exponent, filled on demand; not part of the object's value
+    # f^e by exponent, and f^e with its denominators cleared, filled on
+    # demand; not part of the object's value
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+    _cleared: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self, known_inverse):
         object.__setattr__(self, "dim", read_bounded(self.dim, "dim", 1))
@@ -130,6 +139,13 @@ class HomObject:
         if e not in self._powers:
             self._powers[e] = mat.power(self.matrix if e >= 0 else self._powers[-1], abs(e))
         return self._powers[e]
+
+    def cleared_power(self, e: int) -> tuple[int, Matrix]:
+        """(d, d f^e) with d the least common denominator of f^e, so that
+        d f^e is integral (``mat.cleared``), computed once per exponent."""
+        if e not in self._cleared:
+            self._cleared[e] = mat.cleared(self.power(e))
+        return self._cleared[e]
 
 
 @dataclass(frozen=True)
@@ -307,25 +323,67 @@ class _LegMap:
         perm = self.perm + tuple([n + p for p in other.perm])
         return _LegMap(_product(self.scalar, other.scalar), perm, self.words + other.words)
 
+    def substituted(self, values: dict) -> "_LegMap":
+        """The same leg map with every object and map of its words replaced
+        by its entry in ``values``, keyed by identity."""
+        return _LegMap(self.scalar, self.perm, tuple([
+            (tuple([values[m] for m in maps]) if maps else (), values[x], e)
+            for maps, x, e in self.words
+        ]))
+
     def to_matrix(self) -> Matrix:
-        mats = [
-            reduce(mat.mul, [m.matrix for m in maps] + [x.power(e)]) for maps, x, e in self.words
-        ]
+        mats = [_word_matrix(word) for word in self.words]
         mats[0] = mat.scale(self.scalar, mats[0])
-        k = reduce(mat.kron, mats)
-        n = len(self.perm)
-        if self.perm == tuple(range(n)):
-            return k
-        dims = [len(m) for m in mats]
-        strides = [1] * n
-        for i in range(n - 1, 0, -1):
-            strides[i - 1] = strides[i] * dims[i]
-        # output slot perm[i] holds input leg i: walk the output slots,
-        # slowest first, each stepping through k's rows by its leg's stride
-        rows = [0]
-        for i in _permuted(self.perm, range(n)):
-            rows = [r + x * strides[i] for r in rows for x in range(dims[i])]
-        return tuple([k[r] for r in rows])
+        return _moved_rows(reduce(mat.kron, mats), self.perm, [len(m) for m in mats])
+
+
+def _word_matrix(word: tuple) -> Matrix:
+    """maps[0] ... maps[-1] f_X^e, the matrix of the word (maps, X, e)."""
+    maps, x, e = word
+    return reduce(mat.mul, [m.matrix for m in maps] + [x.power(e)])
+
+
+def _moved_rows(k: Matrix, perm: tuple[int, ...], dims: Sequence[int]) -> Matrix:
+    """The rows of k, the Kronecker product of legs of dimensions ``dims``,
+    moved so that leg i lands in output slot perm[i]."""
+    n = len(perm)
+    if perm == tuple(range(n)):
+        return k
+    strides = [1] * n
+    for i in range(n - 1, 0, -1):
+        strides[i - 1] = strides[i] * dims[i]
+    # output slot perm[i] holds input leg i: walk the output slots,
+    # slowest first, each stepping through k's rows by its leg's stride
+    rows = [0]
+    for i in _permuted(perm, range(n)):
+        rows = [r + x * strides[i] for r in rows for x in range(dims[i])]
+    return tuple([k[r] for r in rows])
+
+
+def _integral(
+    num: int, den: int, words: tuple, perm: tuple[int, ...] | None = None
+) -> tuple[int, int, Matrix]:
+    """The leg map (num / den) perm (words) as (n, d, K): the matrix (n / d) K
+    with K integral, the rows of K in ``to_matrix``'s order; no ``perm``
+    is the identity.
+
+    Each leg's matrix is written as an integer matrix over its least
+    common denominator, for a bare power cached by its object
+    (``HomObject.cleared_power``).  A 1 x 1 leg folds into the scale n / d;
+    K is the Kronecker product of the larger legs alone.
+    """
+    mats, dims = [], []
+    for word in words:
+        maps, x, e = word
+        d, k = mat.cleared(_word_matrix(word)) if maps else x.cleared_power(e)
+        den *= d
+        dims.append(len(k))
+        if len(k) == 1:
+            num *= k[0][0]
+        else:
+            mats.append(k)
+    k = reduce(mat.kron, mats) if mats else mat.identity(1)
+    return num, den, k if perm is None else _moved_rows(k, perm, dims)
 
 
 def _same_matrix(lhs: _LegMap, rhs: _LegMap) -> bool:
@@ -346,22 +404,34 @@ def _morphism(legs: _LegMap) -> HomMorphism:
     return HomMorphism(reduce(tensor_obj, sources), reduce(tensor_obj, targets), legs.to_matrix())
 
 
-def _ratio(first: _LegMap, second: _LegMap) -> _LegMap:
-    """second . first^-1, for two constraints on the same objects and permutation.
+def _ratio(first: _LegMap, second: _LegMap) -> tuple[int, int, Matrix]:
+    """second . first^-1, for two constraints on the same objects and
+    permutation, as ``_integral``'s (n, d, K).
 
     Each is s P (x) f_i^e_i with s != 0, one power per leg, so with P
     the common permutation the ratio is (s2/s1) P ((x) f_i^(e2_i - e1_i))
-    P^-1: the identity permutation with f_i^(e2_i - e1_i) in slot perm[i].
+    P^-1: the identity permutation with f_i^(e2_i - e1_i) in slot perm[i],
+    and the scale s2/s1 taken as a pair of ints.
     """
     pairs = zip(first.words, second.words)
-    words = tuple([((), x, e2 - e1) for (_, x, e1), (_, _, e2) in pairs])
-    return _LegMap(
-        second.scalar / first.scalar, tuple(range(len(words))), _permuted(first.perm, words)
-    )
+    words = _permuted(first.perm, [((), x, e2 - e1) for (_, x, e1), (_, _, e2) in pairs])
+    s1, s2 = first.scalar, second.scalar
+    num, den = s2.numerator * s1.denominator, s2.denominator * s1.numerator
+    return _integral(num, den, words)
 
 
-def _strings(m: Matrix) -> tuple:
-    return tuple(tuple(map(format_coefficient, row)) for row in m)
+def _quotient_text(x: int, den: int) -> str:
+    """x / den as ``format_coefficient`` writes it, forming a ``Fraction`` only
+    when den does not divide x."""
+    q, r = divmod(x, den)
+    return format_coefficient(Fraction(x, den) if r else q)
+
+
+def _strings(m: Matrix, num: int = 1, den: int = 1) -> tuple:
+    """The entries of m, each times num / den, as text."""
+    if num == den == 1:
+        return tuple(tuple(map(format_coefficient, row)) for row in m)
+    return tuple(tuple([_quotient_text(num * x, den) for x in row]) for row in m)
 
 
 # -- the four constraints at tensor objects ---------------------------------
@@ -824,38 +894,73 @@ def _arguments(objs: tuple, maps: tuple | None) -> tuple:
     return objs, tuple([m.target for m in maps]), maps
 
 
+def _variables(objs: tuple, maps: tuple | None) -> tuple:
+    """Everything of an instance that its sides' words name: the objects,
+    for naturality the maps and their targets, and the unit, which always
+    stands for itself."""
+    if maps is None:
+        return objs + (_UNIT,)
+    return objs + maps + tuple([m.target for m in maps]) + (_UNIT,)
+
+
 # structures whose proofs a process keeps: a CLI run checks one, and the
 # bound holds memory fixed in a process that checks many
 _PROOFS_KEPT = 16
 
 
+class _Proof(NamedTuple):
+    """One ``_AXIOMS`` row on generic arguments: whether its words prove it,
+    the generic variables its sides name (``_variables``), and the sides,
+    one pair per builder."""
+
+    proved: bool
+    variables: tuple
+    sides: tuple[tuple[_LegMap, _LegMap], ...]
+
+
 @lru_cache(maxsize=_PROOFS_KEPT)
-def _proved(s: StructureMaps) -> tuple[bool, ...]:
-    """One verdict per ``_AXIOMS`` row: whether the words prove it for s.
+def _proved(s: StructureMaps) -> tuple[_Proof, ...]:
+    """One ``_Proof`` per ``_AXIOMS`` row of s.
 
     Each row's builders run once on generic arguments: objects that are
     pairwise distinct and compared by identity, and for naturality a
     ``_GenericMap`` out of each.  Equal words in distinct variables stay
-    equal under any substitution of objects and intertwiners, so True
-    proves the axiom for every instance; False leaves each instance to
-    ``_decide``.
+    equal under any substitution of objects and intertwiners, so a
+    proved row holds for every instance.  A row left open keeps its
+    sides: the builders only compose words, and never look into the
+    objects or maps they name, so substituting an instance's objects and
+    maps for the variables gives the sides the builders would build on
+    them, permutation, scalar and words alike.
     """
-    verdicts = []
+    proofs = []
     for _, arity, builders, natural in _AXIOMS:
         objs = tuple([object() for _ in range(arity)])
-        args = _arguments(objs, tuple(map(_GenericMap, objs)) if natural else None)
-        verdicts.append(all(_same_matrix(*build(s, *args)) for build in builders))
-    return tuple(verdicts)
+        maps = tuple(map(_GenericMap, objs)) if natural else None
+        args = _arguments(objs, maps)
+        sides = tuple([build(s, *args) for build in builders])
+        proved = all([_same_matrix(lhs, rhs) for lhs, rhs in sides])
+        proofs.append(_Proof(proved, _variables(objs, maps), sides))
+    return tuple(proofs)
 
 
 def _decide(dims: tuple[int, ...], sides) -> InstanceResult:
-    """Pass when every pair of sides agrees; else the first difference is the witness."""
+    """Pass when every pair of sides agrees; else the first difference is the witness.
+
+    A pair whose words differ is compared as (n1 / d1) K1 against
+    (n2 / d2) K2 (``_integral``): d1 d2 (lhs - rhs) is n1 d2 K1 - n2 d1 K2,
+    all in ints, and it is the witness over d1 d2.
+    """
     for lhs, rhs in sides:
         if _same_matrix(lhs, rhs):
             continue
-        left, right = lhs.to_matrix(), rhs.to_matrix()
-        if left != right:
-            return InstanceResult(dims, False, _strings(mat.sub(left, right)))
+        n1, d1, k1 = _integral(lhs.scalar.numerator, lhs.scalar.denominator, lhs.words, lhs.perm)
+        n2, d2, k2 = _integral(rhs.scalar.numerator, rhs.scalar.denominator, rhs.words, rhs.perm)
+        if len(k1) != len(k2):
+            raise ValueError(f"sides of {len(k1)} and {len(k2)} rows")
+        a, b = n1 * d2, n2 * d1
+        diff = tuple([tuple([a * x - b * y for x, y in zip(r1, r2)]) for r1, r2 in zip(k1, k2)])
+        if any(map(any, diff)):
+            return InstanceResult(dims, False, _strings(diff, 1, d1 * d2))
     return InstanceResult(dims, True)
 
 
@@ -879,25 +984,28 @@ def check_coherence(
     passes every sampled instance and builds nothing for it: it keeps
     the drawn dimensions and builds neither the objects nor their maps.
     An axiom the proof leaves open builds and certifies each instance's
-    objects and maps and decides the instance on its words, then, where
-    they differ, on full matrices.
+    objects and maps, substitutes them into the proof's sides and
+    decides the instance on their words, then, where they differ, on
+    integer matrices.
     """
     seed, trials, max_dim = _sampling(seed, trials, max_dim)
     s = structure_maps(p)
     rng = random.Random(seed)
     pool = _pool(objects)
     groups = []
-    for (axiom, arity, builders, natural), proved in zip(_AXIOMS, _proved(s)):
+    for (axiom, arity, _, natural), proof in zip(_AXIOMS, _proved(s)):
         results = []
         for t in range(trials):
             dims, objs = _sample(rng, pool, t, arity, max_dim)
             draws = [_draw_map(rng, n) for n in dims] if natural else None
-            if proved:
+            if proof.proved:
                 results.append(InstanceResult(dims, True))
                 continue
             objs = objs if pool else tuple([_object(*d) for d in objs])
-            args = _arguments(objs, tuple(map(_build_map, objs, draws)) if natural else None)
-            results.append(_decide(dims, (build(s, *args) for build in builders)))
+            maps = tuple(map(_build_map, objs, draws)) if natural else None
+            values = dict(zip(proof.variables, _variables(objs, maps)))
+            sides = ((lhs.substituted(values), rhs.substituted(values)) for lhs, rhs in proof.sides)
+            results.append(_decide(dims, sides))
         groups.append((axiom, tuple(results)))
     params_desc = p.to_dict() if isinstance(p, MonoidalParams) else {
         "assoc_exp": list(s.assoc_exp),
@@ -968,8 +1076,9 @@ def compare_structures(
     a constraint is a power of that leg's own object, so it is a
     morphism by construction; the public constraint functions check
     that in full through ``HomMorphism``.  An instance the normal forms
-    leave open builds one matrix, the ratio: the constraints are equal
-    exactly when it is the identity.  Without a pool, a trial's objects
+    leave open builds one matrix, the ratio, as a scale n / d times an
+    integer matrix K (``_ratio``): the constraints are equal exactly
+    when n K is d times the identity.  Without a pool, a trial's objects
     are drawn, and built and certified only when one of its entries is
     left open, as ``check_coherence`` builds only for an open row: a
     structure compared with itself builds no object at all.
@@ -989,14 +1098,16 @@ def compare_structures(
         drawn = not pool
         for name, arity, build in _CONSTRAINTS:
             first, second = build(s1, *blocks[:arity]), build(s2, *blocks[:arity])
-            equal = _same_matrix(first, second)
+            equal, ratio = _same_matrix(first, second), None
             if not equal:
                 if drawn:  # the first entry left open builds the trial's objects
                     blocks, drawn = tuple([(_object(*o),) for o in objs]), False
                     first, second = build(s1, *blocks[:arity]), build(s2, *blocks[:arity])
-                ratio = _ratio(first, second).to_matrix()
-                equal = ratio == mat.identity(len(ratio))
-            entries.append(
-                ConstraintComparison(name, dims[:arity], equal, None if equal else _strings(ratio))
-            )
+                # the ratio (num / den) k is the identity when num k == den I
+                num, den, k = _ratio(first, second)
+                equal = all([
+                    num * x == (den if i == j else 0) for i, row in enumerate(k) for j, x in enumerate(row)
+                ])
+                ratio = None if equal else _strings(k, num, den)
+            entries.append(ConstraintComparison(name, dims[:arity], equal, ratio))
     return ComparisonReport(seed, trials, tuple(entries))

@@ -23,6 +23,10 @@ fraction-free: it clears denominators and eliminates with exact integer
 divisions (Bareiss), so the unimodular matrices the hom-category checker
 samples never touch a ``Fraction``.
 
+``cleared`` writes a matrix as an integer matrix over one least common
+denominator: ``inverse`` eliminates on it, and ``homcat`` compares
+coherence sides and comparison ratios on it, one integer scale per side.
+
 ``mul`` is the one dense product in the package: ``homcat`` folds each
 leg word with it and ``intlinalg.matrix_mul`` is its list view.
 ``identity`` is cached only so that each size is built once; nothing
@@ -108,6 +112,13 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return tuple([tuple([x * y for x in row_a for y in row_b]) for row_a in a for row_b in b])
 
 
+def cleared(a: Matrix) -> tuple[int, Matrix]:
+    """(d, d a): d > 0 the least common denominator of a's entries, so that
+    d a is a matrix of ints, computed without forming a ``Fraction``."""
+    d = lcm(*[x.denominator for row in a for x in row])
+    return d, tuple([tuple([x.numerator * (d // x.denominator) for x in row]) for row in a])
+
+
 def inverse(a: Matrix) -> Matrix:
     """The exact inverse, by fraction-free Gauss-Jordan elimination.
 
@@ -121,11 +132,8 @@ def inverse(a: Matrix) -> Matrix:
     n, m = shape(a)
     if n != m:
         raise NotInvertible(f"matrix is {n}x{m}, not square")
-    den = lcm(*(x.denominator for row in a for x in row))
-    aug = [
-        [int(x * den) for x in row] + [int(i == j) for j in range(n)]
-        for i, row in enumerate(a)
-    ]
+    den, b = cleared(a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(b)]
     prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)

@@ -894,3 +894,38 @@ def test_a_comparison_with_no_pool_keeps_its_draws(capsys):
     ]
     assert main(argv) == 1
     assert capsys.readouterr().out == (GOLDEN / "compare_hom_no_pool.json").read_text()
+
+
+# -- the report writer ---------------------------------------------------------
+
+json_trees = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.text(st.characters(codec=None, exclude_categories=("Cs",)))
+    | st.text("\x00\x1f\"\\/ é\U0001f600 a"),
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=3), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+def test_the_report_writer_writes_what_json_dumps_writes(tree):
+    """``_emit``'s one-pass writer against ``json.dumps(obj, indent=2)``:
+    non-ASCII and control characters, empty and nested containers,
+    tuples, large and negative ints, booleans and None."""
+    from qbialg.cli import _json
+
+    assert _json(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": {2, 3}}, [Fraction(1, 2)], b"x"])
+def test_the_report_writer_refuses_other_types(value):
+    from qbialg.cli import _json
+
+    with pytest.raises(TypeError):
+        _json(value)

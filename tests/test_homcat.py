@@ -41,6 +41,8 @@ from qbialg.homcat import (
     unit_object,
     _below,
     _decide,
+    _integral,
+    _strings,
     _draw_map,
     _elementary_ops,
     _LegMap,
@@ -819,6 +821,101 @@ def structures(draw, scalars=(Fraction(1), Fraction(-1), Fraction(2), Fraction(1
     )
 
 
+# -- the integer kernel against full matrices ----------------------------------
+
+
+@st.composite
+def rational_objects(draw, max_dim=3):
+    """An object of dimension 1..max_dim: unimodular, of finite order, or
+    triangular with a nonzero rational diagonal and rational entries
+    above it, so that its powers carry denominators."""
+    if draw(st.booleans()):
+        return draw(hom_objects(max_dim))
+    n = draw(st.integers(1, max_dim))
+    entry = st.fractions(-3, 3, max_denominator=4)
+    diagonal = entry.filter(bool)
+    return HomObject(n, [[draw(diagonal) if i == j else draw(entry) if j > i else 0 for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def leg_map_pairs(draw):
+    """Two leg maps on the same 1-4 objects, repeats allowed: each leg a
+    power f^e with e in -3..3, after an intertwiner out of the leg's
+    object on some legs; a permutation and a scalar per side.  The rhs
+    often keeps the lhs's permutation, scalar or exponents, and a
+    finite-order object can make different exponents agree."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(rational_objects(max_dim=3 if n < 4 else 2), min_size=1, max_size=n))
+    objs = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    exponent = st.integers(-3, 3)
+    scalar = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-2, 3)])
+
+    def word(x, e):
+        if draw(st.booleans()):
+            return ((), x, e)
+        y, m = random_morphism(rng, x)
+        return ((HomMorphism(x, y, m),), x, e)
+
+    lhs_exps = [draw(exponent) for _ in objs]
+    lhs = _LegMap(draw(scalar), tuple(draw(st.permutations(range(n)))), tuple(map(word, objs, lhs_exps)))
+    rhs_exps = lhs_exps if draw(st.booleans()) else [draw(exponent) for _ in objs]
+    rhs_words = lhs.words if draw(st.booleans()) and rhs_exps is lhs_exps else tuple(map(word, objs, rhs_exps))
+    rhs_perm = lhs.perm if draw(st.booleans()) else tuple(draw(st.permutations(range(n))))
+    rhs_scalar = lhs.scalar if draw(st.booleans()) else draw(scalar)
+    return lhs, _LegMap(rhs_scalar, rhs_perm, rhs_words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(leg_map_pairs())
+def test_the_integer_kernel_is_to_matrix(pair):
+    """Each side is (n / d) K with K a matrix of ints equal to ``to_matrix``,
+    and ``_decide`` gives the verdict and the witness that the full
+    matrices and ``mat.sub`` give."""
+    left, right = (side.to_matrix() for side in pair)
+    for side, full in zip(pair, (left, right)):
+        num, den, k = _integral(side.scalar.numerator, side.scalar.denominator, side.words, side.perm)
+        assert all(type(x) is int for row in k for x in row)
+        assert mat.scale(Fraction(num, den), k) == full
+    dims = tuple(len(w[1].matrix) for w in pair[0].words)
+    result = _decide(dims, [pair])
+    assert result.passed is (left == right)
+    assert result.witness == (None if left == right else _strings(mat.sub(left, right)))
+
+
+def _named(legs: _LegMap) -> tuple:
+    """A leg map's permutation, scalar and words, each object and map
+    named by its identity."""
+    return legs.perm, legs.scalar, tuple([(tuple(map(id, maps)), id(x), e) for maps, x, e in legs.words])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    structures(),
+    st.lists(rational_objects(max_dim=2), min_size=1, max_size=3),
+    st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    st.integers(0, 2**32),
+)
+def test_substituted_sides_are_the_builders_sides(s, pool, picks, seed):
+    """An instance substitutes its objects, maps and targets into the sides
+    its row's proof built on generic ones: the permutation, the scalar
+    and every word, object and map by identity, are what the builders
+    give on the instance, also where one object fills several slots."""
+    from qbialg import homcat
+
+    sampled = tuple([pool[i % len(pool)] for i in picks])
+    rng = random.Random(seed)
+    for (_, arity, builders, natural), proof in zip(homcat._AXIOMS, homcat._proved.__wrapped__(s)):
+        objs = sampled[:arity]
+        maps = tuple([homcat._build_map(x, homcat._draw_map(rng, x.dim)) for x in objs]) if natural else None
+        values = dict(zip(proof.variables, homcat._variables(objs, maps)))
+        args = homcat._arguments(objs, maps)
+        assert len(proof.sides) == len(builders)
+        for (lhs, rhs), build in zip(proof.sides, builders):
+            built = build(s, *args)
+            assert [_named(lhs.substituted(values)), _named(rhs.substituted(values))] == list(map(_named, built))
+
+
 @settings(max_examples=100, deadline=None)
 @given(structures(), st.lists(hom_objects(), min_size=3, max_size=3))
 def test_every_constraint_intertwines_by_construction(s, objs):
@@ -1030,7 +1127,7 @@ def test_a_broken_builder_and_the_real_ones_keep_their_own_verdicts(monkeypatch,
     for name in ("naturality_associator", "naturality_unitors", "naturality_braiding"):
         assert any(not inst.passed for inst in groups[name]), name
     assert reports[real].ok
-    assert homcat._proved(structure_maps(PARAM_SETS[2])) == (True,) * len(COHERENCE_AXIOMS)
+    assert [p.proved for p in homcat._proved(structure_maps(PARAM_SETS[2]))] == [True] * len(COHERENCE_AXIOMS)
     assert homcat._proved.cache_info().currsize == 1
 
 
@@ -1043,7 +1140,7 @@ def test_the_words_prove_every_naturality_square(s):
     for a naturality axiom of a real structure."""
     from qbialg import homcat
 
-    verdicts = dict(zip(COHERENCE_AXIOMS, homcat._proved.__wrapped__(s)))
+    verdicts = {name: p.proved for name, p in zip(COHERENCE_AXIOMS, homcat._proved.__wrapped__(s))}
     assert [verdicts[name] for name in COHERENCE_AXIOMS if name.startswith("naturality")] == [True] * 3
 
 
@@ -1052,36 +1149,61 @@ UNEQUAL_UNITORS = dataclasses.replace(PLAIN_STRUCTURE, left_scalar=Fraction(2))
 ROUTE_STRUCTURES = [*PARAM_SETS, HTILDE_STRUCTURE, PLAIN_STRUCTURE, *OUTSIDE, UNEQUAL_UNITORS]
 
 
+def _per_instance_route(s, objects=(), trials=25, seed=0, max_dim=4):
+    """``check_coherence``'s axiom groups by the per-instance route, which
+    keeps no proof: every instance builds its objects and maps and runs
+    the builders on them; a pair of sides whose words differ is
+    multiplied out in full by ``to_matrix``, and ``mat.sub`` gives the
+    witness.  Returns the groups and, per instance in report order, the
+    pairs of sides built."""
+    from qbialg import homcat
+
+    s, rng, pool = structure_maps(s), random.Random(seed), list(objects)
+    groups, built = [], []
+    for axiom, arity, builders, natural in homcat._AXIOMS:
+        results = []
+        for t in range(trials):
+            dims, objs = homcat._sample(rng, pool, t, arity, max_dim)
+            draws = [homcat._draw_map(rng, n) for n in dims] if natural else None
+            objs = objs if pool else tuple([homcat._object(*d) for d in objs])
+            args = homcat._arguments(objs, tuple(map(homcat._build_map, objs, draws)) if natural else None)
+            built.append([build(s, *args) for build in builders])
+            witness = None
+            for lhs, rhs in built[-1]:
+                if _same_matrix(lhs, rhs):
+                    continue
+                left, right = lhs.to_matrix(), rhs.to_matrix()
+                if left != right:
+                    witness = homcat._strings(mat.sub(left, right))
+                    break
+            results.append(homcat.InstanceResult(dims, witness is None, witness))
+        groups.append((axiom, tuple(results)))
+    return tuple(groups), built
+
+
 @pytest.mark.parametrize("s", ROUTE_STRUCTURES)
 @pytest.mark.parametrize("pooled", [False, True], ids=["sampled", "pool"])
-def test_a_proof_gives_the_report_of_the_per_instance_route(monkeypatch, s, pooled):
-    """A second route: with the proofs memo proving nothing, every instance
-    is decided on its own words, then matrices.  The reports are
-    byte-identical, and every sampled instance of a row the memo proves
-    agrees by its words."""
+def test_a_proof_gives_the_report_of_the_per_instance_route(s, pooled):
+    """A second route: the per-instance checker above runs the builders on
+    every sampled instance and compares full matrices where the words
+    differ.  The reports are byte-identical, and every sampled instance of
+    a row the proof proves agrees by its words."""
     from qbialg import homcat
 
     coherent = s not in OUTSIDE and s is not UNEQUAL_UNITORS
     where = {"objects": TOKEN_POOL} if pooled else {"max_dim": 4 if coherent else 2}
-    proved = homcat._proved(structure_maps(s))
-    assert all(proved) is coherent
-    memoised = [json.dumps(check_coherence(s, trials=3, seed=seed, **where).to_dict()) for seed in range(5)]
-
-    decide, sides = homcat._decide, []
-
-    def recording(dims, pairs):
-        sides.append(list(pairs))
-        return decide(dims, sides[-1])
-
-    monkeypatch.setattr(homcat, "_proved", lambda s: (False,) * len(COHERENCE_AXIOMS))
-    monkeypatch.setattr(homcat, "_decide", recording)
-    for seed, report in enumerate(memoised):
-        assert json.dumps(check_coherence(s, trials=3, seed=seed, **where).to_dict()) == report
-    # 5 seeds of the eight axioms, 3 trials each, in that order
-    assert len(sides) == 5 * len(COHERENCE_AXIOMS) * 3
-    for i, pairs in enumerate(sides):
-        if proved[i // 3 % len(COHERENCE_AXIOMS)]:
-            assert all(_same_matrix(lhs, rhs) for lhs, rhs in pairs)
+    proofs = homcat._proved(structure_maps(s))
+    assert all(p.proved for p in proofs) is coherent
+    for seed in range(5):
+        report = check_coherence(s, trials=3, seed=seed, **where)
+        groups, built = _per_instance_route(s, trials=3, seed=seed, **where)
+        expect = homcat.CoherenceReport(report.params, seed, 3, groups)
+        assert json.dumps(report.to_dict()) == json.dumps(expect.to_dict())
+        # the eight axioms, 3 trials each, in that order
+        assert len(built) == len(COHERENCE_AXIOMS) * 3
+        for i, pairs in enumerate(built):
+            if proofs[i // 3].proved:
+                assert all(_same_matrix(lhs, rhs) for lhs, rhs in pairs)
 
 
 # -- the block rule against the public constraint matrices -------------------

@@ -159,13 +159,17 @@ def test_an_equal_structure_reuses_the_proof(monkeypatch, s):
 
 
 @pytest.mark.parametrize("trials", [1, 5])
-def test_an_open_axiom_is_built_once_generically_and_once_per_instance(monkeypatch, trials):
+def test_an_open_axiom_is_built_once_generically_and_never_per_instance(monkeypatch, trials):
+    """An open row's instances substitute their objects into the sides the
+    proof built, so its builders run once generically and never on a
+    sampled instance, like those of a proved row."""
     calls = _count_builders(monkeypatch)
     report = check_coherence(OUTSIDE, _pool(), trials=trials, seed=3)
     assert not dict(report.axioms)["pentagon"][0].passed
-    assert calls["pentagon[0]"] == [1, trials]
+    assert calls["pentagon[0]"] == [1, 0]
     # the naturality squares hold outside the family too, and are proved once
     assert [n for name, n in calls.items() if name.startswith("naturality")] == [[1, 0]] * 4
+    assert len(calls) == 9 and all(n == [1, 0] for n in calls.values())
 
 
 @pytest.mark.parametrize("trials", [1, 5])
@@ -179,6 +183,70 @@ def test_an_open_axiom_builds_no_map_and_draws_each_naturality_map_once(monkeypa
     assert not dict(report.axioms)["pentagon"][0].passed
     # 3 + 1 + 2 naturality objects per trial
     assert (morphisms[0], draws[0]) == (0, 6 * trials)
+
+
+def _count_fractions(monkeypatch) -> list:
+    """Count every ``Fraction`` built from now on: through ``__new__`` and,
+    on Python 3.12 and later, through ``_from_coprime_ints``, where
+    arithmetic builds its results without ``__new__``.  The count is
+    calls[0]."""
+    calls = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    if "_from_coprime_ints" in vars(Fraction):
+        coprime = vars(Fraction)["_from_coprime_ints"].__func__
+
+        def counting_coprime(cls, *args):
+            calls[0] += 1
+            return coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    return calls
+
+
+def _fraction_texts(report) -> int:
+    """The witness entries of a report that are not integers."""
+    return sum("/" in e for _, group in report.axioms for i in group for row in i.witness or () for e in row)
+
+
+@pytest.mark.parametrize("integral", [False, True], ids=["pool", "finite_order_pool"])
+def test_a_warm_open_row_forms_a_fraction_only_to_write_one(monkeypatch, integral):
+    """A second check on the same pool finds every power, and every power
+    with its denominators cleared, in its objects' caches, and its unitor
+    scalars are integers: its open rows are compared on ints alone.  It
+    forms one ``Fraction`` per non-integral witness entry it writes, and
+    none at all where the pool's objects are integral both ways."""
+    pool = _pool()[1:] if integral else _pool()
+    first = check_coherence(OUTSIDE, pool, trials=5, seed=3)
+    cleared = _count(monkeypatch, mat, "cleared")
+    fractions = _count_fractions(monkeypatch)
+    again = check_coherence(OUTSIDE, pool, trials=5, seed=3)
+    assert again == first and not again.ok
+    written = _fraction_texts(again)
+    assert (written == 0) is integral
+    assert (fractions[0], cleared[0]) == (written, 0)
+
+
+def test_no_kronecker_product_takes_a_one_by_one_factor(monkeypatch):
+    """A 1 x 1 leg, the unit's or a scalar object's, folds into the scale of
+    its side or ratio, so neither route hands ``kron`` a 1 x 1 factor."""
+    factors = []
+    kron = mat.kron
+
+    def recording(a, b):
+        factors.append((len(a), len(b)))
+        return kron(a, b)
+
+    monkeypatch.setattr(mat, "kron", recording)
+    for where in ({"objects": _pool()}, {"max_dim": 2}):
+        assert not check_coherence(OUTSIDE, trials=5, seed=3, **where).ok
+        assert not compare_structures(COHERENT[0], COHERENT[1], trials=5, seed=3, **where).identical
+    assert factors and all(1 not in pair for pair in factors)
 
 
 CANONICAL = pytest.mark.parametrize(
